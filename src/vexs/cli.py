@@ -199,6 +199,8 @@ def cmd_lemma41(args) -> int:
         preset = cfg.get("preset", "unit-distance")
         seed = int(cfg.get("seed", args.seed))
         name = cfg.get("name", preset)
+        # layer_cake_check reads rel_tol alone; reject the other quad keys
+        check_keys(cfg.get("quad", {}), {"rel_tol"}, "lemma41 quad")
         quad = parse_quad(cfg.get("quad"), seed)
     else:
         preset, seed, name = args.preset, args.seed, args.preset

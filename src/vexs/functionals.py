@@ -624,10 +624,13 @@ class _PairSection:
     """Shared y-sectioning machinery for the layer-cake identity.
 
     A fixed tensor layout (x nodes) x (y cells, GL15 within each cell)
-    supports, for any threshold, splitting every x row's y range into the
-    parts above and below {phi = threshold}: whole cells are classified
-    by their endpoint signs and boundary cells are resolved by batched
-    bisection, with fresh GL nodes on each partial piece.
+    supports, for any batch of thresholds, splitting every x row's y
+    range into the parts above and below {phi = threshold}.  Whole cells
+    are classified by the extremes of phi over their sample path.  One
+    array-built piece builder, `_boundary_pieces`, resolves the boundary
+    cells of both callers: it bisects every sign change of the batch at
+    once and cuts each cell into signed (row, lo, hi) pieces, which get
+    fresh GL nodes.
     """
 
     N_XPAN = 16
@@ -673,49 +676,57 @@ class _PairSection:
         self.cell_min = self.PHI_samples.min(axis=2)
         self.cell_max = self.PHI_samples.max(axis=2)
 
-    def split_weights(self, thresh: float):
-        """Per-(x, y-node) weights restricted to {phi > thresh} and to the
-        complement, resolving boundary cells by bisection.
+    def _boundary_pieces(self, threshs: np.ndarray, boundary: np.ndarray):
+        """Split the boundary cells flagged in `boundary` (shape (d, m, c))
+        at the roots of phi(x, .) = threshs[d].
 
-        Returns (w_above, w_below, pieces) where pieces lists partial
-        sub-intervals of boundary cells as (row, lo, hi, is_above).
+        Returns (d, row, lo, hi, is_above) arrays of the non-empty pieces,
+        in boundary-cell order (row-major over (d, m, c)) and by y within
+        each cell, so that np.add.at accumulates them in a fixed order.
         """
-        pos = self.PHI_samples > thresh
-        above_all = pos.all(axis=2)
-        below_all = (~pos).all(axis=2)
-        w_above = np.where(above_all[:, :, None], self.cell_w, 0.0)
-        w_below = np.where(below_all[:, :, None], self.cell_w, 0.0)
+        # flatnonzero plus unravel_index gives np.nonzero's row-major
+        # order at a fraction of its cost on n-d masks
+        dd, rows, cols = np.unravel_index(np.flatnonzero(boundary),
+                                          boundary.shape)
+        pos = self.PHI_samples[rows, cols, :] > threshs[dd, None]  # (k, 17)
+        brows, bloc = np.divmod(np.flatnonzero(pos[:, :-1] != pos[:, 1:]),
+                                pos.shape[1] - 1)
+        bcols = cols[brows]
+        xv = self.xnodes[rows[brows]]
+        th = threshs[dd[brows]]
+        roots = vector_bisect(lambda y: self.phi(xv, y) - th,
+                              self.ysamples[bcols, bloc],
+                              self.ysamples[bcols, bloc + 1],
+                              pos[brows, bloc], iters=60)
+        # brows is non-decreasing, so boundary cell k owns a contiguous run
+        # of nseg[k] - 1 roots; its segment j sits at first[k] + j (roots
+        # of earlier cells + k + j), and root i closes segment i + brows[i]
+        # and opens the next; segment signs alternate from pos[k, 0]
+        nseg = np.bincount(brows, minlength=dd.size) + 1
+        first = np.cumsum(nseg) - nseg
+        cell = np.repeat(np.arange(dd.size), nseg)
+        lo = np.empty(cell.size)
+        hi = np.empty(cell.size)
+        at = np.arange(brows.size) + brows
+        hi[at] = roots
+        lo[at + 1] = roots
+        lo[first] = self.ysamples[cols, 0]
+        hi[first + nseg - 1] = self.ysamples[cols, -1]
+        odd = (np.arange(cell.size) - first[cell]) % 2 == 1
+        is_above = pos[cell, 0] ^ odd
+        keep = hi > lo
+        cell = cell[keep]
+        return dd[cell], rows[cell], lo[keep], hi[keep], is_above[keep]
 
-        boundary = ~(above_all | below_all)
-        rows, cols = np.nonzero(boundary)
-        pieces: list[tuple[int, float, float, bool]] = []
-        if rows.size:
-            flips = pos[rows, cols, :-1] != pos[rows, cols, 1:]
-            brows, bloc = np.nonzero(flips)
-            lo = self.ysamples[cols[brows], bloc]
-            hi = self.ysamples[cols[brows], bloc + 1]
-            xv = self.xnodes[rows[brows]]
-            lo_pos = pos[rows[brows], cols[brows], bloc]
-
-            def g(y):
-                return self.phi(xv, y) - thresh
-
-            roots = vector_bisect(g, lo, hi, lo_pos, iters=60)
-            # brows is non-decreasing (np.nonzero is row-major), so each
-            # cell's roots form a contiguous, already ordered slice
-            starts = np.searchsorted(brows, np.arange(rows.size), side="left")
-            ends = np.searchsorted(brows, np.arange(rows.size), side="right")
-            for k in range(rows.size):
-                r, cell = int(rows[k]), int(cols[k])
-                my_roots = [float(t) for t in roots[starts[k]:ends[k]]]
-                cuts = [float(self.ysamples[cell, 0])] + my_roots + \
-                    [float(self.ysamples[cell, -1])]
-                sign = bool(pos[r, cell, 0])
-                for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
-                    if seg_hi > seg_lo:
-                        pieces.append((r, seg_lo, seg_hi, sign))
-                    sign = not sign
-        return w_above, w_below, pieces
+    def _piece_nodes(self, row, lo, hi):
+        """GL15 abscissae (x, y) and weights on each piece [lo, hi] of
+        x row `row`; each of shape (n_pieces, 15)."""
+        xs15, ws15 = _GL15
+        hh = 0.5 * (hi - lo)
+        ys = (lo + hh)[:, None] + hh[:, None] * xs15[None, :]
+        ww = hh[:, None] * ws15[None, :]
+        xb = np.broadcast_to(self.xnodes[row][:, None], ys.shape)
+        return xb, ys, ww
 
     def psi_integral_above_batch(self, threshs: np.ndarray) -> np.ndarray:
         """Integral of psi over {y : phi(x, y) > t} for a batch of
@@ -728,56 +739,13 @@ class _PairSection:
         threshs = np.asarray(threshs, dtype=float)
         above_all = self.cell_min[None] > threshs[:, None, None]  # (d, m, c)
         above = np.sum(np.where(above_all, self.cell_psi[None], 0.0), axis=2)
-
         boundary = ~above_all & (self.cell_max[None] > threshs[:, None, None])
-        dd, rows, cols = np.nonzero(boundary)
-        if dd.size == 0:
+        if not boundary.any():
             return above
-
-        pos = self.PHI_samples[rows, cols, :] > threshs[dd, None]  # (k, 17)
-        flips = pos[:, :-1] != pos[:, 1:]
-        brows, bloc = np.nonzero(flips)
-        lo = self.ysamples[cols[brows], bloc]
-        hi = self.ysamples[cols[brows], bloc + 1]
-        xv = self.xnodes[rows[brows]]
-        th = threshs[dd[brows]]
-        lo_pos = pos[brows, bloc]
-
-        def g(y):
-            return self.phi(xv, y) - th
-
-        roots = vector_bisect(g, lo, hi, lo_pos, iters=60)
-        starts = np.searchsorted(brows, np.arange(dd.size), side="left")
-        ends = np.searchsorted(brows, np.arange(dd.size), side="right")
-
-        piece_d: list[int] = []
-        piece_r: list[int] = []
-        piece_lo: list[float] = []
-        piece_hi: list[float] = []
-        for k in range(dd.size):
-            cell = int(cols[k])
-            cuts = [float(self.ysamples[cell, 0])]
-            cuts.extend(float(t) for t in roots[starts[k]:ends[k]])
-            cuts.append(float(self.ysamples[cell, -1]))
-            sign = bool(pos[k, 0])
-            for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
-                if sign and seg_hi > seg_lo:
-                    piece_d.append(int(dd[k]))
-                    piece_r.append(int(rows[k]))
-                    piece_lo.append(seg_lo)
-                    piece_hi.append(seg_hi)
-                sign = not sign
-        if piece_d:
-            xs15, ws15 = _GL15
-            los = np.asarray(piece_lo)
-            his = np.asarray(piece_hi)
-            prow = np.asarray(piece_r)
-            hh = 0.5 * (his - los)
-            ys = (los + hh)[:, None] + hh[:, None] * xs15[None, :]
-            ww = hh[:, None] * ws15[None, :]
-            xb = np.broadcast_to(self.xnodes[prow][:, None], ys.shape)
-            vals = np.sum(ww * self.psi(xb, ys), axis=1)
-            np.add.at(above, (np.asarray(piece_d), prow), vals)
+        dd, row, lo, hi, is_above = self._boundary_pieces(threshs, boundary)
+        dd, row = dd[is_above], row[is_above]
+        xb, ys, ww = self._piece_nodes(row, lo[is_above], hi[is_above])
+        np.add.at(above, (dd, row), np.sum(ww * self.psi(xb, ys), axis=1))
         return above
 
     def integral_pair(self, thresh: float, row_data: np.ndarray,
@@ -789,22 +757,20 @@ class _PairSection:
         igd(row, PHI, PSI).  Returns (above_rows, below_rows), each of
         shape (n_xnodes,).
         """
-        w_above, w_below, pieces = self.split_weights(thresh)
+        above_all = self.cell_min > thresh  # (m, c)
+        below_all = ~(self.cell_max > thresh)
         rd = row_data[:, None, None]
+        w_above = np.where(above_all[:, :, None], self.cell_w, 0.0)
+        w_below = np.where(below_all[:, :, None], self.cell_w, 0.0)
         above = np.sum(w_above * igd_above(rd, self.PHI_nodes,
                                            self.PSI_nodes), axis=(1, 2))
         below = np.sum(w_below * igd_below(rd, self.PHI_nodes,
                                            self.PSI_nodes), axis=(1, 2))
-        if pieces:
-            xs15, ws15 = _GL15
-            rows = np.array([p[0] for p in pieces])
-            los = np.array([p[1] for p in pieces])
-            his = np.array([p[2] for p in pieces])
-            is_above = np.array([p[3] for p in pieces])
-            hh = 0.5 * (his - los)
-            ys = (los + hh)[:, None] + hh[:, None] * xs15[None, :]
-            ww = hh[:, None] * ws15[None, :]
-            xb = np.broadcast_to(self.xnodes[rows][:, None], ys.shape)
+        boundary = ~(above_all | below_all)
+        if boundary.any():
+            _, rows, lo, hi, is_above = self._boundary_pieces(
+                np.array([thresh]), boundary[None])
+            xb, ys, ww = self._piece_nodes(rows, lo, hi)
             phis = self.phi(xb, ys)
             psis = self.psi(xb, ys)
             rd = row_data[rows][:, None]

@@ -54,6 +54,8 @@ def write_plot_data(path: str, xs, ys, annotation: str | None = None) -> None:
 
 
 def _fmt(v) -> str:
+    # float() first: under numpy 2, repr of np.float64 (a float subclass)
+    # is "np.float64(...)"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .exponents import ExponentField
 from .fields import ScalarField
 from .functionals import (FunctionalValue, QuadratureSpec, bbm_functional,
@@ -67,10 +67,15 @@ class SweepReport:
 
 
 def _workers() -> int:
+    raw = os.environ.get("VEXS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("VEXS_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"VEXS_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_sweep(kind: str, u: ScalarField, p: ExponentField, grid,
@@ -82,6 +87,7 @@ def run_sweep(kind: str, u: ScalarField, p: ExponentField, grid,
     identical no matter the worker count.
     """
     quad = quad or QuadratureSpec()
+    workers = _workers()
     if kind not in SWEEP_KINDS:
         raise DomainError(f"unknown sweep kind {kind!r}")
     grid = [float(g) for g in grid]
@@ -122,7 +128,6 @@ def run_sweep(kind: str, u: ScalarField, p: ExponentField, grid,
             return eps_functional(u, p, g, mode, quad)
         target = local_energy(u, p, "p_of_x", quad).value
 
-    workers = _workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(evaluate, grid))

@@ -116,12 +116,49 @@ def test_norm_report(tmp_path):
     assert payload["bracket_iterations"] <= 60
 
 
-def test_counterexample_csv(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def counterexample_rows(tmp_path_factory):
+    out = tmp_path_factory.mktemp("counterexample")
     assert run_cli("counterexample", "--r-values", "10,100",
-                   "--out", str(tmp_path)) == 0
-    rows = (tmp_path / "counterexample.csv").read_text().splitlines()
+                   "--out", str(out), "--quiet") == 0
+    return (out / "counterexample.csv").read_text().splitlines()
+
+
+def test_counterexample_csv(counterexample_rows):
+    rows = counterexample_rows
     assert rows[0] == "R,modular_u,modular_Mu,growth_exponent_fit"
     assert len(rows) == 3
+
+
+def test_counterexample_csv_cells_parse_as_floats(counterexample_rows):
+    # numpy scalars must be written as plain floats, not "np.float64(...)"
+    for row in counterexample_rows[1:]:
+        for cell in row.split(","):
+            float(cell)
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_vexs_threads_exits_2(tmp_path, capsys, monkeypatch, value):
+    cfg = write_cfg(tmp_path, "sweep.json", {
+        "name": "x",
+        "field": {"family": "tent"},
+        "exponent": {"family": "constant", "value": 2.0},
+        "kind": "nguyen-unit",
+        "grid": [0.2, 0.1, 0.05],
+    })
+    monkeypatch.setenv("VEXS_THREADS", value)
+    assert run_cli("sweep", "--config", cfg) == 2
+    assert "VEXS_THREADS" in capsys.readouterr().err
+
+
+def test_lemma41_rejects_unused_quad_keys(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "lemma.json", {
+        "preset": "unit-distance",
+        "quad": {"rel_tol": 1e-6, "h_max": 5.0, "seed": 1},
+    })
+    assert run_cli("lemma41", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert "unknown key(s) in lemma41 quad: h_max, seed" in err
 
 
 def test_diagnose_exponent(tmp_path):

@@ -9,8 +9,8 @@ from vexs import (DomainError, Gaussian, QuadratureSpec, Tent, bbm_functional,
                   layer_cake_check, local_energy, nguyen_functional,
                   uniform_bound_check)
 from vexs.cli import lemma41_preset
-from vexs.functionals import superlevel_intervals
-from vexs.quadrature import adaptive_integrate
+from vexs.functionals import _PairSection, superlevel_intervals
+from vexs.quadrature import adaptive_integrate, vector_bisect
 
 
 def tent_np(x):
@@ -225,6 +225,68 @@ def test_layer_cake_random_smooth_vs_brute_oracle():
     assert res.lhs == pytest.approx(lhs_b, rel=5e-3)
     assert res.rhs_small == pytest.approx(small_b, rel=5e-3)
     assert res.rhs_large == pytest.approx(large_b, rel=5e-3, abs=1e-6)
+
+
+def test_pair_section_unit_distance_exact_lengths():
+    # phi = |x - y| and psi = 1 on [0, 1]^2: for each x node the y-length
+    # of {phi > t} is max(0, x - t) + max(0, 1 - x - t); at t >= 1 no cell
+    # is a boundary cell
+    phi, psi, _, box, seeds = lemma41_preset("unit-distance")
+    sec = _PairSection(phi, psi, box, seeds)
+    x = sec.xnodes
+
+    def length_above(t):
+        return np.maximum(0.0, x - t) + np.maximum(0.0, 1.0 - x - t)
+
+    ts = np.array([0.0, 1e-3, 0.25, 0.5, 0.999, 1.0, 1.5])
+    for t, row in zip(ts, sec.psi_integral_above_batch(ts)):
+        np.testing.assert_allclose(row, length_above(t), rtol=0, atol=1e-12)
+
+    def igd(al, phis, psis):
+        return psis
+
+    above, below = sec.integral_pair(0.5, np.zeros_like(x), igd, igd)
+    np.testing.assert_allclose(above, length_above(0.5), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(below, 1.0 - length_above(0.5), rtol=0,
+                               atol=1e-12)
+
+
+def _boundary_pieces_by_loop(sec, threshs, boundary):
+    """Reference: cut each boundary cell in a Python loop, walking its
+    roots in y order with alternating signs."""
+    dd, rows, cols = np.nonzero(boundary)
+    pos = sec.PHI_samples[rows, cols, :] > threshs[dd, None]
+    brows, bloc = np.nonzero(pos[:, :-1] != pos[:, 1:])
+    xv, th = sec.xnodes[rows[brows]], threshs[dd[brows]]
+    roots = vector_bisect(lambda y: sec.phi(xv, y) - th,
+                          sec.ysamples[cols[brows], bloc],
+                          sec.ysamples[cols[brows], bloc + 1],
+                          pos[brows, bloc], iters=60)
+    starts = np.searchsorted(brows, np.arange(dd.size + 1))
+    pieces = []
+    for k in range(dd.size):
+        cuts = [sec.ysamples[cols[k], 0], *roots[starts[k]:starts[k + 1]],
+                sec.ysamples[cols[k], -1]]
+        sign = bool(pos[k, 0])
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi > lo:
+                pieces.append((int(dd[k]), int(rows[k]), float(lo),
+                               float(hi), sign))
+            sign = not sign
+    return pieces
+
+
+def test_boundary_pieces_match_per_cell_loop():
+    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box, seeds)
+    ts = np.quantile(sec.PHI_samples, [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    t3 = ts[:, None, None]
+    boundary = ~(sec.cell_min[None] > t3) & (sec.cell_max[None] > t3)
+    got = sec._boundary_pieces(ts, boundary)
+    want = _boundary_pieces_by_loop(sec, ts, boundary)
+    assert len(want) > 500
+    assert [(int(d), int(r), float(lo), float(hi), bool(a))
+            for d, r, lo, hi, a in zip(*got)] == want
 
 
 def test_layer_cake_rejects_alpha_at_minus_one():
