@@ -86,11 +86,11 @@ def parse_exponent(cfg: dict) -> exponents.ExponentField:
     raise ConfigError(f"unknown exponent family {fam!r}")
 
 
-def parse_quad(cfg: dict | None, seed: int = 0) -> QuadratureSpec:
+def parse_quad(cfg: dict | None) -> QuadratureSpec:
     if cfg is None:
-        return QuadratureSpec(seed=seed)
+        return QuadratureSpec()
     check_keys(cfg, {"truncation_radius", "sphere_rule", "outer_x_tolerance",
-                     "h_bracket_grid", "h_max", "rel_tol", "seed"}, "quad")
+                     "h_bracket_grid", "h_max", "rel_tol"}, "quad")
     rule = None
     if "sphere_rule" in cfg:
         rc = cfg["sphere_rule"]
@@ -101,8 +101,7 @@ def parse_quad(cfg: dict | None, seed: int = 0) -> QuadratureSpec:
     kwargs = {k: cfg[k] for k in ("truncation_radius", "outer_x_tolerance",
                                   "h_bracket_grid", "h_max", "rel_tol")
               if k in cfg}
-    return QuadratureSpec(sphere_rule=rule, seed=int(cfg.get("seed", seed)),
-                          **kwargs)
+    return QuadratureSpec(sphere_rule=rule, **kwargs)
 
 
 def load_config(path: str) -> dict:
@@ -201,10 +200,10 @@ def cmd_lemma41(args) -> int:
         name = cfg.get("name", preset)
         # layer_cake_check reads rel_tol alone; reject the other quad keys
         check_keys(cfg.get("quad", {}), {"rel_tol"}, "lemma41 quad")
-        quad = parse_quad(cfg.get("quad"), seed)
+        quad = parse_quad(cfg.get("quad"))
     else:
         preset, seed, name = args.preset, args.seed, args.preset
-        quad = QuadratureSpec(seed=seed)
+        quad = QuadratureSpec()
     phi, psi, alpha, box, y_seeds = lemma41_preset(preset, seed)
     res = layer_cake_check(phi, psi, alpha, box, quad, y_seeds)
     ok = res.residual <= 1e-6
@@ -245,7 +244,7 @@ def cmd_nguyen(args) -> int:
                      "quad"}, "nguyen config")
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("weight_mode", "unit")
     fv = nguyen_functional(u, p, float(cfg["delta"]), mode, quad)
     name = cfg.get("name", "nguyen")
@@ -265,7 +264,7 @@ def cmd_eps(args) -> int:
                "eps config")
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("mode", "full")
     eps = float(cfg.get("epsilon", 0.5))
     fv = eps_functional(u, p, eps, mode, quad)
@@ -282,7 +281,7 @@ def cmd_bbm(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "p", "s", "quad"}, "bbm config")
     u = parse_field(cfg["field"])
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     fv = bbm_functional(u, float(cfg["p"]), float(cfg["s"]), quad)
     name = cfg.get("name", "bbm")
     _say(args, f"bbm {name}: value = {fv.value:.8g} "
@@ -301,7 +300,7 @@ def cmd_sweep(args) -> int:
                "sweep config")
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     report = sweeps.run_sweep(cfg["kind"], u, p, cfg["grid"], quad)
     name = cfg.get("name", cfg["kind"])
     _say(args, f"sweep {name}: extrapolated = {report.extrapolated:.6g}, "
@@ -325,7 +324,7 @@ def cmd_modular(args) -> int:
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     mv = spaces.modular(u, p, weight, float(cfg.get("lambda", 1.0)), quad)
     name = cfg.get("name", "modular")
     _say(args, f"modular {name}: value = {mv.value:.10g}")
@@ -347,7 +346,7 @@ def cmd_norm(args) -> int:
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     res = spaces.luxemburg_norm(u, p, weight, quad)
     name = cfg.get("name", "norm")
     _say(args, f"norm {name}: value = {res.value:.10g} "
@@ -370,7 +369,7 @@ def cmd_fracnorm(args) -> int:
     u = parse_field(cfg["field"])
     base = parse_exponent(cfg["exponent"])
     pair = exponents.PairExponentField(base)
-    quad = parse_quad(cfg.get("quad"), args.seed)
+    quad = parse_quad(cfg.get("quad"))
     res = spaces.frac_seminorm(u, float(cfg["s"]), pair, quad)
     name = cfg.get("name", "fracnorm")
     _say(args, f"fracnorm {name}: value = {res.value:.10g} "
@@ -387,8 +386,8 @@ def cmd_fracnorm(args) -> int:
 
 def cmd_maximal(args) -> int:
     cfg = load_config(args.config)
-    check_keys(cfg, {"name", "field", "points", "r_max", "depth", "omega",
-                     "quad"}, "maximal config")
+    check_keys(cfg, {"name", "field", "points", "r_max", "depth", "omega"},
+               "maximal config")
     u = parse_field(cfg["field"])
     profile = maximal.maximal_profile(
         u, cfg["points"], float(cfg.get("r_max", 10.0)),
@@ -413,11 +412,11 @@ def cmd_counterexample(args) -> int:
         check_keys(cfg, {"name", "r_values", "quad"}, "counterexample config")
         r_values = cfg["r_values"]
         name = cfg.get("name", "counterexample")
-        quad = parse_quad(cfg.get("quad"), args.seed)
+        quad = parse_quad(cfg.get("quad"))
     else:
         r_values = [float(t) for t in str(args.r_values).split(",")]
         name = "counterexample"
-        quad = QuadratureSpec(seed=args.seed)
+        quad = QuadratureSpec()
     table = maximal.counterexample_experiment(r_values, quad)
     _say(args, f"counterexample: modular(u) = {table.modular_u:.8g}, "
                f"growth exponent fit = {table.growth_exponent_fit:.4f}")
@@ -432,8 +431,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_bmo(args) -> int:
     cfg = load_config(args.config)
-    check_keys(cfg, {"name", "field", "interior", "balls", "quad"},
-               "bmo config")
+    check_keys(cfg, {"name", "field", "interior", "balls"}, "bmo config")
     u = parse_field(cfg["field"])
     res = maximal.bmo_quantity(u, tuple(cfg["interior"]),
                                [tuple(b) for b in cfg["balls"]])

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, DivergenceError, UnsupportedFieldError
 from .exponents import as_points
+from .quadrature import bisect_bracket
 
 _FD_STEP = 1e-5
 
@@ -27,7 +28,7 @@ class ScalarField:
     dimension : int
     family : str
     gradient_kind : "analytic" or "finite-difference"
-    sup_bound : sup |u| (exact for every registry family)
+    sup_bound : sup |u| (exact for every family)
     osc_bound : sup u - inf u
     lipschitz_bound : global Lipschitz constant, or None
     support_radius : radius of the support, or None if unbounded
@@ -89,19 +90,14 @@ class ScalarField:
         """Smallest radius R (up to slack) with tail_bound(R) <= eta."""
         if self.support_radius is not None:
             return self.support_radius
-        lo, hi = 1.0, 2.0
+        hi = 2.0
         while self.tail_bound(hi) > eta:
             hi *= 2.0
             if hi > 1e30:
                 raise DivergenceError(
                     f"{self.family} tail never drops below {eta}")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.tail_bound(mid) > eta:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return bisect_bracket(lambda r: self.tail_bound(r) > eta,
+                              1.0, hi, 80)[1]
 
     def grad_sup_bound(self) -> float:
         """sup |grad u| (equals the Lipschitz constant when declared)."""
@@ -439,16 +435,6 @@ class GradientMagnitude(ScalarField):
         return self.base.kink_points()
 
 
-FAMILIES = {
-    "gaussian": Gaussian,
-    "tent": Tent,
-    "smooth-bump": SmoothBump,
-    "power-tail": PowerTail,
-    "log-singular": LogSingular,
-    "sampled-table": SampledTable,
-}
-
-
 def truncation_radius(u: ScalarField, p, tol: float) -> float:
     """Radius R whose analytic tail bound certifies that the neglected
     contribution to both modulars (of u and of grad u) outside |x| <= R
@@ -526,13 +512,9 @@ def truncation_radius(u: ScalarField, p, tol: float) -> float:
                 f"tail of |{u.family}|^p(x) does not integrate below {tol}")
     else:
         raise DivergenceError("tail bound failed to converge")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if tail_integral_bound(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # NaN-safe: a bound that is not <= tol moves lo
+    return bisect_bracket(lambda r: not tail_integral_bound(r) <= tol,
+                          lo, hi, 60)[1]
 
 
 def _has_tail(u: ScalarField) -> bool:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
 from .fields import ScalarField
-from .quadrature import adaptive_integrate, gauss_nodes, vector_bisect
+from .quadrature import (adaptive_integrate, gauss_nodes, panel_nodes,
+                         vector_bisect)
 from .sphere import SphereRule, default_rule, k_np_values
 
 _GL15 = gauss_nodes(15)
@@ -56,8 +57,6 @@ class QuadratureSpec:
     h_max: hard radial cutoff for the inner integrals; None means automatic
         (analytic far tails are added beyond the cutoff either way).
     rel_tol: global relative tolerance (shell stopping, bisection brackets).
-    seed: reserved for randomized node jitter in self-tests; the
-        production paths are deterministic and ignore it.
     """
 
     truncation_radius: float | None = None
@@ -66,7 +65,6 @@ class QuadratureSpec:
     h_bracket_grid: int = 128
     h_max: float | None = None
     rel_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.outer_x_tolerance <= 0 or self.rel_tol <= 0:
@@ -398,6 +396,20 @@ def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
     return out
 
 
+def ray_t_quadrature(u: ScalarField, x: np.ndarray, omega: np.ndarray,
+                     beta: float, hb: np.ndarray, grad_dir: float,
+                     keep: np.ndarray | None = None):
+    """GL15 rule in t = h^beta on the panels with edges 0, hb^beta (only
+    the panels flagged in `keep`, when given).  Returns the nodes mapped
+    back to h, their t weights, and the ray slope psi at those h."""
+    t, w_t = panel_nodes(np.concatenate([[0.0], hb ** beta]))
+    if keep is not None:
+        t = t.reshape(-1, 15)[keep].ravel()
+        w_t = w_t.reshape(-1, 15)[keep].ravel()
+    h = t ** (1.0 / beta)
+    return h, w_t, ray_slope(u, x, omega, h, grad_dir)
+
+
 def _ray_kink_breaks(u: ScalarField, x: np.ndarray, omega: np.ndarray,
                      H: float) -> list[float]:
     """Ray parameters where x + h w crosses a kink radius of u."""
@@ -438,23 +450,11 @@ def _power_inner(u: ScalarField, x: np.ndarray, omega: np.ndarray,
                 if h_floor < c < H:
                     breaks.add(c)
     hb = np.array(sorted(breaks))
-    tb = hb ** beta
-    edges = np.concatenate([[0.0], tb])
-
+    keep = None
     if restrict is not None:
-        keep_mid = _inside(0.5 * (np.concatenate([[0.0], hb[:-1]]) + hb),
-                           restrict)
-    else:
-        keep_mid = np.ones(edges.size - 1, dtype=bool)
-
-    xs, ws = _GL15
-    a = edges[:-1][keep_mid]
-    half = 0.5 * (edges[1:][keep_mid] - a)
-    mid = a + half
-    t = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    h = t ** (1.0 / beta)
-    psi = ray_slope(u, x, omega, h, g)
-    w = (half[:, None] * ws[None, :]).ravel()
+        keep = _inside(0.5 * (np.concatenate([[0.0], hb[:-1]]) + hb),
+                       restrict)
+    _, w, psi = ray_t_quadrature(u, x, omega, beta, hb, g, keep)
     return float(np.sum(w * psi ** q)) / beta
 
 
@@ -639,34 +639,27 @@ class _PairSection:
     def __init__(self, phi, psi, box, y_seeds=None):
         self.phi, self.psi = phi, psi
         a, b = box
-        xs15, ws15 = _GL15
-        xedges = np.linspace(a, b, self.N_XPAN + 1)
-        half = 0.5 * np.diff(xedges)
-        xmid = xedges[:-1] + half
-        self.xnodes = (xmid[:, None] + half[:, None] * xs15[None, :]).ravel()
-        self.xweights = (half[:, None] * ws15[None, :]).ravel()
+        self.xnodes, self.xweights = panel_nodes(
+            np.linspace(a, b, self.N_XPAN + 1))
 
         yedges = np.linspace(a, b, self.N_YCELL + 1)
         if y_seeds is not None:
             extra = [s for s in y_seeds if a < s < b]
             yedges = np.unique(np.concatenate([yedges, np.asarray(extra)]))
         self.yedges = yedges
-        ylo, yhi = yedges[:-1], yedges[1:]
-        yh = 0.5 * (yhi - ylo)
-        ym = ylo + yh
-        ynodes = (ym[:, None] + yh[:, None] * xs15[None, :])  # (c, 15)
-
-        m, c = self.xnodes.size, ym.size
-        YY = np.tile(ynodes.ravel(), (m, 1))
+        m, c = self.xnodes.size, yedges.size - 1
+        ynodes, yw = panel_nodes(yedges)
+        YY = np.tile(ynodes, (m, 1))
         XX = np.repeat(self.xnodes, ynodes.size).reshape(m, -1)
-        self.cell_w = (yh[:, None] * ws15[None, :]).reshape(1, c, 15)
+        ynodes = ynodes.reshape(c, 15)
+        self.cell_w = yw.reshape(1, c, 15)
         self.PHI_nodes = phi(XX, YY).reshape(m, c, 15)
         self.PSI_nodes = psi(XX, YY).reshape(m, c, 15)
         # per-cell sample path: left edge, the 15 GL nodes, right edge;
         # sign changes anywhere on it mark a cell as boundary, which also
         # catches dips invisible to the edges alone
         self.ysamples = np.concatenate(
-            [ylo[:, None], ynodes, yhi[:, None]], axis=1)  # (c, 17)
+            [yedges[:-1, None], ynodes, yedges[1:, None]], axis=1)  # (c, 17)
         PHI_edges = phi(np.repeat(self.xnodes, yedges.size).reshape(m, -1),
                         np.tile(yedges, (m, 1)))
         self.PHI_samples = np.concatenate(

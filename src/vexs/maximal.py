@@ -19,7 +19,7 @@ from .errors import DomainError
 from . import exponents
 from . import fields as field_mod
 from .fields import ScalarField
-from .quadrature import gauss_nodes, golden_max, vector_bisect
+from .quadrature import gauss_nodes, golden_max, panel_nodes, vector_bisect
 from . import spaces
 from .sweeps import fit_offset_power
 
@@ -49,11 +49,7 @@ def _interval_average(u: ScalarField, lo: float, hi: float,
                           if lo < s + d < hi])
     edges = np.unique(np.concatenate(
         [np.linspace(lo, hi, n_panels + 1), np.asarray(seeds, dtype=float)]))
-    xs15, ws15 = _GL15
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    nodes = (mid[:, None] + half[:, None] * xs15[None, :]).ravel()
-    w = (half[:, None] * ws15[None, :]).ravel()
+    nodes, w = panel_nodes(edges)
     vals = np.abs(u.eval(nodes))
     return float(np.sum(w * vals)) / (hi - lo)
 
@@ -208,7 +204,7 @@ class BmoResult:
 
 
 def bmo_quantity(u: ScalarField, e_interior: tuple[float, float],
-                 balls, quad=None) -> BmoResult:
+                 balls) -> BmoResult:
     """For each 1D ball B = (c - r, c + r) inside e_interior, the
     normalized double integral |B|^{-2} of |u(x) - u(y)| over B x B;
     reports each value and their maximum (a sampled lower bound of the
@@ -236,10 +232,7 @@ def _ball_oscillation(u: ScalarField, a: float, b: float,
     edges = np.unique(np.concatenate(
         [np.linspace(a, b, n_pan + 1),
          np.asarray([k for k in u.kink_points() if a < k < b])]))
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    xnodes = (mid[:, None] + half[:, None] * xs15[None, :]).ravel()
-    xw = (half[:, None] * ws15[None, :]).ravel()
+    xnodes, xw = panel_nodes(edges)
     ux = u.eval(xnodes)
 
     total = 0.0

@@ -3,7 +3,8 @@
 Everything here is plumbing shared by the heavier modules: fixed
 Gauss-Legendre panels, an adaptive panel-splitting integrator with a
 reproducible refinement order, vectorized bisection for batches of
-sign-change brackets, and golden-section maximization.
+sign-change brackets, scalar bisection of one bracket by a predicate,
+and golden-section maximization.
 
 Determinism contract: given identical inputs, every routine performs
 the same floating-point operations in the same order, so repeated runs
@@ -142,6 +143,23 @@ def vector_bisect(g: Callable[[np.ndarray], np.ndarray],
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
+                   iters: int, rel_width: float = 0.0
+                   ) -> tuple[float, float, int]:
+    """Bisect one scalar bracket: lo moves to the midpoint where
+    below(mid) holds, hi otherwise.  Stops after `iters` steps or once
+    hi - lo <= rel_width * hi; returns (lo, hi, steps)."""
+    steps = 0
+    while steps < iters and hi - lo > rel_width * hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return lo, hi, steps
 
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -18,11 +18,10 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .exponents import ExponentField, PairExponentField
 from .fields import ScalarField, truncation_radius
-from .functionals import QuadratureSpec, _resolve_rule, _require_lipschitz_decay
-from .quadrature import (adaptive_integrate, decade_seeds, gauss_nodes,
+from .functionals import (QuadratureSpec, _resolve_rule,
+                          _require_lipschitz_decay, ray_t_quadrature)
+from .quadrature import (adaptive_integrate, bisect_bracket, decade_seeds,
                          panel_nodes)
-
-_GL15 = gauss_nodes(15)
 
 _LAMBDA_CAP = 1e12
 _RHO_TOL = 1e-8
@@ -166,14 +165,8 @@ def _bisect_lambda(rho, hint: float = 1.0) -> tuple[float, int]:
         steps += 1
         if lo < 1e-300:
             return 0.0, steps
-    iters = 0
-    while hi - lo > _BRACKET_REL * hi and iters < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
+    _, hi, iters = bisect_bracket(lambda lam: rho(lam) > 1.0, lo, hi,
+                                  _MAX_BISECT, _BRACKET_REL)
     return hi, iters
 
 
@@ -247,7 +240,6 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
         raise DomainError("frac_seminorm supports n = 1 (the exact outer "
                           "tail correction is one-dimensional)")
     rule = _resolve_rule(quad, n)
-    xs15, ws15 = _GL15
 
     eta = 1e-7 * max(u.sup_bound, 1.0)
     far = u.far_radius(eta)
@@ -276,16 +268,11 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
             if quad.h_max is not None:
                 H = min(H, quad.h_max)
             beta0 = (1.0 - s) * float(p_diag[i])
-            hb = np.geomspace(1e-13, H, n_tpan + 1)
-            tb = np.concatenate([[0.0], hb ** beta0])
-            half = 0.5 * np.diff(tb)
-            mid = tb[:-1] + half
-            t = (mid[:, None] + half[:, None] * xs15[None, :]).ravel()
-            wt = (half[:, None] * ws15[None, :]).ravel()
-            h = t ** (1.0 / beta0)
+            h, wt, psi = ray_t_quadrature(
+                u, xi, omega, beta0, np.geomspace(1e-13, H, n_tpan + 1),
+                float(grads[i] @ omega))
             y = xi[None, :] + h[:, None] * omega[None, :]
             phat = p_pair.eval_pair(np.broadcast_to(xi, y.shape), y)
-            psi = _safe_slope(u, xi, omega, h, float(grads[i] @ omega))
             # phi^p h^{-sp-1} dh = psi^p h^{(1-s)(p - p0)} dt / beta0
             hfac = np.exp((1.0 - s) * (phat - p_diag[i]) * np.log(h))
             coeffs.append(xw[i] * w_om / beta0 * wt * psi ** phat * hfac)
@@ -317,17 +304,6 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
 
     lam, iters = _bisect_lambda(rho)
     return FracSeminorm(lam, iters, int(a.size))
-
-
-def _safe_slope(u, x, omega, h, grad_dir):
-    out = np.full(h.shape, abs(grad_dir))
-    h_safe = 1e-7 * max(1.0, float(np.linalg.norm(x)))
-    big = h >= h_safe
-    if np.any(big):
-        ux = float(u.eval(x[None, :])[0])
-        out[big] = np.abs(
-            u.eval(x[None, :] + h[big, None] * omega[None, :]) - ux) / h[big]
-    return out
 
 
 def w_norm(u: ScalarField, s: float, p_pair: PairExponentField,

@@ -24,6 +24,7 @@ from .exponents import ExponentField
 from .fields import ScalarField
 from .functionals import (FunctionalValue, QuadratureSpec, bbm_functional,
                           eps_functional, local_energy, nguyen_functional)
+from .quadrature import bisect_bracket, golden_max
 
 SWEEP_KINDS = ("nguyen-unit", "nguyen-weighted", "eps-small-jump",
                "eps-full", "bbm")
@@ -190,12 +191,7 @@ def fit_power_limit(ts, vs) -> tuple[float, float, bool]:
         hi *= 2.0
         if hi > 64.0:
             return v3, math.nan, True
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if q(mid) < r:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, _ = bisect_bracket(lambda b: q(b) < r, lo, hi, 200)
     beta = 0.5 * (lo + hi)
     c = d2 / (t2 ** beta - t3 ** beta)
     v0 = v3 - c * t3 ** beta
@@ -220,17 +216,6 @@ def fit_offset_power(ts: np.ndarray, vs: np.ndarray,
         r = vs - A @ sol
         return float(r @ r), sol
 
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_golden * (b - a)
-    d = a + inv_golden * (b - a)
-    for _ in range(200):
-        if sse(c)[0] < sse(d)[0]:
-            b = d
-        else:
-            a = c
-        c = b - inv_golden * (b - a)
-        d = a + inv_golden * (b - a)
-    gamma = 0.5 * (a + b)
+    gamma, _ = golden_max(lambda g: -sse(g)[0], lo, hi, iters=200)
     _, sol = sse(gamma)
-    return gamma, float(sol[0]), float(sol[1])
+    return float(gamma), float(sol[0]), float(sol[1])

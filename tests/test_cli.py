@@ -161,6 +161,33 @@ def test_lemma41_rejects_unused_quad_keys(tmp_path, capsys):
     assert "unknown key(s) in lemma41 quad: h_max, seed" in err
 
 
+def test_quad_seed_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "mod.json", {
+        "field": {"family": "tent"},
+        "exponent": {"family": "constant", "value": 2.0},
+        "quad": {"seed": 1},
+    })
+    assert run_cli("modular", "--config", cfg) == 2
+    assert "unknown key(s) in quad: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("bmo", {"field": {"family": "tent"}, "interior": [-1.0, 1.0],
+             "balls": [[0.0, 0.5]]}),
+    ("maximal", {"field": {"family": "tent"}, "points": [0.0],
+                 "r_max": 2.0}),
+])
+def test_unused_quad_rejected(tmp_path, capsys, command, payload):
+    # neither computation reads quadrature settings, so quad is refused
+    # rather than silently ignored
+    payload = {**payload,
+               "quad": {"h_max": "not-a-number", "bogus_ignored": 1}}
+    cfg = write_cfg(tmp_path, f"{command}.json", payload)
+    assert run_cli(command, "--config", cfg) == 2
+    assert f"unknown key(s) in {command} config: quad" in \
+        capsys.readouterr().err
+
+
 def test_diagnose_exponent(tmp_path):
     cfg = write_cfg(tmp_path, "diag.json", {
         "name": "iq",

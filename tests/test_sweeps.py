@@ -40,6 +40,7 @@ def test_offset_power_fit_recovers_model():
     ts = np.array([10.0, 100.0, 1000.0, 10000.0])
     vs = -0.6 + 0.35 * ts ** (1.0 / 3.0)
     gamma, c0, a = fit_offset_power(ts, vs)
+    assert type(gamma) is float
     assert gamma == pytest.approx(1.0 / 3.0, abs=1e-4)
     assert c0 == pytest.approx(-0.6, abs=1e-3)
     assert a == pytest.approx(0.35, rel=1e-3)
