@@ -25,11 +25,33 @@ from .reporting import write_csv, write_json_report, write_plot_data
 from .sphere import default_rule, k_np
 
 
-def check_keys(cfg: dict, allowed: set, context: str) -> None:
+def check_keys(cfg: dict, allowed: set, context: str,
+               required: tuple = ()) -> None:
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise ConfigError(f"{context} needs key(s): {', '.join(missing)}")
+
+
+def number(cfg: dict, key: str, context: str, default=None, kind=float):
+    """kind(cfg[key]), or `default` when the key is absent; a value that
+    kind rejects is a ConfigError naming the key."""
+    if key not in cfg:
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: {key!r} must be a number, got "
+                          f"{cfg[key]!r}") from None
+
+
+def number_list(text, flag: str, context: str, kind=float) -> list:
+    """A comma-separated command-line list, checked like `number`."""
+    return [number({flag: t}, flag, context, kind=kind)
+            for t in str(text).split(",")]
 
 
 def parse_field(cfg: dict) -> fields.ScalarField:
@@ -39,24 +61,27 @@ def parse_field(cfg: dict) -> fields.ScalarField:
     if fam == "gaussian":
         check_keys(cfg, {"family", "sigma", "center", "scale", "dimension"},
                    "field")
-        return fields.Gaussian(cfg.get("sigma", 1.0), cfg.get("center", 0.0),
-                               cfg.get("scale", 1.0),
-                               int(cfg.get("dimension", 1)))
+        return fields.Gaussian(number(cfg, "sigma", "field", 1.0),
+                               cfg.get("center", 0.0),
+                               number(cfg, "scale", "field", 1.0),
+                               number(cfg, "dimension", "field", 1, int))
     if fam == "tent":
         check_keys(cfg, {"family", "scale", "dimension"}, "field")
-        return fields.Tent(cfg.get("scale", 1.0), int(cfg.get("dimension", 1)))
+        return fields.Tent(number(cfg, "scale", "field", 1.0),
+                           number(cfg, "dimension", "field", 1, int))
     if fam == "smooth-bump":
         check_keys(cfg, {"family", "scale", "dimension"}, "field")
-        return fields.SmoothBump(cfg.get("scale", 1.0),
-                                 int(cfg.get("dimension", 1)))
+        return fields.SmoothBump(number(cfg, "scale", "field", 1.0),
+                                 number(cfg, "dimension", "field", 1, int))
     if fam == "power-tail":
         check_keys(cfg, {"family", "scale"}, "field")
-        return fields.PowerTail(cfg.get("scale", 1.0))
+        return fields.PowerTail(number(cfg, "scale", "field", 1.0))
     if fam == "log-singular":
         check_keys(cfg, {"family", "window"}, "field")
         return fields.LogSingular(tuple(cfg.get("window", (0.0, 1.0))))
     if fam == "sampled-table":
-        check_keys(cfg, {"family", "csv", "xs", "us"}, "field")
+        check_keys(cfg, {"family", "csv", "xs", "us"}, "field",
+                   () if "csv" in cfg else ("xs", "us"))
         if "csv" in cfg:
             return fields.SampledTable.from_csv(cfg["csv"])
         return fields.SampledTable(cfg["xs"], cfg["us"])
@@ -68,19 +93,25 @@ def parse_exponent(cfg: dict) -> exponents.ExponentField:
         raise ConfigError("exponent config must be a mapping with a family")
     fam = cfg["family"]
     if fam == "constant":
-        check_keys(cfg, {"family", "value", "dimension"}, "exponent")
-        return exponents.constant(cfg["value"], int(cfg.get("dimension", 1)))
+        check_keys(cfg, {"family", "value", "dimension"}, "exponent",
+                   ("value",))
+        return exponents.constant(number(cfg, "value", "exponent"),
+                                  number(cfg, "dimension", "exponent", 1, int))
     if fam == "inverse-quadratic":
-        check_keys(cfg, {"family", "a", "b", "dimension"}, "exponent")
-        return exponents.inverse_quadratic(cfg["a"], cfg["b"],
-                                           int(cfg.get("dimension", 1)))
+        check_keys(cfg, {"family", "a", "b", "dimension"}, "exponent",
+                   ("a", "b"))
+        return exponents.inverse_quadratic(
+            number(cfg, "a", "exponent"), number(cfg, "b", "exponent"),
+            number(cfg, "dimension", "exponent", 1, int))
     if fam == "sin-squared":
         check_keys(cfg, {"family", "a", "b", "direction", "dimension"},
-                   "exponent")
-        return exponents.sin_squared(cfg["a"], cfg["b"], cfg["direction"],
-                                     int(cfg.get("dimension", 1)))
+                   "exponent", ("a", "b", "direction"))
+        return exponents.sin_squared(
+            number(cfg, "a", "exponent"), number(cfg, "b", "exponent"),
+            cfg["direction"], number(cfg, "dimension", "exponent", 1, int))
     if fam == "piecewise-table":
-        check_keys(cfg, {"family", "breaks", "values", "interp"}, "exponent")
+        check_keys(cfg, {"family", "breaks", "values", "interp"}, "exponent",
+                   ("breaks", "values"))
         return exponents.piecewise_table(cfg["breaks"], cfg["values"],
                                          cfg.get("interp", "const"))
     raise ConfigError(f"unknown exponent family {fam!r}")
@@ -94,9 +125,10 @@ def parse_quad(cfg: dict | None) -> QuadratureSpec:
     rule = None
     if "sphere_rule" in cfg:
         rc = cfg["sphere_rule"]
-        check_keys(rc, {"dimension", "node_count"}, "sphere_rule")
+        check_keys(rc, {"dimension", "node_count"}, "sphere_rule",
+                   ("dimension",))
         nc = rc.get("node_count")
-        rule = default_rule(int(rc["dimension"]),
+        rule = default_rule(number(rc, "dimension", "sphere_rule", kind=int),
                             tuple(nc) if isinstance(nc, list) else nc)
     kwargs = {k: cfg[k] for k in ("truncation_radius", "outer_x_tolerance",
                                   "h_bracket_grid", "h_max", "rel_tol")
@@ -173,8 +205,8 @@ def _out_path(args, filename: str) -> str:
 
 
 def cmd_constants(args) -> int:
-    ns = [int(t) for t in str(args.n).split(",")]
-    ps = [float(t) for t in str(args.p).split(",")]
+    ns = number_list(args.n, "--n", "constants", int)
+    ps = number_list(args.p, "--p", "constants")
     rows = []
     for n in ns:
         rule = default_rule(n)
@@ -196,7 +228,7 @@ def cmd_lemma41(args) -> int:
         cfg = load_config(args.config)
         check_keys(cfg, {"name", "preset", "seed", "quad"}, "lemma41 config")
         preset = cfg.get("preset", "unit-distance")
-        seed = int(cfg.get("seed", args.seed))
+        seed = number(cfg, "seed", "lemma41 config", args.seed, int)
         name = cfg.get("name", preset)
         # layer_cake_check reads rel_tol alone; reject the other quad keys
         check_keys(cfg.get("quad", {}), {"rel_tol"}, "lemma41 quad")
@@ -226,78 +258,69 @@ def cmd_lemma41(args) -> int:
     return 0
 
 
-def _functional_record(name: str, params: dict, fv) -> dict:
-    return {
-        "functional": name,
-        "params": params,
-        "value": fv.value,
-        "error_estimate": fv.error_estimate,
-        "node_count": fv.node_count,
-        "truncation_radius": fv.truncation_radius,
-        "empty_superlevel": fv.empty_superlevel,
-    }
+def _report_functional(args, cfg: dict, kind: str, params: dict, fv,
+                       detail: str) -> int:
+    name = cfg.get("name", kind)
+    _say(args, f"{kind} {name}: value = {fv.value:.8g} ({detail})")
+    if args.out:
+        write_json_report(_out_path(args, f"{name}.{kind}.json"), {
+            "functional": kind,
+            "params": params,
+            "value": fv.value,
+            "error_estimate": fv.error_estimate,
+            "node_count": fv.node_count,
+            "truncation_radius": fv.truncation_radius,
+            "empty_superlevel": fv.empty_superlevel,
+        })
+    return 0
 
 
 def cmd_nguyen(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "delta", "weight_mode",
-                     "quad"}, "nguyen config")
+                     "quad"}, "nguyen config", ("field", "exponent", "delta"))
+    delta = number(cfg, "delta", "nguyen config")
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("weight_mode", "unit")
-    fv = nguyen_functional(u, p, float(cfg["delta"]), mode, quad)
-    name = cfg.get("name", "nguyen")
-    _say(args, f"nguyen {name}: value = {fv.value:.8g} "
-               f"(delta {cfg['delta']}, {mode})")
-    if args.out:
-        write_json_report(
-            _out_path(args, f"{name}.nguyen.json"),
-            _functional_record("nguyen", {"delta": float(cfg["delta"]),
-                                          "weight_mode": mode}, fv))
-    return 0
+    fv = nguyen_functional(u, p, delta, mode, quad)
+    return _report_functional(args, cfg, "nguyen",
+                              {"delta": delta, "weight_mode": mode}, fv,
+                              f"delta {cfg['delta']}, {mode}")
 
 
 def cmd_eps(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "epsilon", "mode", "quad"},
-               "eps config")
+               "eps config", ("field", "exponent"))
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("mode", "full")
-    eps = float(cfg.get("epsilon", 0.5))
+    eps = number(cfg, "epsilon", "eps config", 0.5)
     fv = eps_functional(u, p, eps, mode, quad)
-    name = cfg.get("name", "eps")
-    _say(args, f"eps {name}: value = {fv.value:.8g} (epsilon {eps}, {mode})")
-    if args.out:
-        write_json_report(
-            _out_path(args, f"{name}.eps.json"),
-            _functional_record("eps", {"epsilon": eps, "mode": mode}, fv))
-    return 0
+    return _report_functional(args, cfg, "eps",
+                              {"epsilon": eps, "mode": mode}, fv,
+                              f"epsilon {eps}, {mode}")
 
 
 def cmd_bbm(args) -> int:
     cfg = load_config(args.config)
-    check_keys(cfg, {"name", "field", "p", "s", "quad"}, "bbm config")
+    check_keys(cfg, {"name", "field", "p", "s", "quad"}, "bbm config",
+               ("field", "p", "s"))
+    p, s = number(cfg, "p", "bbm config"), number(cfg, "s", "bbm config")
     u = parse_field(cfg["field"])
     quad = parse_quad(cfg.get("quad"))
-    fv = bbm_functional(u, float(cfg["p"]), float(cfg["s"]), quad)
-    name = cfg.get("name", "bbm")
-    _say(args, f"bbm {name}: value = {fv.value:.8g} "
-               f"(p {cfg['p']}, s {cfg['s']})")
-    if args.out:
-        write_json_report(
-            _out_path(args, f"{name}.bbm.json"),
-            _functional_record("bbm", {"p": float(cfg["p"]),
-                                       "s": float(cfg["s"])}, fv))
-    return 0
+    fv = bbm_functional(u, p, s, quad)
+    return _report_functional(args, cfg, "bbm", {"p": p, "s": s}, fv,
+                              f"p {cfg['p']}, s {cfg['s']}")
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "kind", "grid", "quad"},
-               "sweep config")
+               "sweep config", ("field", "exponent", "kind", "grid"))
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     quad = parse_quad(cfg.get("quad"))
@@ -320,12 +343,13 @@ def cmd_sweep(args) -> int:
 def cmd_modular(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "weight", "lambda", "quad"},
-               "modular config")
+               "modular config", ("field", "exponent"))
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
     quad = parse_quad(cfg.get("quad"))
-    mv = spaces.modular(u, p, weight, float(cfg.get("lambda", 1.0)), quad)
+    mv = spaces.modular(u, p, weight,
+                        number(cfg, "lambda", "modular config", 1.0), quad)
     name = cfg.get("name", "modular")
     _say(args, f"modular {name}: value = {mv.value:.10g}")
     if args.out:
@@ -342,7 +366,7 @@ def cmd_modular(args) -> int:
 def cmd_norm(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "weight", "quad"},
-               "norm config")
+               "norm config", ("field", "exponent"))
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
@@ -365,12 +389,13 @@ def cmd_norm(args) -> int:
 def cmd_fracnorm(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "s", "quad"},
-               "fracnorm config")
+               "fracnorm config", ("field", "exponent", "s"))
     u = parse_field(cfg["field"])
     base = parse_exponent(cfg["exponent"])
     pair = exponents.PairExponentField(base)
     quad = parse_quad(cfg.get("quad"))
-    res = spaces.frac_seminorm(u, float(cfg["s"]), pair, quad)
+    res = spaces.frac_seminorm(u, number(cfg, "s", "fracnorm config"),
+                               pair, quad)
     name = cfg.get("name", "fracnorm")
     _say(args, f"fracnorm {name}: value = {res.value:.10g} "
                f"({res.iterations} bisection iterations)")
@@ -387,11 +412,11 @@ def cmd_fracnorm(args) -> int:
 def cmd_maximal(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "points", "r_max", "depth", "omega"},
-               "maximal config")
+               "maximal config", ("field", "points"))
     u = parse_field(cfg["field"])
     profile = maximal.maximal_profile(
-        u, cfg["points"], float(cfg.get("r_max", 10.0)),
-        int(cfg.get("depth", 3)), cfg.get("omega"))
+        u, cfg["points"], number(cfg, "r_max", "maximal config", 10.0),
+        number(cfg, "depth", "maximal config", 3, int), cfg.get("omega"))
     name = cfg.get("name", "maximal")
     _say(args, f"maximal {name}: max value = {max(profile.values):.8g} "
                f"over {len(profile.points)} points")
@@ -409,12 +434,13 @@ def cmd_maximal(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.config:
         cfg = load_config(args.config)
-        check_keys(cfg, {"name", "r_values", "quad"}, "counterexample config")
+        check_keys(cfg, {"name", "r_values", "quad"}, "counterexample config",
+                   ("r_values",))
         r_values = cfg["r_values"]
         name = cfg.get("name", "counterexample")
         quad = parse_quad(cfg.get("quad"))
     else:
-        r_values = [float(t) for t in str(args.r_values).split(",")]
+        r_values = number_list(args.r_values, "--r-values", "counterexample")
         name = "counterexample"
         quad = QuadratureSpec()
     table = maximal.counterexample_experiment(r_values, quad)
@@ -431,7 +457,8 @@ def cmd_counterexample(args) -> int:
 
 def cmd_bmo(args) -> int:
     cfg = load_config(args.config)
-    check_keys(cfg, {"name", "field", "interior", "balls"}, "bmo config")
+    check_keys(cfg, {"name", "field", "interior", "balls"}, "bmo config",
+               ("field", "interior", "balls"))
     u = parse_field(cfg["field"])
     res = maximal.bmo_quantity(u, tuple(cfg["interior"]),
                                [tuple(b) for b in cfg["balls"]])
@@ -450,14 +477,15 @@ def cmd_bmo(args) -> int:
 def cmd_diagnose_exponent(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "exponent", "pairs", "n_pairs", "range", "seed"},
-               "diagnose config")
+               "diagnose config", ("exponent",))
     p = parse_exponent(cfg["exponent"])
     if "pairs" in cfg:
         pairs = np.asarray(cfg["pairs"], dtype=float)
     else:
-        rng = np.random.default_rng(int(cfg.get("seed", args.seed)))
+        rng = np.random.default_rng(
+            number(cfg, "seed", "diagnose config", args.seed, int))
         lo, hi = cfg.get("range", [-10.0, 10.0])
-        m = int(cfg.get("n_pairs", 1000))
+        m = number(cfg, "n_pairs", "diagnose config", 1000, int)
         pairs = rng.uniform(lo, hi, size=(m, 2, p.dimension))
     diag = exponents.log_holder_diagnose(p, pairs)
     name = cfg.get("name", "diagnose")

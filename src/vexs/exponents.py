@@ -55,7 +55,7 @@ class ExponentField:
     """A variable exponent with analytic extrema.
 
     Construct through the module factories (`constant`, `inverse_quadratic`,
-    `sin_squared`, `piecewise_table`) or `from_config`.
+    `sin_squared`, `piecewise_table`), as `cli.parse_exponent` does.
     """
 
     def __init__(self, dimension: int, family: str, params: dict,

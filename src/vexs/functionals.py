@@ -117,7 +117,6 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
     boundaries.
     """
     n = u.dimension
-    rule = _resolve_rule(quad, n)
     count = [0]
 
     if n == 1:
@@ -126,6 +125,8 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
             return F(xs[:, None])
         segment = _integrate_segments_1d
     else:
+        rule = _resolve_rule(quad, n)
+
         def f_line(rs):
             pts = (rs[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
             vals = F(pts).reshape(rs.size, rule.node_count)
@@ -133,15 +134,11 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
             return (vals @ rule.weights) * rs ** (n - 1)
         segment = _integrate_segments_radial
 
-    if quad.truncation_radius is not None:
-        R = float(quad.truncation_radius)
-        val, err = segment(f_line, 0.0, R, quad, seeds)
-        return _OuterResult(val, err, R, count[0])
-
-    R0 = base_radius
-    total, err = segment(f_line, 0.0, R0, quad, seeds)
-    R = R0
-    for _ in range(40):
+    # a fixed truncation radius takes no doubling shells
+    fixed = quad.truncation_radius is not None
+    R = float(quad.truncation_radius) if fixed else base_radius
+    total, err = segment(f_line, 0.0, R, quad, seeds)
+    for _ in range(0 if fixed else 40):
         sval, serr = segment(f_line, R, 2.0 * R, quad, ())
         total += sval
         err += serr
@@ -277,14 +274,12 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     return out, ambiguous
 
 
-def _threshold_inner(u, P_vals, X, omega, delta, quad, weighted,
-                     with_delta_power=True):
+def _threshold_inner(u, P_vals, X, omega, delta, quad, weighted):
     """Closed-form inner integrals for the threshold kernel.
 
     For each point x: sum over superlevel intervals [a, b] of
-    delta^{p(x)} (a^{-p} - b^{-p}) / p(x), times p(x) in weighted mode;
-    with_delta_power=False drops the delta^{p} factor (the large-jump
-    tail integrand).  Returns (values, found_any, ambiguity_error).
+    delta^{p(x)} (a^{-p} - b^{-p}) / p(x), times p(x) in weighted mode.
+    Returns (values, found_any, ambiguity_error).
     """
     ivs, ambiguous = superlevel_intervals(u, X, omega, delta, quad)
     m = X.shape[0]
@@ -299,14 +294,13 @@ def _threshold_inner(u, P_vals, X, omega, delta, quad, weighted,
         for a, b in ivs[i]:
             term = a ** (-p) - (0.0 if math.isinf(b) else b ** (-p))
             acc += term
-        if with_delta_power:
-            acc *= delta ** p
+        acc *= delta ** p
         vals[i] = acc if weighted else acc / p
     # possible unclassified mass beyond H on ambiguous rays
     amb = 0.0
     for i, Hi in ambiguous:
         p = float(P_vals[i])
-        amb += (delta ** p if with_delta_power else 1.0) * Hi ** (-p) / p
+        amb += delta ** p * Hi ** (-p) / p
     return vals, found, amb
 
 
@@ -480,14 +474,58 @@ def _complement(intervals, H: float) -> list[tuple[float, float]]:
     return out
 
 
+def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
+                      beta: float, exps, restrict_small: bool
+                      ) -> FunctionalValue:
+    """coef times the double integral of |u(x)-u(y)|^q / |x-y|^{n+r},
+    with (q, r) = exps(X) per outer point and r = q - beta, so the ray
+    integral runs in t = h^beta.
+
+    restrict_small limits the pairs to |u(x)-u(y)| <= 1.  Beyond the ray
+    cutoff H the jump is |u(x)| up to eta (exactly so for compact
+    support), which the far tail coef |u(x)|^q H^{-r} / r adds back.
+    """
+    rule = _resolve_rule(quad, u.dimension)
+    n_panels = max(16, quad.h_bracket_grid // 2)
+    eta = _FAR_ETA_FRAC * max(u.sup_bound, 1.0)
+    far = u.far_radius(eta)
+
+    def F(X):
+        q, r = exps(X)
+        u_x = u.eval(X)
+        m = X.shape[0]
+        H = np.linalg.norm(X, axis=1) + far + 1.0
+        if quad.h_max is not None:
+            H = np.minimum(H, quad.h_max)
+        acc = np.zeros(m)
+        for w, omega in zip(rule.weights, rule.nodes):
+            if restrict_small:
+                above, _ = superlevel_intervals(u, X, omega, 1.0, quad)
+            for i in range(m):
+                restrict = None
+                tail_ok = True
+                if restrict_small:
+                    restrict = _complement(above[i], H[i])
+                    tail_ok = not (above[i] and math.isinf(above[i][-1][1]))
+                val = coef * _power_inner(u, X[i], omega, beta, q[i], H[i],
+                                          n_panels, restrict)
+                if tail_ok:
+                    val += coef * abs(u_x[i]) ** q[i] * H[i] ** (-r[i]) / r[i]
+                acc[i] += w * val
+        return acc
+
+    res = _outer_integrate(F, u, quad, far + 2.0, seeds=u.kink_points())
+    return FunctionalValue(res.value, res.error, res.radius, res.n_evals)
+
+
 def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",
                    quad: QuadratureSpec | None = None) -> FunctionalValue:
     """Perturbed functional eps |u(x)-u(y)|^{p(x)+eps} / |x-y|^{n+p(x)}.
 
     mode "full" integrates over all pairs, "small_jump" restricts to
     |u(x)-u(y)| <= 1, and "large_jump_tail" computes the companion
-    integral of 1 / |x-y|^{n+p(x)} over |u(x)-u(y)| > 1 (which carries
-    no eps factor and reuses the exact threshold antiderivative).
+    integral of 1 / |x-y|^{n+p(x)} over |u(x)-u(y)| > 1, which is the
+    threshold functional at delta = 1 (it carries no eps factor).
     """
     quad = quad or QuadratureSpec()
     if mode not in ("full", "small_jump", "large_jump_tail"):
@@ -499,68 +537,16 @@ def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",
     _require_lipschitz_decay(u, "eps_functional")
 
     if mode == "large_jump_tail":
-        return _large_jump_tail(u, p, quad)
+        if u.osc_bound <= 1.0:
+            return FunctionalValue(0.0, 0.0, 0.0, 0, empty_superlevel=True)
+        return nguyen_functional(u, p, 1.0, "unit", quad)
 
-    rule = _resolve_rule(quad, u.dimension)
-    n_panels = max(16, quad.h_bracket_grid // 2)
-    eta = _FAR_ETA_FRAC * max(u.sup_bound, 1.0)
-    far = u.far_radius(eta)
-    restrict_small = mode == "small_jump" and 2.0 * u.sup_bound > 1.0
-
-    def F(X):
+    def exps(X):
         px = p.eval(X)
-        u_x = u.eval(X)
-        m = X.shape[0]
-        H = np.linalg.norm(X, axis=1) + far + 1.0
-        if quad.h_max is not None:
-            H = np.minimum(H, quad.h_max)
-        acc = np.zeros(m)
-        for w, omega in zip(rule.weights, rule.nodes):
-            if restrict_small:
-                above, _ = superlevel_intervals(u, X, omega, 1.0, quad)
-            for i in range(m):
-                q = px[i] + eps
-                restrict = None
-                tail_ok = True
-                if restrict_small:
-                    restrict = _complement(above[i], H[i])
-                    tail_ok = not (above[i] and math.isinf(above[i][-1][1]))
-                val = eps * _power_inner(u, X[i], omega, eps, q, H[i],
-                                         n_panels, restrict)
-                if tail_ok:
-                    # beyond H the jump is |u(x)| up to eta, exactly for
-                    # compact support
-                    val += eps * abs(u_x[i]) ** q * H[i] ** (-px[i]) / px[i]
-                acc[i] += w * val
-        return acc
+        return px + eps, px
 
-    base = far + 2.0
-    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points())
-    return FunctionalValue(res.value, res.error, res.radius, res.n_evals)
-
-
-def _large_jump_tail(u, p, quad):
-    if u.osc_bound <= 1.0:
-        return FunctionalValue(0.0, 0.0, 0.0, 0, empty_superlevel=True)
-    rule = _resolve_rule(quad, u.dimension)
-    state = {"found": False, "amb": 0.0}
-
-    def F(X):
-        px = p.eval(X)
-        acc = np.zeros(X.shape[0])
-        for w, omega in zip(rule.weights, rule.nodes):
-            vals, found, amb = _threshold_inner(u, px, X, omega, 1.0, quad,
-                                                weighted=False,
-                                                with_delta_power=False)
-            state["found"] = state["found"] or found
-            state["amb"] += amb
-            acc += w * vals
-        return acc
-
-    base = u.far_radius(0.5 * min(1.0, u.sup_bound)) + 2.0
-    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points())
-    return FunctionalValue(res.value, res.error + state["amb"], res.radius,
-                           res.n_evals, empty_superlevel=not state["found"])
+    return _power_functional(u, quad, eps, eps, exps,
+                             mode == "small_jump" and 2.0 * u.sup_bound > 1.0)
 
 
 def bbm_functional(u: ScalarField, p_const: float, s: float,
@@ -577,31 +563,14 @@ def bbm_functional(u: ScalarField, p_const: float, s: float,
         return FunctionalValue(0.0, 0.0, 0.0, 0, empty_superlevel=True)
     _require_lipschitz_decay(u, "bbm_functional")
 
-    rule = _resolve_rule(quad, u.dimension)
-    n_panels = max(16, quad.h_bracket_grid // 2)
-    beta = (1.0 - s) * p_const
-    eta = _FAR_ETA_FRAC * max(u.sup_bound, 1.0)
-    far = u.far_radius(eta)
-
-    def F(X):
-        u_x = u.eval(X)
+    def exps(X):
+        # Python floats, not arrays: `psi ** 2.0` then takes numpy's
+        # exact-square path, as a float exponent always has
         m = X.shape[0]
-        H = np.linalg.norm(X, axis=1) + far + 1.0
-        if quad.h_max is not None:
-            H = np.minimum(H, quad.h_max)
-        acc = np.zeros(m)
-        for w, omega in zip(rule.weights, rule.nodes):
-            for i in range(m):
-                val = (1.0 - s) * _power_inner(u, X[i], omega, beta, p_const,
-                                               H[i], n_panels)
-                val += (1.0 - s) * abs(u_x[i]) ** p_const \
-                    * H[i] ** (-s * p_const) / (s * p_const)
-                acc[i] += w * val
-        return acc
+        return [p_const] * m, [s * p_const] * m
 
-    base = far + 2.0
-    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points())
-    return FunctionalValue(res.value, res.error, res.radius, res.n_evals)
+    return _power_functional(u, quad, 1.0 - s, (1.0 - s) * p_const, exps,
+                             False)
 
 
 # ----------------------------------------------------------------------

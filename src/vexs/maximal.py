@@ -54,6 +54,18 @@ def _interval_average(u: ScalarField, lo: float, hi: float,
     return float(np.sum(w * vals)) / (hi - lo)
 
 
+def _sup_over_radii(avg, r_max: float, depth: int, n_grid: int) -> float:
+    """sup over r in (1e-6, r_max] of avg(r): a geometric grid scan, then
+    `depth` golden-section passes of 20 iterations on the bracket around
+    the best grid radius; never below the best grid value."""
+    rs = np.geomspace(_R_FLOOR, r_max, n_grid)
+    vals = np.array([avg(r) for r in rs])
+    i = int(np.argmax(vals))
+    _, best = golden_max(avg, rs[max(i - 1, 0)], rs[min(i + 1, n_grid - 1)],
+                         iters=20 * depth)
+    return max(float(vals[i]), best)
+
+
 def hl_maximal(u: ScalarField, x: float, r_max: float,
                depth: int = 3, n_grid: int = 48) -> float:
     """Centered maximal function sup_{r} average of |u| over B(x, r) (1D).
@@ -73,13 +85,7 @@ def hl_maximal(u: ScalarField, x: float, r_max: float,
         return 0.5 * (_interval_average(u, x - r, x) +
                       _interval_average(u, x, x + r))
 
-    rs = np.geomspace(_R_FLOOR, r_max, n_grid)
-    vals = np.array([avg(r) for r in rs])
-    i = int(np.argmax(vals))
-    lo = rs[max(i - 1, 0)]
-    hi = rs[min(i + 1, n_grid - 1)]
-    _, best = golden_max(avg, lo, hi, iters=20 * depth)
-    return max(float(vals[i]), best)
+    return _sup_over_radii(avg, r_max, depth, n_grid)
 
 
 def directional_maximal(u: ScalarField, x: float, omega: float,
@@ -98,13 +104,7 @@ def directional_maximal(u: ScalarField, x: float, omega: float,
             return _interval_average(u, x, x + h)
         return _interval_average(u, x - h, x)
 
-    hs = np.geomspace(_R_FLOOR, h_max, n_grid)
-    vals = np.array([avg(h) for h in hs])
-    i = int(np.argmax(vals))
-    lo = hs[max(i - 1, 0)]
-    hi = hs[min(i + 1, n_grid - 1)]
-    _, best = golden_max(avg, lo, hi, iters=20 * depth)
-    return max(float(vals[i]), best)
+    return _sup_over_radii(avg, h_max, depth, n_grid)
 
 
 def maximal_profile(u: ScalarField, points, r_max: float,

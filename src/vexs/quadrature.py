@@ -149,16 +149,20 @@ def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
                    iters: int, rel_width: float = 0.0
                    ) -> tuple[float, float, int]:
     """Bisect one scalar bracket: lo moves to the midpoint where
-    below(mid) holds, hi otherwise.  Stops after `iters` steps or once
-    hi - lo <= rel_width * hi; returns (lo, hi, steps)."""
+    below(mid) holds, hi otherwise.  Stops after `iters` steps, once
+    hi - lo <= rel_width * hi, or after a step that moved neither end
+    (adjacent floats: the bracket is then a fixed point, so stopping
+    changes no result); returns (lo, hi, steps)."""
     steps = 0
     while steps < iters and hi - lo > rel_width * hi:
         mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
         steps += 1
+        if below(mid):
+            moved, lo = mid != lo, mid
+        else:
+            moved, hi = mid != hi, mid
+        if not moved:
+            break
     return lo, hi, steps
 
 

@@ -18,10 +18,9 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .exponents import ExponentField, PairExponentField
 from .fields import ScalarField, truncation_radius
-from .functionals import (QuadratureSpec, _resolve_rule,
+from .functionals import (QuadratureSpec, _outer_integrate, _resolve_rule,
                           _require_lipschitz_decay, ray_t_quadrature)
-from .quadrature import (adaptive_integrate, bisect_bracket, decade_seeds,
-                         panel_nodes)
+from .quadrature import bisect_bracket, decade_seeds, panel_nodes
 
 _LAMBDA_CAP = 1e12
 _RHO_TOL = 1e-8
@@ -92,38 +91,21 @@ def _domain_radius(u: ScalarField, p, quad: QuadratureSpec) -> float:
 def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
             quad: QuadratureSpec | None = None) -> ModularValue:
     """The modular: integral of |u(x)/lam|^{p(x)} w(x) over the truncated
-    domain, by adaptive quadrature with panel edges seeded at kinks."""
+    domain, by the functionals' outer integrator (polar for n >= 2) with
+    panel edges seeded at kinks and decades."""
     quad = quad or QuadratureSpec()
     if lam <= 0:
         raise DomainError("lam must be positive")
     R = _domain_radius(u, p, quad)
-    n = u.dimension
-    count = [0]
 
     def integrand(pts: np.ndarray) -> np.ndarray:
-        count[0] += pts.shape[0]
         vals = np.abs(u.eval(pts)) / lam
         return vals ** p.eval(pts) * _weight_values(weight, pts)
 
-    if n == 1:
-        seeds = sorted(set(float(k) for k in u.kink_points()
-                           if -R < k < R) | {0.0} | set(decade_seeds(-R, R)))
-        res = adaptive_integrate(lambda xs: integrand(xs[:, None]), -R, R,
-                                 rel_tol=quad.outer_x_tolerance, seeds=seeds)
-    else:
-        rule = _resolve_rule(quad, n)
-
-        def f_line(rs):
-            pts = (rs[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
-            vals = integrand(pts).reshape(rs.size, rule.node_count)
-            return (vals @ rule.weights) * rs ** (n - 1)
-
-        seeds = sorted(set(abs(float(k)) for k in u.kink_points()
-                           if 0.0 < abs(k) < R)
-                       | {s for s in decade_seeds(0.0, R)})
-        res = adaptive_integrate(f_line, 0.0, R,
-                                 rel_tol=quad.outer_x_tolerance, seeds=seeds)
-    return ModularValue(res.value, R, count[0], res.error)
+    seeds = np.concatenate([u.kink_points(), decade_seeds(-R, R)])
+    res = _outer_integrate(integrand, u, replace(quad, truncation_radius=R),
+                           R, seeds)
+    return ModularValue(res.value, R, res.n_evals, res.error)
 
 
 def _modular_profile(u, p, weight, quad, R):

@@ -13,22 +13,18 @@ stands in for the extrapolation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .exponents import ExponentField
 from .fields import ScalarField
 from .functionals import (FunctionalValue, QuadratureSpec, bbm_functional,
                           eps_functional, local_energy, nguyen_functional)
 from .quadrature import bisect_bracket, golden_max
 
-SWEEP_KINDS = ("nguyen-unit", "nguyen-weighted", "eps-small-jump",
-               "eps-full", "bbm")
-
+# sweep kind -> name of its singular parameter
 _PARAM_NAME = {
     "nguyen-unit": "delta",
     "nguyen-weighted": "delta",
@@ -67,29 +63,11 @@ class SweepReport:
         }
 
 
-def _workers() -> int:
-    raw = os.environ.get("VEXS_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(
-            f"VEXS_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run_sweep(kind: str, u: ScalarField, p: ExponentField, grid,
               quad: QuadratureSpec | None = None) -> SweepReport:
-    """Evaluate one functional across its parameter grid and extrapolate.
-
-    Grid points are independent; VEXS_THREADS > 1 fans them out over a
-    thread pool, with results assembled in grid order so the report is
-    identical no matter the worker count.
-    """
+    """Evaluate one functional across its parameter grid and extrapolate."""
     quad = quad or QuadratureSpec()
-    workers = _workers()
-    if kind not in SWEEP_KINDS:
+    if kind not in _PARAM_NAME:
         raise DomainError(f"unknown sweep kind {kind!r}")
     grid = [float(g) for g in grid]
     if len(grid) < 3:
@@ -108,32 +86,18 @@ def run_sweep(kind: str, u: ScalarField, p: ExponentField, grid,
                               "positive")
         ts = list(grid)
 
+    if kind == "bbm" and not p.is_constant:
+        raise DomainError("the BBM functional takes a constant exponent")
+    # the eps functionals converge to the p(x)-weighted energy
+    weight = "unit" if kind in ("bbm", "nguyen-unit") else "p_of_x"
+    target = local_energy(u, p, weight, quad).value
     if kind == "bbm":
-        if not p.is_constant:
-            raise DomainError("the BBM functional takes a constant exponent")
-        p_val = p.p_minus
-        def evaluate(g):
-            return bbm_functional(u, p_val, g, quad)
-        target = local_energy(u, p, "unit", quad).value
-    elif kind == "nguyen-unit":
-        def evaluate(g):
-            return nguyen_functional(u, p, g, "unit", quad)
-        target = local_energy(u, p, "unit", quad).value
-    elif kind == "nguyen-weighted":
-        def evaluate(g):
-            return nguyen_functional(u, p, g, "p_of_x", quad)
-        target = local_energy(u, p, "p_of_x", quad).value
+        values = [bbm_functional(u, p.p_minus, g, quad) for g in grid]
+    elif kind.startswith("nguyen"):
+        values = [nguyen_functional(u, p, g, weight, quad) for g in grid]
     else:
         mode = "small_jump" if kind == "eps-small-jump" else "full"
-        def evaluate(g):
-            return eps_functional(u, p, g, mode, quad)
-        target = local_energy(u, p, "p_of_x", quad).value
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(evaluate, grid))
-    else:
-        values = [evaluate(g) for g in grid]
+        values = [eps_functional(u, p, g, mode, quad) for g in grid]
 
     if target == 0.0:
         deviations = tuple(abs(v.value) for v in values)

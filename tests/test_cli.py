@@ -137,18 +137,25 @@ def test_counterexample_csv_cells_parse_as_floats(counterexample_rows):
             float(cell)
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_vexs_threads_exits_2(tmp_path, capsys, monkeypatch, value):
-    cfg = write_cfg(tmp_path, "sweep.json", {
-        "name": "x",
-        "field": {"family": "tent"},
-        "exponent": {"family": "constant", "value": 2.0},
-        "kind": "nguyen-unit",
-        "grid": [0.2, 0.1, 0.05],
-    })
-    monkeypatch.setenv("VEXS_THREADS", value)
-    assert run_cli("sweep", "--config", cfg) == 2
-    assert "VEXS_THREADS" in capsys.readouterr().err
+NGUYEN_CFG = {"field": {"family": "gaussian"},
+              "exponent": {"family": "constant", "value": 2.0},
+              "delta": 0.1}
+
+
+@pytest.mark.parametrize("argv, cfg, key", [
+    (["nguyen"], {k: v for k, v in NGUYEN_CFG.items() if k != "delta"},
+     "delta"),
+    (["nguyen"], {**NGUYEN_CFG, "delta": "x"}, "delta"),
+    (["nguyen"], {**NGUYEN_CFG, "field": {"family": "gaussian",
+                                          "sigma": "wide"}}, "sigma"),
+    (["constants", "--n", "abc"], None, "--n"),
+])
+def test_malformed_config_exits_2_naming_key(tmp_path, capsys, argv, cfg,
+                                             key):
+    if cfg is not None:
+        argv = argv + ["--config", write_cfg(tmp_path, "bad.json", cfg)]
+    assert run_cli(*argv) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_lemma41_rejects_unused_quad_keys(tmp_path, capsys):

@@ -150,6 +150,22 @@ def test_scale_parameter_scales_everything():
     assert u.lipschitz_bound == pytest.approx(2.0 * math.sqrt(2.0 / math.e))
 
 
+@pytest.mark.parametrize("u, eta", [(Gaussian(), 1e-7), (Gaussian(), 1e-3),
+                                    (PowerTail(), 1e-4)])
+def test_far_radius_bisection_stops_on_adjacent_floats(u, eta, monkeypatch):
+    calls = []
+    bound = u.tail_bound
+    monkeypatch.setattr(u, "tail_bound",
+                        lambda r: calls.append(r) or bound(r))
+    R = u.far_radius(eta)
+    doubling = 0
+    while calls[doubling] == 2.0 ** (doubling + 1):
+        doubling += 1
+    # the bracket stops moving after 52-53 of the 80 allowed steps
+    assert len(calls) - doubling <= 60
+    assert bound(R) <= eta
+
+
 def test_far_radius_is_inverse_of_tail_bound():
     u = Gaussian()
     for eta in (1e-2, 1e-6, 1e-10):

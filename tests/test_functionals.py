@@ -151,6 +151,14 @@ def test_eps_large_jump_tail_positive_for_tall_field():
     assert fv.value > 0.0 and not fv.empty_superlevel
 
 
+def test_eps_large_jump_tail_is_threshold_at_delta_one():
+    # 1 / |x-y|^{n+p} over {|u(x)-u(y)| > 1} is the delta = 1 threshold
+    # integrand, since 1^p == 1 exactly
+    u, p = Gaussian(scale=3.0), inverse_quadratic(2.0, 1.0)
+    tail = eps_functional(u, p, 0.3, "large_jump_tail")
+    assert tail == nguyen_functional(u, p, 1.0, "unit")
+
+
 def test_eps_full_gaussian_matches_riemann_oracle():
     ref = oracles.riemann_eps_double(
         lambda x: np.exp(-np.asarray(x, float) ** 2), p2_np, 0.4,
@@ -225,6 +233,21 @@ def test_layer_cake_random_smooth_vs_brute_oracle():
     assert res.lhs == pytest.approx(lhs_b, rel=5e-3)
     assert res.rhs_small == pytest.approx(small_b, rel=5e-3)
     assert res.rhs_large == pytest.approx(large_b, rel=5e-3, abs=1e-6)
+
+
+def test_layer_cake_brute_matches_delta_loop():
+    # the oracle's sorted suffix sums against the plain per-delta masked
+    # sum they replace; only the summation order differs
+    phi, psi, alpha, box, _ = lemma41_preset("random-smooth", seed=2)
+    n, nd = 120, 40
+    lhs, _, _ = oracles.layer_cake_brute(phi, psi, alpha, box, n, nd)
+    g = box[0] + (np.arange(n) + 0.5) * (box[1] - box[0]) / n
+    X, Y = np.meshgrid(g, g, indexing="ij")
+    PHI, PSI, AL = phi(X, Y), psi(X, Y), alpha(g)[:, None]
+    loop = sum(float(np.sum(np.where(PHI > d, d ** AL * PSI, 0.0)))
+               for d in (np.arange(nd) + 0.5) / nd)
+    cell = ((box[1] - box[0]) / n) ** 2
+    assert lhs == pytest.approx(loop * cell / nd, rel=1e-13)
 
 
 def test_pair_section_unit_distance_exact_lengths():

@@ -22,6 +22,14 @@ def test_bisect_bracket_stops_at_rel_width():
     assert hi - lo <= 1e-3 * hi < 2.0 * (hi - lo)
 
 
+def test_bisect_bracket_stops_when_no_end_moves():
+    lo, hi, steps = bisect_bracket(lambda m: m < 0.3, 0.0, 1.0, 200)
+    # adjacent floats: the next midpoint rounds onto an end
+    assert hi == np.nextafter(lo, 1.0)
+    assert lo < 0.3 <= hi
+    assert steps < 60
+
+
 def test_bisect_bracket_true_moves_lo():
     assert bisect_bracket(lambda m: True, 0.0, 1.0, 1) == (0.5, 1.0, 1)
     assert bisect_bracket(lambda m: False, 0.0, 1.0, 1) == (0.0, 0.5, 1)

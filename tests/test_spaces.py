@@ -27,6 +27,13 @@ def test_modular_gaussian_p2():
     assert val == pytest.approx(math.sqrt(math.pi / 2), rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_modular_gaussian_p2_radial(n):
+    # integral of e^{-2|x|^2} over R^n is (pi/2)^{n/2}
+    val = modular(Gaussian(dimension=n), constant(2.0, n)).value
+    assert val == pytest.approx((math.pi / 2) ** (n / 2), rel=1e-9)
+
+
 def test_modular_gaussian_vs_riemann_oracle():
     ref = oracles.riemann_modular_1d(
         lambda x: np.exp(-2.5 * x * x), -10.0, 10.0)

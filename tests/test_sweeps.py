@@ -108,12 +108,3 @@ def test_sweep_report_serializes(fast_quad):
     assert len(d["values"]) == 3
     assert isinstance(d["target"], float)
 
-
-def test_thread_fanout_matches_sequential(fast_quad, monkeypatch):
-    u, p = Tent(), constant(2.0)
-    grid = [0.2, 0.1, 0.05]
-    seq = run_sweep("nguyen-unit", u, p, grid, fast_quad)
-    monkeypatch.setenv("VEXS_THREADS", "3")
-    par = run_sweep("nguyen-unit", u, p, grid, fast_quad)
-    assert [v.value for v in seq.values] == [v.value for v in par.values]
-    assert seq.extrapolated == par.extrapolated
