@@ -44,8 +44,14 @@ def number(cfg: dict, key: str, context: str, default=None, kind=float):
     try:
         return kind(cfg[key])
     except (TypeError, ValueError):
-        raise ConfigError(f"{context}: {key!r} must be a number, got "
+        raise ConfigError(f"{context}: {key!r} must be numeric, got "
                           f"{cfg[key]!r}") from None
+
+
+def floats(value) -> np.ndarray:
+    """A number or a (nested) list of numbers as a float array; the
+    `kind` of `number` for list values."""
+    return np.asarray(value, dtype=float)
 
 
 def number_list(text, flag: str, context: str, kind=float) -> list:
@@ -62,7 +68,7 @@ def parse_field(cfg: dict) -> fields.ScalarField:
         check_keys(cfg, {"family", "sigma", "center", "scale", "dimension"},
                    "field")
         return fields.Gaussian(number(cfg, "sigma", "field", 1.0),
-                               cfg.get("center", 0.0),
+                               number(cfg, "center", "field", 0.0, floats),
                                number(cfg, "scale", "field", 1.0),
                                number(cfg, "dimension", "field", 1, int))
     if fam == "tent":
@@ -78,13 +84,15 @@ def parse_field(cfg: dict) -> fields.ScalarField:
         return fields.PowerTail(number(cfg, "scale", "field", 1.0))
     if fam == "log-singular":
         check_keys(cfg, {"family", "window"}, "field")
-        return fields.LogSingular(tuple(cfg.get("window", (0.0, 1.0))))
+        return fields.LogSingular(
+            tuple(number(cfg, "window", "field", (0.0, 1.0), floats)))
     if fam == "sampled-table":
         check_keys(cfg, {"family", "csv", "xs", "us"}, "field",
                    () if "csv" in cfg else ("xs", "us"))
         if "csv" in cfg:
             return fields.SampledTable.from_csv(cfg["csv"])
-        return fields.SampledTable(cfg["xs"], cfg["us"])
+        return fields.SampledTable(number(cfg, "xs", "field", kind=floats),
+                                   number(cfg, "us", "field", kind=floats))
     raise ConfigError(f"unknown field family {fam!r}")
 
 
@@ -108,20 +116,29 @@ def parse_exponent(cfg: dict) -> exponents.ExponentField:
                    "exponent", ("a", "b", "direction"))
         return exponents.sin_squared(
             number(cfg, "a", "exponent"), number(cfg, "b", "exponent"),
-            cfg["direction"], number(cfg, "dimension", "exponent", 1, int))
+            number(cfg, "direction", "exponent", kind=floats),
+            number(cfg, "dimension", "exponent", 1, int))
     if fam == "piecewise-table":
         check_keys(cfg, {"family", "breaks", "values", "interp"}, "exponent",
                    ("breaks", "values"))
-        return exponents.piecewise_table(cfg["breaks"], cfg["values"],
-                                         cfg.get("interp", "const"))
+        return exponents.piecewise_table(
+            number(cfg, "breaks", "exponent", kind=floats),
+            number(cfg, "values", "exponent", kind=floats),
+            cfg.get("interp", "const"))
     raise ConfigError(f"unknown exponent family {fam!r}")
 
 
-def parse_quad(cfg: dict | None) -> QuadratureSpec:
+QUAD_KEYS = frozenset({"truncation_radius", "sphere_rule", "outer_x_tolerance",
+                       "h_bracket_grid", "h_max", "rel_tol"})
+
+
+def parse_quad(cfg: dict | None, used=QUAD_KEYS,
+               context: str = "quad") -> QuadratureSpec:
+    """A QuadratureSpec from a quad config.  `used` names the keys the
+    computation reads; any other key exits 2, as an unknown key does."""
     if cfg is None:
         return QuadratureSpec()
-    check_keys(cfg, {"truncation_radius", "sphere_rule", "outer_x_tolerance",
-                     "h_bracket_grid", "h_max", "rel_tol"}, "quad")
+    check_keys(cfg, used, context)
     rule = None
     if "sphere_rule" in cfg:
         rc = cfg["sphere_rule"]
@@ -130,9 +147,7 @@ def parse_quad(cfg: dict | None) -> QuadratureSpec:
         nc = rc.get("node_count")
         rule = default_rule(number(rc, "dimension", "sphere_rule", kind=int),
                             tuple(nc) if isinstance(nc, list) else nc)
-    kwargs = {k: cfg[k] for k in ("truncation_radius", "outer_x_tolerance",
-                                  "h_bracket_grid", "h_max", "rel_tol")
-              if k in cfg}
+    kwargs = {k: cfg[k] for k in QUAD_KEYS - {"sphere_rule"} if k in cfg}
     return QuadratureSpec(sphere_rule=rule, **kwargs)
 
 
@@ -230,9 +245,8 @@ def cmd_lemma41(args) -> int:
         preset = cfg.get("preset", "unit-distance")
         seed = number(cfg, "seed", "lemma41 config", args.seed, int)
         name = cfg.get("name", preset)
-        # layer_cake_check reads rel_tol alone; reject the other quad keys
-        check_keys(cfg.get("quad", {}), {"rel_tol"}, "lemma41 quad")
-        quad = parse_quad(cfg.get("quad"))
+        # layer_cake_check reads rel_tol alone
+        quad = parse_quad(cfg.get("quad"), {"rel_tol"}, "lemma41 quad")
     else:
         preset, seed, name = args.preset, args.seed, args.preset
         quad = QuadratureSpec()
@@ -324,7 +338,9 @@ def cmd_sweep(args) -> int:
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     quad = parse_quad(cfg.get("quad"))
-    report = sweeps.run_sweep(cfg["kind"], u, p, cfg["grid"], quad)
+    report = sweeps.run_sweep(cfg["kind"], u, p,
+                              number(cfg, "grid", "sweep config", kind=floats),
+                              quad)
     name = cfg.get("name", cfg["kind"])
     _say(args, f"sweep {name}: extrapolated = {report.extrapolated:.6g}, "
                f"target = {report.target:.6g}, "
@@ -340,14 +356,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_modular(args) -> int:
+def _modular_inputs(args, command: str, extra=()):
+    """(cfg, u, p, weight, quad) of `modular` and `norm`.  Their outer
+    integral reads no h_bracket_grid or h_max, and no sphere rule on a
+    1D field, so those quad keys are rejected instead of ignored."""
     cfg = load_config(args.config)
-    check_keys(cfg, {"name", "field", "exponent", "weight", "lambda", "quad"},
-               "modular config", ("field", "exponent"))
+    check_keys(cfg, {"name", "field", "exponent", "weight", "quad", *extra},
+               f"{command} config", ("field", "exponent"))
     u = parse_field(cfg["field"])
     p = parse_exponent(cfg["exponent"])
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
-    quad = parse_quad(cfg.get("quad"))
+    used = {"truncation_radius", "outer_x_tolerance", "rel_tol"}
+    if u.dimension > 1:
+        used.add("sphere_rule")
+    return cfg, u, p, weight, parse_quad(cfg.get("quad"), used)
+
+
+def cmd_modular(args) -> int:
+    cfg, u, p, weight, quad = _modular_inputs(args, "modular", ("lambda",))
     mv = spaces.modular(u, p, weight,
                         number(cfg, "lambda", "modular config", 1.0), quad)
     name = cfg.get("name", "modular")
@@ -364,13 +390,7 @@ def cmd_modular(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    cfg = load_config(args.config)
-    check_keys(cfg, {"name", "field", "exponent", "weight", "quad"},
-               "norm config", ("field", "exponent"))
-    u = parse_field(cfg["field"])
-    p = parse_exponent(cfg["exponent"])
-    weight = parse_field(cfg["weight"]) if "weight" in cfg else None
-    quad = parse_quad(cfg.get("quad"))
+    cfg, u, p, weight, quad = _modular_inputs(args, "norm")
     res = spaces.luxemburg_norm(u, p, weight, quad)
     name = cfg.get("name", "norm")
     _say(args, f"norm {name}: value = {res.value:.10g} "
@@ -415,7 +435,8 @@ def cmd_maximal(args) -> int:
                "maximal config", ("field", "points"))
     u = parse_field(cfg["field"])
     profile = maximal.maximal_profile(
-        u, cfg["points"], number(cfg, "r_max", "maximal config", 10.0),
+        u, number(cfg, "points", "maximal config", kind=floats),
+        number(cfg, "r_max", "maximal config", 10.0),
         number(cfg, "depth", "maximal config", 3, int), cfg.get("omega"))
     name = cfg.get("name", "maximal")
     _say(args, f"maximal {name}: max value = {max(profile.values):.8g} "
@@ -436,7 +457,8 @@ def cmd_counterexample(args) -> int:
         cfg = load_config(args.config)
         check_keys(cfg, {"name", "r_values", "quad"}, "counterexample config",
                    ("r_values",))
-        r_values = cfg["r_values"]
+        r_values = number(cfg, "r_values", "counterexample config",
+                          kind=floats)
         name = cfg.get("name", "counterexample")
         quad = parse_quad(cfg.get("quad"))
     else:
@@ -460,8 +482,9 @@ def cmd_bmo(args) -> int:
     check_keys(cfg, {"name", "field", "interior", "balls"}, "bmo config",
                ("field", "interior", "balls"))
     u = parse_field(cfg["field"])
-    res = maximal.bmo_quantity(u, tuple(cfg["interior"]),
-                               [tuple(b) for b in cfg["balls"]])
+    res = maximal.bmo_quantity(
+        u, tuple(number(cfg, "interior", "bmo config", kind=floats)),
+        [tuple(b) for b in number(cfg, "balls", "bmo config", kind=floats)])
     name = cfg.get("name", "bmo")
     _say(args, f"bmo {name}: sup over {len(res.per_ball)} balls = "
                f"{res.sup:.8g}")
@@ -480,11 +503,12 @@ def cmd_diagnose_exponent(args) -> int:
                "diagnose config", ("exponent",))
     p = parse_exponent(cfg["exponent"])
     if "pairs" in cfg:
-        pairs = np.asarray(cfg["pairs"], dtype=float)
+        pairs = number(cfg, "pairs", "diagnose config", kind=floats)
     else:
         rng = np.random.default_rng(
             number(cfg, "seed", "diagnose config", args.seed, int))
-        lo, hi = cfg.get("range", [-10.0, 10.0])
+        lo, hi = number(cfg, "range", "diagnose config", (-10.0, 10.0),
+                        floats)
         m = number(cfg, "n_pairs", "diagnose config", 1000, int)
         pairs = rng.uniform(lo, hi, size=(m, 2, p.dimension))
     diag = exponents.log_holder_diagnose(p, pairs)

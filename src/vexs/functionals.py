@@ -27,11 +27,9 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
 from .fields import ScalarField
-from .quadrature import (adaptive_integrate, gauss_nodes, panel_nodes,
-                         vector_bisect)
+from .quadrature import (adaptive_integrate, panel_nodes, piece_nodes,
+                         sign_pieces)
 from .sphere import SphereRule, default_rule, k_np_values
-
-_GL15 = gauss_nodes(15)
 
 # far-field headroom: |u| must drop below this fraction of the threshold
 # before a ray's sign pattern is declared stable
@@ -190,118 +188,59 @@ def _require_lipschitz_decay(u: ScalarField, op: str) -> float:
 # ----------------------------------------------------------------------
 
 def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
-                         threshold: float, quad: QuadratureSpec
-                         ) -> tuple[list[list[tuple[float, float]]],
-                                    list[tuple[int, float]]]:
-    """Per-point superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold}.
+                         threshold: float, quad: QuadratureSpec):
+    """Superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} of the
+    points X (shape (m, n)) as flat arrays (row, a, b, ambiguous).
 
-    X has shape (m, n); returns one list of (a, b) intervals per point,
-    with b = inf when the set reaches infinity (the far jump |u(x)|
-    exceeds the threshold), plus the rows whose far sign could not be
-    classified as (row, H) pairs so callers can bound the ambiguity.
-    The grid start exploits the Lipschitz bound: below h = threshold/Lip
-    no jump can exceed the threshold.
+    Interval i is (a[i], b[i]) on the ray of point row[i]; the intervals
+    are sorted by row and by h within a row.  b = inf when the set
+    reaches infinity (the far jump |u(x)| exceeds the threshold);
+    `ambiguous` flags the intervals that end at the ray cutoff H with a
+    far sign that could not be classified, so callers can bound the
+    ambiguity.  The grid start exploits the Lipschitz bound: below
+    h = threshold/Lip no jump can exceed the threshold.
     """
-    m, n = X.shape
     L = _require_lipschitz_decay(u, "superlevel bracketing")
     u_x = u.eval(X)
     eta = threshold * _FAR_ETA_FRAC
     far = u.far_radius(eta)
-    norms = np.linalg.norm(X, axis=1)
-    H = norms + far + 1.0
+    H = np.linalg.norm(X, axis=1) + far + 1.0
     if quad.h_max is not None:
         H = np.minimum(H, quad.h_max)
     h_lo = max(0.999 * threshold / L, 1e-12)
 
     N = quad.h_bracket_grid
-    out: list[list[tuple[float, float]]] = [[] for _ in range(m)]
-    ambiguous: list[tuple[int, float]] = []
-
     live = np.nonzero(H > h_lo)[0]
-    if live.size == 0:
-        return out, ambiguous
-
     log_lo = math.log(h_lo)
     grids = np.exp(log_lo + (np.log(H[live]) - log_lo)[:, None]
                    * np.linspace(0.0, 1.0, N)[None, :])
     pts = X[live, None, :] + grids[..., None] * omega[None, None, :]
-    G = np.abs(u.eval(pts.reshape(-1, n)).reshape(live.size, N)
+    G = np.abs(u.eval(pts.reshape(-1, X.shape[1])).reshape(live.size, N)
                - u_x[live, None]) - threshold
     pos = G > 0.0
 
-    flips = pos[:, :-1] != pos[:, 1:]
-    max_flips = int(np.max(np.sum(flips, axis=1), initial=0))
+    max_flips = int(np.max(np.sum(pos[:, :-1] != pos[:, 1:], axis=1),
+                           initial=0))
     if max_flips > N // 4:
         raise BracketingError(
             f"{max_flips} sign changes on a {N}-point ray grid; increase "
             "h_bracket_grid")
 
-    rows, cols = np.nonzero(flips)
-    roots = np.empty(0)
-    if rows.size:
-        lo = grids[rows, cols]
-        hi = grids[rows, cols + 1]
-        Xb = X[live[rows]]
-        uxb = u_x[live[rows]]
+    def residual(rows):
+        Xb, uxb = X[live[rows]], u_x[live[rows]]
+        return lambda h: np.abs(u.eval(Xb + h[:, None] * omega[None, :])
+                                - uxb) - threshold
 
-        def g(hvec):
-            return np.abs(u.eval(Xb + hvec[:, None] * omega[None, :])
-                          - uxb) - threshold
-
-        roots = vector_bisect(g, lo, hi, pos[rows, cols], iters=60)
-
-    for k, idx in enumerate(live):
-        my_roots = roots[rows == k]
-        state = bool(pos[k, 0])
-        start = grids[k, 0] if state else None
-        ivs: list[tuple[float, float]] = []
-        for r in my_roots:
-            if state:
-                ivs.append((start, float(r)))
-                state = False
-            else:
-                start = float(r)
-                state = True
-        if state:
-            far_jump = abs(float(u_x[idx]))
-            if far_jump > threshold + eta:
-                ivs.append((start, math.inf))
-            else:
-                ivs.append((start, float(H[idx])))
-                if far_jump > threshold - eta:
-                    ambiguous.append((int(idx), float(H[idx])))
-        out[idx] = ivs
-    return out, ambiguous
-
-
-def _threshold_inner(u, P_vals, X, omega, delta, quad, weighted):
-    """Closed-form inner integrals for the threshold kernel.
-
-    For each point x: sum over superlevel intervals [a, b] of
-    delta^{p(x)} (a^{-p} - b^{-p}) / p(x), times p(x) in weighted mode.
-    Returns (values, found_any, ambiguity_error).
-    """
-    ivs, ambiguous = superlevel_intervals(u, X, omega, delta, quad)
-    m = X.shape[0]
-    vals = np.zeros(m)
-    found = False
-    for i in range(m):
-        if not ivs[i]:
-            continue
-        found = True
-        p = float(P_vals[i])
-        acc = 0.0
-        for a, b in ivs[i]:
-            term = a ** (-p) - (0.0 if math.isinf(b) else b ** (-p))
-            acc += term
-        acc *= delta ** p
-        vals[i] = acc if weighted else acc / p
-    # possible unclassified mass beyond H on ambiguous rays
-    amb = 0.0
-    for i, Hi in ambiguous:
-        p = float(P_vals[i])
-        amb += delta ** p * Hi ** (-p) / p
-    return vals, found, amb
+    cell, a, b, is_pos = sign_pieces(residual, grids, pos)
+    cell, a, b = cell[is_pos], a[is_pos], b[is_pos]
+    row = live[cell]
+    # a set still above the threshold at the last grid point runs on to
+    # H, or to infinity when the far jump |u(x)| clears the threshold
+    tail = b == grids[cell, -1]
+    far_jump = np.abs(u_x[row])
+    clear = far_jump > threshold + eta
+    b[tail] = np.where(clear[tail], math.inf, H[row[tail]])
+    return row, a, b, tail & ~clear & (far_jump > threshold - eta)
 
 
 def nguyen_functional(u: ScalarField, p, delta: float,
@@ -324,10 +263,22 @@ def nguyen_functional(u: ScalarField, p, delta: float,
         px = p.eval(X)
         acc = np.zeros(X.shape[0])
         for w, omega in zip(rule.weights, rule.nodes):
-            vals, found, amb = _threshold_inner(u, px, X, omega, delta,
-                                                quad, weighted)
-            state["found"] = state["found"] or found
-            state["amb"] += amb
+            # closed-form inner integral: over each superlevel interval
+            # (a, b), delta^p (a^-p - b^-p) / p, without the 1/p when weighted
+            row, a, b, ambiguous = superlevel_intervals(u, X, omega, delta,
+                                                        quad)
+            # libm powers of Python floats; numpy's SIMD pow rounds otherwise
+            P = px[row].tolist()
+            vals = np.zeros(X.shape[0])
+            np.add.at(vals, row, [ai ** -q - bi ** -q for ai, bi, q
+                                  in zip(a.tolist(), b.tolist(), P)])
+            vals *= [delta ** q for q in px.tolist()]
+            if not weighted:
+                vals /= px
+            state["found"] = state["found"] or row.size > 0
+            # possible unclassified mass beyond H on ambiguous rays
+            state["amb"] += sum(delta ** q * bi ** -q / q for q, bi, flag
+                                in zip(P, b.tolist(), ambiguous) if flag)
             acc += w * vals
         return acc
 
@@ -426,52 +377,31 @@ def _ray_kink_breaks(u: ScalarField, x: np.ndarray, omega: np.ndarray,
 
 def _power_inner(u: ScalarField, x: np.ndarray, omega: np.ndarray,
                  beta: float, q: float, H: float, n_panels: int,
-                 restrict=None) -> float:
+                 exclude=None) -> float:
     """Inner integral of phi(h)^q h^{-(q - beta) - 1} over (0, H] as
     (1/beta) * integral of psi(h)^q dt with t = h^beta, psi = phi / h.
 
-    `restrict` optionally limits integration to h intervals (a list of
-    (a, b) pairs) -- used for the small-jump restriction.  Panels follow
-    a geometric h grid plus the ray's kink crossings, all mapped to t.
+    `exclude` optionally drops the h intervals (a[i], b[i]) given as a
+    pair of arrays -- used for the small-jump restriction.  Panels follow
+    a geometric h grid plus the ray's kink crossings and the excluded
+    interval ends, all mapped to t.
     """
     g = float(u.grad(x[None, :])[0] @ omega)
     h_floor = 1e-13
     breaks = set(np.geomspace(h_floor, H, n_panels + 1).tolist())
     breaks.update(_ray_kink_breaks(u, x, omega, H))
-    if restrict is not None:
-        for a, b in restrict:
-            for c in (a, b):
-                if h_floor < c < H:
-                    breaks.add(c)
-    hb = np.array(sorted(breaks))
     keep = None
-    if restrict is not None:
-        keep = _inside(0.5 * (np.concatenate([[0.0], hb[:-1]]) + hb),
-                       restrict)
+    if exclude is not None:
+        ends = np.concatenate(exclude)
+        breaks.update(ends[(ends > h_floor) & (ends < H)].tolist())
+    hb = np.array(sorted(breaks))
+    if exclude is not None:
+        # a panel midpoint never sits on a break, so it lies strictly
+        # inside or outside every excluded interval
+        mid = 0.5 * (np.concatenate([[0.0], hb[:-1]]) + hb)[:, None]
+        keep = ~np.any((mid >= exclude[0]) & (mid <= exclude[1]), axis=1)
     _, w, psi = ray_t_quadrature(u, x, omega, beta, hb, g, keep)
     return float(np.sum(w * psi ** q)) / beta
-
-
-def _inside(h_mids: np.ndarray, intervals) -> np.ndarray:
-    keep = np.zeros(h_mids.shape, dtype=bool)
-    for a, b in intervals:
-        keep |= (h_mids >= a) & (h_mids <= b)
-    return keep
-
-
-def _complement(intervals, H: float) -> list[tuple[float, float]]:
-    """Complement of a sorted disjoint interval list within (0, H]."""
-    out = []
-    cur = 0.0
-    for a, b in intervals:
-        if a > cur:
-            out.append((cur, min(a, H)))
-        cur = max(cur, b)
-        if cur >= H:
-            return out
-    if cur < H:
-        out.append((cur, H))
-    return out
 
 
 def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
@@ -498,18 +428,17 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
         if quad.h_max is not None:
             H = np.minimum(H, quad.h_max)
         acc = np.zeros(m)
+        row = a = b = np.empty(0)
         for w, omega in zip(rule.weights, rule.nodes):
             if restrict_small:
-                above, _ = superlevel_intervals(u, X, omega, 1.0, quad)
-            for i in range(m):
-                restrict = None
-                tail_ok = True
-                if restrict_small:
-                    restrict = _complement(above[i], H[i])
-                    tail_ok = not (above[i] and math.isinf(above[i][-1][1]))
+                row, a, b, _ = superlevel_intervals(u, X, omega, 1.0, quad)
+            # the large-jump intervals of point i are a[j:k], b[j:k]
+            cut = np.searchsorted(row, np.arange(m + 1))
+            for i, (j, k) in enumerate(zip(cut[:-1], cut[1:])):
                 val = coef * _power_inner(u, X[i], omega, beta, q[i], H[i],
-                                          n_panels, restrict)
-                if tail_ok:
+                                          n_panels,
+                                          (a[j:k], b[j:k]) if k > j else None)
+                if k == j or not math.isinf(b[k - 1]):
                     val += coef * abs(u_x[i]) ** q[i] * H[i] ** (-r[i]) / r[i]
                 acc[i] += w * val
         return acc
@@ -596,10 +525,10 @@ class _PairSection:
     supports, for any batch of thresholds, splitting every x row's y
     range into the parts above and below {phi = threshold}.  Whole cells
     are classified by the extremes of phi over their sample path.  One
-    array-built piece builder, `_boundary_pieces`, resolves the boundary
-    cells of both callers: it bisects every sign change of the batch at
-    once and cuts each cell into signed (row, lo, hi) pieces, which get
-    fresh GL nodes.
+    piece builder, `_boundary_pieces`, resolves the boundary cells of both
+    callers: `quadrature.sign_pieces` bisects every sign change of the
+    batch at once and cuts each cell into signed (row, lo, hi) pieces,
+    which get fresh GL nodes.
     """
 
     N_XPAN = 16
@@ -651,42 +580,19 @@ class _PairSection:
         dd, rows, cols = np.unravel_index(np.flatnonzero(boundary),
                                           boundary.shape)
         pos = self.PHI_samples[rows, cols, :] > threshs[dd, None]  # (k, 17)
-        brows, bloc = np.divmod(np.flatnonzero(pos[:, :-1] != pos[:, 1:]),
-                                pos.shape[1] - 1)
-        bcols = cols[brows]
-        xv = self.xnodes[rows[brows]]
-        th = threshs[dd[brows]]
-        roots = vector_bisect(lambda y: self.phi(xv, y) - th,
-                              self.ysamples[bcols, bloc],
-                              self.ysamples[bcols, bloc + 1],
-                              pos[brows, bloc], iters=60)
-        # brows is non-decreasing, so boundary cell k owns a contiguous run
-        # of nseg[k] - 1 roots; its segment j sits at first[k] + j (roots
-        # of earlier cells + k + j), and root i closes segment i + brows[i]
-        # and opens the next; segment signs alternate from pos[k, 0]
-        nseg = np.bincount(brows, minlength=dd.size) + 1
-        first = np.cumsum(nseg) - nseg
-        cell = np.repeat(np.arange(dd.size), nseg)
-        lo = np.empty(cell.size)
-        hi = np.empty(cell.size)
-        at = np.arange(brows.size) + brows
-        hi[at] = roots
-        lo[at + 1] = roots
-        lo[first] = self.ysamples[cols, 0]
-        hi[first + nseg - 1] = self.ysamples[cols, -1]
-        odd = (np.arange(cell.size) - first[cell]) % 2 == 1
-        is_above = pos[cell, 0] ^ odd
-        keep = hi > lo
-        cell = cell[keep]
-        return dd[cell], rows[cell], lo[keep], hi[keep], is_above[keep]
+
+        def residual(brows):
+            xv, th = self.xnodes[rows[brows]], threshs[dd[brows]]
+            return lambda y: self.phi(xv, y) - th
+
+        cell, lo, hi, is_above = sign_pieces(residual, self.ysamples[cols],
+                                             pos)
+        return dd[cell], rows[cell], lo, hi, is_above
 
     def _piece_nodes(self, row, lo, hi):
         """GL15 abscissae (x, y) and weights on each piece [lo, hi] of
         x row `row`; each of shape (n_pieces, 15)."""
-        xs15, ws15 = _GL15
-        hh = 0.5 * (hi - lo)
-        ys = (lo + hh)[:, None] + hh[:, None] * xs15[None, :]
-        ww = hh[:, None] * ws15[None, :]
+        ys, ww = piece_nodes(lo, hi)
         xb = np.broadcast_to(self.xnodes[row][:, None], ys.shape)
         return xb, ys, ww
 

@@ -19,11 +19,10 @@ from .errors import DomainError
 from . import exponents
 from . import fields as field_mod
 from .fields import ScalarField
-from .quadrature import gauss_nodes, golden_max, panel_nodes, vector_bisect
+from .quadrature import (gauss_nodes, golden_max, panel_nodes, piece_nodes,
+                         sign_pieces)
 from . import spaces
 from .sweeps import fit_offset_power
-
-_GL15 = gauss_nodes(15)
 
 _R_FLOOR = 1e-6
 
@@ -171,7 +170,7 @@ def counterexample_experiment(r_values,
             4, int(10 * math.log10(R / edges[-1]) + 0.5)))
         edges.extend(seg[1:].tolist())
     edges = np.unique(np.asarray(edges))
-    xs15, ws15 = _GL15
+    xs15, ws15 = gauss_nodes(15)
 
     cum = 0.0
     cum_at_R = []
@@ -211,8 +210,8 @@ def bmo_quantity(u: ScalarField, e_interior: tuple[float, float],
     sup over all balls, which is not computable).
 
     The inner absolute difference is integrated exactly in y by locating
-    the sign changes of u(y) - u(x) per x node, so the kink along
-    u(x) = u(y) costs no accuracy.
+    the sign changes of u(y) - u(x) for all x nodes of a ball in one
+    `sign_pieces` call, so the kink along u(x) = u(y) costs no accuracy.
     """
     lo, hi = float(e_interior[0]), float(e_interior[1])
     if not lo < hi:
@@ -228,33 +227,19 @@ def bmo_quantity(u: ScalarField, e_interior: tuple[float, float],
 
 def _ball_oscillation(u: ScalarField, a: float, b: float,
                       n_pan: int = 12) -> float:
-    xs15, ws15 = _GL15
     edges = np.unique(np.concatenate(
         [np.linspace(a, b, n_pan + 1),
          np.asarray([k for k in u.kink_points() if a < k < b])]))
     xnodes, xw = panel_nodes(edges)
     ux = u.eval(xnodes)
 
-    total = 0.0
+    # cut the y range of every x node at the roots of u(y) = u(x)
     ygrid = np.linspace(a, b, 65)
-    uy_grid = u.eval(ygrid)
-    for xi, wxi, uxi in zip(xnodes, xw, ux):
-        gv = uy_grid - uxi
-        pos = gv > 0.0
-        flips = np.nonzero(pos[:-1] != pos[1:])[0]
-        cuts = [a]
-        if flips.size:
-            roots = vector_bisect(lambda y: u.eval(y) - uxi,
-                                  ygrid[flips], ygrid[flips + 1],
-                                  pos[flips], iters=60)
-            cuts.extend(float(t) for t in np.sort(roots))
-        cuts.append(b)
-        acc = 0.0
-        for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            if c1 <= c0:
-                continue
-            hh, mm = 0.5 * (c1 - c0), 0.5 * (c1 + c0)
-            yv = mm + hh * xs15
-            acc += hh * float(np.sum(ws15 * np.abs(u.eval(yv) - uxi)))
-        total += wxi * acc
-    return total / (b - a) ** 2
+    pos = u.eval(ygrid)[None, :] - ux[:, None] > 0.0
+    node, lo, hi, _ = sign_pieces(lambda rows: lambda y: u.eval(y) - ux[rows],
+                                  np.broadcast_to(ygrid, pos.shape), pos)
+    ys, ws = piece_nodes(lo, hi)
+    diff = np.abs(u.eval(ys.ravel()).reshape(ys.shape) - ux[node, None])
+    acc = np.zeros(xnodes.size)
+    np.add.at(acc, node, np.sum(ws * diff, axis=1))
+    return float(np.sum(xw * acc)) / (b - a) ** 2

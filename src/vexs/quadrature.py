@@ -1,10 +1,14 @@
 """Deterministic 1D quadrature and root-isolation utilities.
 
 Everything here is plumbing shared by the heavier modules: fixed
-Gauss-Legendre panels, an adaptive panel-splitting integrator with a
-reproducible refinement order, vectorized bisection for batches of
-sign-change brackets, scalar bisection of one bracket by a predicate,
-and golden-section maximization.
+Gauss-Legendre rules on arbitrary pieces (`piece_nodes`) and on
+contiguous panels (`panel_nodes`), an adaptive panel-splitting
+integrator with a reproducible refinement order, vectorized bisection
+for batches of sign-change brackets, the sign-change sectioning of
+sampled paths into signed pieces (`sign_pieces`, which serves the
+superlevel rays, the layer-cake cells and the mean-oscillation balls),
+scalar bisection of one bracket by a predicate, and golden-section
+maximization.
 
 Determinism contract: given identical inputs, every routine performs
 the same floating-point operations in the same order, so repeated runs
@@ -30,17 +34,22 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def piece_nodes(lo: np.ndarray, hi: np.ndarray, n: int = 15
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """GL nodes/weights on each piece [lo[i], hi[i]]; both of shape
+    (k, n), one row per piece."""
+    x, w = gauss_nodes(n)
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
 def panel_nodes(edges: np.ndarray, n: int = 15) -> tuple[np.ndarray, np.ndarray]:
     """Flattened GL nodes/weights for the composite rule over consecutive
     panels given by `edges` (shape (k+1,)).  Returns (nodes, weights) of
     length k*n, ordered panel by panel."""
-    x, w = gauss_nodes(n)
-    a = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    mid = a + half
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    nodes, weights = piece_nodes(edges[:-1], edges[1:], n)
+    return nodes.ravel(), weights.ravel()
 
 
 @dataclass
@@ -132,17 +141,62 @@ def vector_bisect(g: Callable[[np.ndarray], np.ndarray],
     """Bisect a batch of sign-change brackets simultaneously.
 
     g maps an array of abscissae to residual values; `lo_positive` gives
-    the sign of g at each `lo`.  All brackets shrink in lockstep, so the
-    call count is `iters` regardless of batch size.
+    the sign of g at each `lo`.  All brackets shrink in lockstep for at
+    most `iters` calls of g, stopping early after a step that moved no
+    bracket end (every bracket is then a fixed point, so stopping changes
+    no result).
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         same = (g(mid) > 0.0) == lo_positive
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
+        new_lo = np.where(same, mid, lo)
+        new_hi = np.where(same, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
+
+
+def sign_pieces(residual: Callable[[np.ndarray], Callable],
+                samples: np.ndarray, pos: np.ndarray):
+    """Cut sampled paths into pieces of constant residual sign.
+
+    Row k of `samples` (shape (m, s)) holds increasing abscissae of one
+    path and row k of `pos` whether the residual is positive there.
+    `residual(rows)` returns the residual of those rows as a function of
+    an abscissa per row.  Every sign flip between adjacent samples is
+    bisected, all in one `vector_bisect` call (none when nothing flips).
+    Returns (row, lo, hi, is_pos) of the non-empty pieces, by row and by
+    abscissa within each row, so np.add.at accumulates them in a fixed
+    order.
+    """
+    brows, bloc = np.divmod(np.flatnonzero(pos[:, :-1] != pos[:, 1:]),
+                            pos.shape[1] - 1)
+    roots = np.empty(0)
+    if brows.size:
+        roots = vector_bisect(residual(brows), samples[brows, bloc],
+                              samples[brows, bloc + 1], pos[brows, bloc],
+                              iters=60)
+    # brows is non-decreasing, so row k owns a contiguous run of
+    # nseg[k] - 1 roots; its piece j sits at first[k] + j (roots of
+    # earlier rows + k + j), and root i closes piece i + brows[i] and
+    # opens the next; piece signs alternate from pos[k, 0]
+    nseg = np.bincount(brows, minlength=pos.shape[0]) + 1
+    first = np.cumsum(nseg) - nseg
+    row = np.repeat(np.arange(pos.shape[0]), nseg)
+    lo = np.empty(row.size)
+    hi = np.empty(row.size)
+    at = np.arange(brows.size) + brows
+    hi[at] = roots
+    lo[at + 1] = roots
+    lo[first] = samples[:, 0]
+    hi[first + nseg - 1] = samples[:, -1]
+    odd = (np.arange(row.size) - first[row]) % 2 == 1
+    is_pos = pos[row, 0] ^ odd
+    keep = hi > lo
+    return row[keep], lo[keep], hi[keep], is_pos[keep]
 
 
 def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,

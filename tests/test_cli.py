@@ -195,6 +195,55 @@ def test_unused_quad_rejected(tmp_path, capsys, command, payload):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["modular", "norm"])
+def test_outer_quad_rejects_unread_keys(tmp_path, capsys, command):
+    # the outer integral of a 1D field reads no sphere rule, and neither
+    # computation reads h_bracket_grid or h_max
+    cfg = write_cfg(tmp_path, f"{command}.json", {
+        "field": {"family": "gaussian"},
+        "exponent": {"family": "constant", "value": 2.0},
+        "quad": {"sphere_rule": {"dimension": 3, "node_count": [4, 8]},
+                 "h_bracket_grid": 4096, "h_max": 5.0, "rel_tol": 1e-6},
+    })
+    assert run_cli(command, "--config", cfg) == 2
+    assert "unknown key(s) in quad: h_bracket_grid, h_max, sphere_rule" in \
+        capsys.readouterr().err
+
+
+GAUSS_FIELD = {"family": "gaussian"}
+P2 = {"family": "constant", "value": 2.0}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("modular", {"field": {"family": "sampled-table", "xs": ["a", 1],
+                           "us": [0.0, 0.0]}, "exponent": P2}, "xs"),
+    ("modular", {"field": GAUSS_FIELD,
+                 "exponent": {"family": "piecewise-table", "breaks": ["x"],
+                              "values": [2.0, 3.0]}}, "breaks"),
+    ("maximal", {"field": GAUSS_FIELD, "points": ["a"]}, "points"),
+    ("maximal", {"field": {"family": "log-singular", "window": "ab"},
+                 "points": [0.5]}, "window"),
+    ("modular", {"field": {"family": "gaussian", "center": "x"},
+                 "exponent": P2}, "center"),
+    ("modular", {"field": GAUSS_FIELD,
+                 "exponent": {"family": "sin-squared", "a": 2.0, "b": 1.0,
+                              "direction": ["x"]}}, "direction"),
+    ("bmo", {"field": GAUSS_FIELD, "interior": ["a", 1.0],
+             "balls": [[0.0, 0.5]]}, "interior"),
+    ("bmo", {"field": GAUSS_FIELD, "interior": [-1.0, 1.0],
+             "balls": [["a", 0.5]]}, "balls"),
+    ("counterexample", {"r_values": ["a", 100.0]}, "r_values"),
+    ("sweep", {"field": GAUSS_FIELD, "exponent": P2, "kind": "bbm",
+               "grid": ["a", 0.8, 0.9]}, "grid"),
+    ("diagnose-exponent", {"exponent": P2, "pairs": [["a"]]}, "pairs"),
+    ("diagnose-exponent", {"exponent": P2, "range": "ab"}, "range"),
+])
+def test_non_numeric_list_value_exits_2(tmp_path, capsys, command, cfg, key):
+    assert run_cli(command, "--config",
+                   write_cfg(tmp_path, "bad.json", cfg)) == 2
+    assert f"{key!r} must be numeric" in capsys.readouterr().err
+
+
 def test_diagnose_exponent(tmp_path):
     cfg = write_cfg(tmp_path, "diag.json", {
         "name": "iq",

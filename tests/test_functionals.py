@@ -110,26 +110,101 @@ def test_superlevel_monotone_in_delta():
     quad = QuadratureSpec()
     X = np.array([[0.3], [0.9], [1.7]])
     omega = np.array([1.0])
-    iv1, _ = superlevel_intervals(u, X, omega, 0.05, quad)
-    iv2, _ = superlevel_intervals(u, X, omega, 0.1, quad)
+    row1, a1, b1, _ = superlevel_intervals(u, X, omega, 0.05, quad)
+    row2, a2, b2, _ = superlevel_intervals(u, X, omega, 0.1, quad)
 
-    def member(ivs, h):
-        return any(a <= h <= b for a, b in ivs)
+    def member(i, h):
+        mine = row1 == i
+        return np.any((a1[mine] <= h) & (h <= b1[mine]))
 
-    for row1, row2 in zip(iv1, iv2):
-        for a, b in row2:
-            for h in np.linspace(a, min(b, a + 50.0), 20):
-                assert member(row1, h)
+    for i, a, b in zip(row2, a2, b2):
+        for h in np.linspace(a, min(b, a + 50.0), 20):
+            assert member(i, h)
 
 
 def test_superlevel_respects_lipschitz_floor():
     u = Gaussian()
     quad = QuadratureSpec()
     X = np.array([[0.5]])
-    ivs, _ = superlevel_intervals(u, X, np.array([1.0]), 0.2, quad)
+    _, a, _, _ = superlevel_intervals(u, X, np.array([1.0]), 0.2, quad)
     floor = 0.2 / u.lipschitz_bound
-    for a, _b in ivs[0]:
-        assert a >= 0.99 * floor
+    assert np.all(a >= 0.99 * floor)
+
+
+@pytest.mark.parametrize("x, omega, want", [
+    (0.2, 1.0, [(0.3, math.inf)]),
+    (0.2, -1.0, [(0.7, math.inf)]),
+    (-0.5, 1.0, [(0.3, 0.7), (1.3, math.inf)]),
+])
+def test_superlevel_tent_exact(x, omega, want):
+    # |u(x + h w) - u(x)| > 0.3 for the unit tent, solved by hand from
+    # its three linear pieces; the far jump |u(x)| > 0.3 makes the last
+    # interval unbounded
+    row, a, b, ambiguous = superlevel_intervals(
+        Tent(), np.array([[x]]), np.array([omega]), 0.3, QuadratureSpec())
+    assert row.tolist() == [0] * len(want)
+    assert not ambiguous.any()
+    np.testing.assert_allclose(np.column_stack([a, b]), want, rtol=0,
+                               atol=1e-12)
+
+
+def _superlevel_by_loop(u, X, omega, threshold, quad):
+    """Reference: the per-row walk over each ray's roots, returning one
+    list of (a, b) intervals per point and the ambiguous (row, H) pairs."""
+    m, n = X.shape
+    u_x = u.eval(X)
+    eta = threshold * 1e-6
+    H = np.linalg.norm(X, axis=1) + u.far_radius(eta) + 1.0
+    h_lo = max(0.999 * threshold / u.lipschitz_bound, 1e-12)
+    N = quad.h_bracket_grid
+    out, ambiguous = [[] for _ in range(m)], []
+    live = np.nonzero(H > h_lo)[0]
+    grids = np.exp(math.log(h_lo) + (np.log(H[live]) - math.log(h_lo))[:, None]
+                   * np.linspace(0.0, 1.0, N)[None, :])
+    pts = X[live, None, :] + grids[..., None] * omega[None, None, :]
+    pos = np.abs(u.eval(pts.reshape(-1, n)).reshape(live.size, N)
+                 - u_x[live, None]) - threshold > 0.0
+    rows, cols = np.nonzero(pos[:, :-1] != pos[:, 1:])
+    Xb, uxb = X[live[rows]], u_x[live[rows]]
+    roots = vector_bisect(
+        lambda h: np.abs(u.eval(Xb + h[:, None] * omega[None, :]) - uxb)
+        - threshold, grids[rows, cols], grids[rows, cols + 1],
+        pos[rows, cols], iters=60)
+    for k, idx in enumerate(live):
+        state = bool(pos[k, 0])
+        start = grids[k, 0] if state else None
+        ivs = []
+        for r in roots[rows == k]:
+            if state:
+                ivs.append((start, float(r)))
+            else:
+                start = float(r)
+            state = not state
+        if state:
+            far_jump = abs(float(u_x[idx]))
+            if far_jump > threshold + eta:
+                ivs.append((start, math.inf))
+            else:
+                ivs.append((start, float(H[idx])))
+                if far_jump > threshold - eta:
+                    ambiguous.append((int(idx), float(H[idx])))
+        out[idx] = ivs
+    return out, ambiguous
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("omega", [1.0, -1.0])
+def test_superlevel_arrays_match_row_loop(delta, omega):
+    u, quad = Gaussian(), QuadratureSpec()
+    X = np.linspace(-3.0, 3.0, 41)[:, None]
+    row, a, b, ambiguous = superlevel_intervals(u, X, np.array([omega]),
+                                                delta, quad)
+    ivs, amb = _superlevel_by_loop(u, X, np.array([omega]), delta, quad)
+    assert sum(map(len, ivs)) > 20
+    assert [(int(i), float(lo), float(hi)) for i, lo, hi in zip(row, a, b)] \
+        == [(i, float(lo), float(hi)) for i, iv in enumerate(ivs)
+            for lo, hi in iv]
+    assert list(zip(row[ambiguous].tolist(), b[ambiguous].tolist())) == amb
 
 
 def test_eps_zero_field_all_modes():
