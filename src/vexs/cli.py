@@ -36,16 +36,39 @@ def check_keys(cfg: dict, allowed: set, context: str,
         raise ConfigError(f"{context} needs key(s): {', '.join(missing)}")
 
 
-def number(cfg: dict, key: str, context: str, default=None, kind=float):
-    """kind(cfg[key]), or `default` when the key is absent; a value that
-    kind rejects is a ConfigError naming the key."""
+# how `number` names a required shape
+_SHAPE_NAMES = {(): "a single value", (2,): "a pair", (None,): "a flat list",
+                (None, 2): "a list of pairs"}
+
+
+def number(cfg: dict, key: str, context: str, default=None, kind=float,
+           shape=None):
+    """kind(cfg[key]), or `default` when the key is absent.  A value that
+    kind rejects, or whose shape is not `shape` (None matches any
+    length), is a ConfigError naming the key."""
     if key not in cfg:
         return default
     try:
-        return kind(cfg[key])
+        value = kind(cfg[key])
     except (TypeError, ValueError):
-        raise ConfigError(f"{context}: {key!r} must be numeric, got "
-                          f"{cfg[key]!r}") from None
+        what = "an integer" if kind is integer else "numeric"
+    else:
+        got = np.shape(value)
+        if shape is None or (len(got) == len(shape) and all(
+                want in (None, n) for want, n in zip(shape, got))):
+            return value
+        what = _SHAPE_NAMES[shape]
+    raise ConfigError(f"{context}: {key!r} must be {what}, got {cfg[key]!r}")
+
+
+def integer(value):
+    """A JSON integer as given (64.5, "64" and true are refused), or a
+    list of them as a tuple; the `kind` of `number` for counts."""
+    if isinstance(value, list):
+        return tuple(integer(v) for v in value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
 
 
 def floats(value) -> np.ndarray:
@@ -85,7 +108,7 @@ def parse_field(cfg: dict) -> fields.ScalarField:
     if fam == "log-singular":
         check_keys(cfg, {"family", "window"}, "field")
         return fields.LogSingular(
-            tuple(number(cfg, "window", "field", (0.0, 1.0), floats)))
+            tuple(number(cfg, "window", "field", (0.0, 1.0), floats, (2,))))
     if fam == "sampled-table":
         check_keys(cfg, {"family", "csv", "xs", "us"}, "field",
                    () if "csv" in cfg else ("xs", "us"))
@@ -144,11 +167,28 @@ def parse_quad(cfg: dict | None, used=QUAD_KEYS,
         rc = cfg["sphere_rule"]
         check_keys(rc, {"dimension", "node_count"}, "sphere_rule",
                    ("dimension",))
-        nc = rc.get("node_count")
-        rule = default_rule(number(rc, "dimension", "sphere_rule", kind=int),
-                            tuple(nc) if isinstance(nc, list) else nc)
-    kwargs = {k: cfg[k] for k in QUAD_KEYS - {"sphere_rule"} if k in cfg}
+        dim = number(rc, "dimension", "sphere_rule", kind=integer)
+        if dim == 1 and "node_count" in rc:
+            raise ConfigError("sphere_rule: 'node_count' is unused in 1D")
+        nc = number(rc, "node_count", "sphere_rule", kind=integer,
+                    shape=(2,) if dim == 3 else ())
+        if nc is not None and np.min(nc) < 1:
+            raise ConfigError("sphere_rule: 'node_count' must be positive")
+        rule = default_rule(dim, nc)
+    kwargs = {k: number(cfg, k, context,
+                        kind=integer if k == "h_bracket_grid" else float)
+              for k in QUAD_KEYS - {"sphere_rule"} if k in cfg}
     return QuadratureSpec(sphere_rule=rule, **kwargs)
+
+
+def parse_field_exponent(cfg: dict, context: str):
+    """The field and exponent of a config, which must share a dimension."""
+    u = parse_field(cfg["field"])
+    p = parse_exponent(cfg["exponent"])
+    if u.dimension != p.dimension:
+        raise ConfigError(f"{context}: the field is {u.dimension}D but the "
+                          f"exponent is {p.dimension}D")
+    return u, p
 
 
 def load_config(path: str) -> dict:
@@ -272,21 +312,26 @@ def cmd_lemma41(args) -> int:
     return 0
 
 
+def _report(args, cfg: dict, kind: str, payload: dict, summary: str) -> int:
+    """Print `summary`; under --out write `payload` to <name>.<kind>.json."""
+    name = cfg.get("name", kind)
+    _say(args, f"{kind} {name}: {summary}")
+    if args.out:
+        write_json_report(_out_path(args, f"{name}.{kind}.json"), payload)
+    return 0
+
+
 def _report_functional(args, cfg: dict, kind: str, params: dict, fv,
                        detail: str) -> int:
-    name = cfg.get("name", kind)
-    _say(args, f"{kind} {name}: value = {fv.value:.8g} ({detail})")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.{kind}.json"), {
-            "functional": kind,
-            "params": params,
-            "value": fv.value,
-            "error_estimate": fv.error_estimate,
-            "node_count": fv.node_count,
-            "truncation_radius": fv.truncation_radius,
-            "empty_superlevel": fv.empty_superlevel,
-        })
-    return 0
+    return _report(args, cfg, kind, {
+        "functional": kind,
+        "params": params,
+        "value": fv.value,
+        "error_estimate": fv.error_estimate,
+        "node_count": fv.node_count,
+        "truncation_radius": fv.truncation_radius,
+        "empty_superlevel": fv.empty_superlevel,
+    }, f"value = {fv.value:.8g} ({detail})")
 
 
 def cmd_nguyen(args) -> int:
@@ -294,8 +339,7 @@ def cmd_nguyen(args) -> int:
     check_keys(cfg, {"name", "field", "exponent", "delta", "weight_mode",
                      "quad"}, "nguyen config", ("field", "exponent", "delta"))
     delta = number(cfg, "delta", "nguyen config")
-    u = parse_field(cfg["field"])
-    p = parse_exponent(cfg["exponent"])
+    u, p = parse_field_exponent(cfg, "nguyen config")
     quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("weight_mode", "unit")
     fv = nguyen_functional(u, p, delta, mode, quad)
@@ -308,8 +352,7 @@ def cmd_eps(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "epsilon", "mode", "quad"},
                "eps config", ("field", "exponent"))
-    u = parse_field(cfg["field"])
-    p = parse_exponent(cfg["exponent"])
+    u, p = parse_field_exponent(cfg, "eps config")
     quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("mode", "full")
     eps = number(cfg, "epsilon", "eps config", 0.5)
@@ -335,12 +378,10 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "kind", "grid", "quad"},
                "sweep config", ("field", "exponent", "kind", "grid"))
-    u = parse_field(cfg["field"])
-    p = parse_exponent(cfg["exponent"])
+    u, p = parse_field_exponent(cfg, "sweep config")
     quad = parse_quad(cfg.get("quad"))
-    report = sweeps.run_sweep(cfg["kind"], u, p,
-                              number(cfg, "grid", "sweep config", kind=floats),
-                              quad)
+    grid = number(cfg, "grid", "sweep config", kind=floats, shape=(None,))
+    report = sweeps.run_sweep(cfg["kind"], u, p, grid, quad)
     name = cfg.get("name", cfg["kind"])
     _say(args, f"sweep {name}: extrapolated = {report.extrapolated:.6g}, "
                f"target = {report.target:.6g}, "
@@ -363,8 +404,7 @@ def _modular_inputs(args, command: str, extra=()):
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "weight", "quad", *extra},
                f"{command} config", ("field", "exponent"))
-    u = parse_field(cfg["field"])
-    p = parse_exponent(cfg["exponent"])
+    u, p = parse_field_exponent(cfg, f"{command} config")
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
     used = {"truncation_radius", "outer_x_tolerance", "rel_tol"}
     if u.dimension > 1:
@@ -376,57 +416,42 @@ def cmd_modular(args) -> int:
     cfg, u, p, weight, quad = _modular_inputs(args, "modular", ("lambda",))
     mv = spaces.modular(u, p, weight,
                         number(cfg, "lambda", "modular config", 1.0), quad)
-    name = cfg.get("name", "modular")
-    _say(args, f"modular {name}: value = {mv.value:.10g}")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.modular.json"), {
-            "operation": "modular",
-            "value": mv.value,
-            "error_estimate": mv.error_estimate,
-            "node_count": mv.node_count,
-            "truncation_radius": mv.truncation_radius,
-        })
-    return 0
+    return _report(args, cfg, "modular", {
+        "operation": "modular",
+        "value": mv.value,
+        "error_estimate": mv.error_estimate,
+        "node_count": mv.node_count,
+        "truncation_radius": mv.truncation_radius,
+    }, f"value = {mv.value:.10g}")
 
 
 def cmd_norm(args) -> int:
     cfg, u, p, weight, quad = _modular_inputs(args, "norm")
     res = spaces.luxemburg_norm(u, p, weight, quad)
-    name = cfg.get("name", "norm")
-    _say(args, f"norm {name}: value = {res.value:.10g} "
-               f"({res.iterations} bisection iterations)")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.norm.json"), {
-            "operation": "norm",
-            "norm": res.value,
-            "modular": res.modular_at_value,
-            "bracket_iterations": res.iterations,
-            "node_count": res.node_count,
-        })
-    return 0
+    return _report(args, cfg, "norm", {
+        "operation": "norm",
+        "norm": res.value,
+        "modular": res.modular_at_value,
+        "bracket_iterations": res.iterations,
+        "node_count": res.node_count,
+    }, f"value = {res.value:.10g} ({res.iterations} bisection iterations)")
 
 
 def cmd_fracnorm(args) -> int:
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "s", "quad"},
                "fracnorm config", ("field", "exponent", "s"))
-    u = parse_field(cfg["field"])
-    base = parse_exponent(cfg["exponent"])
+    u, base = parse_field_exponent(cfg, "fracnorm config")
     pair = exponents.PairExponentField(base)
     quad = parse_quad(cfg.get("quad"))
     res = spaces.frac_seminorm(u, number(cfg, "s", "fracnorm config"),
                                pair, quad)
-    name = cfg.get("name", "fracnorm")
-    _say(args, f"fracnorm {name}: value = {res.value:.10g} "
-               f"({res.iterations} bisection iterations)")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.fracnorm.json"), {
-            "operation": "fracnorm",
-            "value": res.value,
-            "bracket_iterations": res.iterations,
-            "node_count": res.node_count,
-        })
-    return 0
+    return _report(args, cfg, "fracnorm", {
+        "operation": "fracnorm",
+        "value": res.value,
+        "bracket_iterations": res.iterations,
+        "node_count": res.node_count,
+    }, f"value = {res.value:.10g} ({res.iterations} bisection iterations)")
 
 
 def cmd_maximal(args) -> int:
@@ -435,21 +460,17 @@ def cmd_maximal(args) -> int:
                "maximal config", ("field", "points"))
     u = parse_field(cfg["field"])
     profile = maximal.maximal_profile(
-        u, number(cfg, "points", "maximal config", kind=floats),
+        u, number(cfg, "points", "maximal config", None, floats, (None,)),
         number(cfg, "r_max", "maximal config", 10.0),
         number(cfg, "depth", "maximal config", 3, int), cfg.get("omega"))
-    name = cfg.get("name", "maximal")
-    _say(args, f"maximal {name}: max value = {max(profile.values):.8g} "
-               f"over {len(profile.points)} points")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.maximal.json"), {
-            "operation": "maximal",
-            "points": list(profile.points),
-            "values": list(profile.values),
-            "search_radii": list(profile.search_radii),
-            "depth": profile.depth,
-        })
-    return 0
+    return _report(args, cfg, "maximal", {
+        "operation": "maximal",
+        "points": list(profile.points),
+        "values": list(profile.values),
+        "search_radii": list(profile.search_radii),
+        "depth": profile.depth,
+    }, f"max value = {max(profile.values):.8g} "
+       f"over {len(profile.points)} points")
 
 
 def cmd_counterexample(args) -> int:
@@ -458,7 +479,7 @@ def cmd_counterexample(args) -> int:
         check_keys(cfg, {"name", "r_values", "quad"}, "counterexample config",
                    ("r_values",))
         r_values = number(cfg, "r_values", "counterexample config",
-                          kind=floats)
+                          kind=floats, shape=(None,))
         name = cfg.get("name", "counterexample")
         quad = parse_quad(cfg.get("quad"))
     else:
@@ -483,18 +504,15 @@ def cmd_bmo(args) -> int:
                ("field", "interior", "balls"))
     u = parse_field(cfg["field"])
     res = maximal.bmo_quantity(
-        u, tuple(number(cfg, "interior", "bmo config", kind=floats)),
-        [tuple(b) for b in number(cfg, "balls", "bmo config", kind=floats)])
-    name = cfg.get("name", "bmo")
-    _say(args, f"bmo {name}: sup over {len(res.per_ball)} balls = "
-               f"{res.sup:.8g}")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.bmo.json"), {
-            "operation": "bmo",
-            "per_ball": list(res.per_ball),
-            "sup": res.sup,
-        })
-    return 0
+        u, tuple(number(cfg, "interior", "bmo config", kind=floats,
+                        shape=(2,))),
+        [tuple(b) for b in number(cfg, "balls", "bmo config", kind=floats,
+                                  shape=(None, 2))])
+    return _report(args, cfg, "bmo", {
+        "operation": "bmo",
+        "per_ball": list(res.per_ball),
+        "sup": res.sup,
+    }, f"sup over {len(res.per_ball)} balls = {res.sup:.8g}")
 
 
 def cmd_diagnose_exponent(args) -> int:
@@ -508,22 +526,17 @@ def cmd_diagnose_exponent(args) -> int:
         rng = np.random.default_rng(
             number(cfg, "seed", "diagnose config", args.seed, int))
         lo, hi = number(cfg, "range", "diagnose config", (-10.0, 10.0),
-                        floats)
+                        floats, (2,))
         m = number(cfg, "n_pairs", "diagnose config", 1000, int)
         pairs = rng.uniform(lo, hi, size=(m, 2, p.dimension))
     diag = exponents.log_holder_diagnose(p, pairs)
-    name = cfg.get("name", "diagnose")
-    _say(args, f"diagnose {name}: c_holder = {diag.c_holder_estimate:.6g}, "
-               f"c_decay = {diag.c_decay_estimate}, "
-               f"satisfied = {diag.satisfied}")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.diagnose.json"), {
-            "operation": "diagnose-exponent",
-            "c_holder_estimate": diag.c_holder_estimate,
-            "c_decay_estimate": diag.c_decay_estimate,
-            "satisfied": diag.satisfied,
-        })
-    return 0
+    return _report(args, cfg, "diagnose", {
+        "operation": "diagnose-exponent",
+        "c_holder_estimate": diag.c_holder_estimate,
+        "c_decay_estimate": diag.c_decay_estimate,
+        "satisfied": diag.satisfied,
+    }, f"c_holder = {diag.c_holder_estimate:.6g}, "
+       f"c_decay = {diag.c_decay_estimate}, satisfied = {diag.satisfied}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                      ("bmo", cmd_bmo),
                      ("diagnose-exponent", cmd_diagnose_exponent)):
         sp = sub.add_parser(name, parents=[common])
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, needs_config=True)
 
     sp = sub.add_parser("counterexample", parents=[common],
                         help="maximal-function divergence experiment")
@@ -565,16 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEEDS_CONFIG = {cmd_modular, cmd_norm, cmd_fracnorm, cmd_nguyen, cmd_eps,
-                 cmd_bbm, cmd_sweep, cmd_maximal, cmd_bmo,
-                 cmd_diagnose_exponent}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.fn in _NEEDS_CONFIG and not args.config:
+        if getattr(args, "needs_config", False) and not args.config:
             raise ConfigError(f"{args.command} requires --config")
         return args.fn(args)
     except (ConfigError, DomainError) as exc:

@@ -7,10 +7,10 @@ functional's inner integrand delta^p h^{-p-1} has an exact
 antiderivative, so its only numerical content is the location of the
 superlevel set {h : |u(x+hw) - u(x)| > delta}, found by sign-change
 bracketing on a geometric h grid refined by bisection.  The
-epsilon-perturbed and fractional-order functionals have no closed inner
-antiderivative; their h integrals are computed in the substituted
-variable t = h^beta, which absorbs the h^{beta-1} singularity at the
-origin and leaves a bounded integrand.
+epsilon-perturbed, BBM and fractional-order integrals have no closed
+inner antiderivative; one kernel, `ray_t_nodes`, computes them in the
+substituted variable t = h^beta, which absorbs the h^{beta-1}
+singularity at the origin, for a whole batch of rays at once.
 
 Outer truncation is self-validating: a base radius from the field's
 analytic tail bound is extended by doubling shells until a shell
@@ -71,6 +71,8 @@ class QuadratureSpec:
             raise DomainError("h_bracket_grid must be at least 8")
         if self.h_max is not None and self.h_max <= 0:
             raise DomainError("h_max must be positive")
+        if self.truncation_radius is not None and self.truncation_radius <= 0:
+            raise DomainError("truncation_radius must be positive")
 
 
 @dataclass
@@ -183,14 +185,23 @@ def _require_lipschitz_decay(u: ScalarField, op: str) -> float:
     return u.lipschitz_bound
 
 
+def _ray_cutoff(X: np.ndarray, far: float, quad) -> np.ndarray:
+    """Per point, the h beyond which its rays stay outside radius far."""
+    H = np.linalg.norm(X, axis=1) + far + 1.0
+    if quad.h_max is not None:
+        H = np.minimum(H, quad.h_max)
+    return H
+
+
 # ----------------------------------------------------------------------
 # superlevel machinery
 # ----------------------------------------------------------------------
 
 def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
-                         threshold: float, quad: QuadratureSpec):
+                         threshold: float, quad: QuadratureSpec, far: float):
     """Superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} of the
-    points X (shape (m, n)) as flat arrays (row, a, b, ambiguous).
+    points X (shape (m, n)) as flat arrays (row, a, b, ambiguous), given
+    far = u.far_radius(threshold * _FAR_ETA_FRAC).
 
     Interval i is (a[i], b[i]) on the ray of point row[i]; the intervals
     are sorted by row and by h within a row.  b = inf when the set
@@ -203,10 +214,7 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     L = _require_lipschitz_decay(u, "superlevel bracketing")
     u_x = u.eval(X)
     eta = threshold * _FAR_ETA_FRAC
-    far = u.far_radius(eta)
-    H = np.linalg.norm(X, axis=1) + far + 1.0
-    if quad.h_max is not None:
-        H = np.minimum(H, quad.h_max)
+    H = _ray_cutoff(X, far, quad)
     h_lo = max(0.999 * threshold / L, 1e-12)
 
     N = quad.h_bracket_grid
@@ -257,6 +265,7 @@ def nguyen_functional(u: ScalarField, p, delta: float,
     _require_lipschitz_decay(u, "nguyen_functional")
 
     rule = _resolve_rule(quad, u.dimension)
+    far = u.far_radius(delta * _FAR_ETA_FRAC)
     state = {"found": False, "amb": 0.0}
 
     def F(X):
@@ -266,7 +275,7 @@ def nguyen_functional(u: ScalarField, p, delta: float,
             # closed-form inner integral: over each superlevel interval
             # (a, b), delta^p (a^-p - b^-p) / p, without the 1/p when weighted
             row, a, b, ambiguous = superlevel_intervals(u, X, omega, delta,
-                                                        quad)
+                                                        quad, far)
             # libm powers of Python floats; numpy's SIMD pow rounds otherwise
             P = px[row].tolist()
             vals = np.zeros(X.shape[0])
@@ -328,80 +337,66 @@ def _weight_flag(weight_mode: str) -> bool:
 # ----------------------------------------------------------------------
 
 def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
-              h: np.ndarray, grad_dir: float) -> np.ndarray:
-    """|u(x + h w) - u(x)| / h, switching to |grad u(x) . w| below the
-    cancellation floor (the quotient loses all significant digits there)."""
-    h_safe = _H_SAFE * max(1.0, float(np.linalg.norm(x)))
-    out = np.full(h.shape, abs(grad_dir))
-    big = h >= h_safe
-    if np.any(big):
-        ux = float(u.eval(x[None, :])[0])
-        out[big] = np.abs(u.eval(x[None, :] + h[big, None] * omega[None, :])
-                          - ux) / h[big]
+              h: np.ndarray, grad_dir, u_x) -> np.ndarray:
+    """|u(x + h w) - u(x)| / h on pieces of rays: row k of h holds ray
+    parameters on the ray from x[k], where u is u_x[k] and grad u . w is
+    grad_dir[k].  Below the cancellation floor the quotient loses all
+    significant digits and is replaced by |grad_dir|."""
+    h_safe = _H_SAFE * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
+    out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
+    big = h >= h_safe[:, None]
+    k = np.nonzero(big)[0]
+    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * omega[None, :])
+                      - u_x[k]) / h[big]
     return out
 
 
-def ray_t_quadrature(u: ScalarField, x: np.ndarray, omega: np.ndarray,
-                     beta: float, hb: np.ndarray, grad_dir: float,
-                     keep: np.ndarray | None = None):
-    """GL15 rule in t = h^beta on the panels with edges 0, hb^beta (only
-    the panels flagged in `keep`, when given).  Returns the nodes mapped
-    back to h, their t weights, and the ray slope psi at those h."""
-    t, w_t = panel_nodes(np.concatenate([[0.0], hb ** beta]))
-    if keep is not None:
-        t = t.reshape(-1, 15)[keep].ravel()
-        w_t = w_t.reshape(-1, 15)[keep].ravel()
-    h = t ** (1.0 / beta)
-    return h, w_t, ray_slope(u, x, omega, h, grad_dir)
+def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
+                H: np.ndarray, quad: QuadratureSpec, exclude=None):
+    """GL15 nodes in t = h^beta on the rays x_i + h w, 0 < h <= H_i, of
+    the points X; beta is a number or one per point.
 
-
-def _ray_kink_breaks(u: ScalarField, x: np.ndarray, omega: np.ndarray,
-                     H: float) -> list[float]:
-    """Ray parameters where x + h w crosses a kink radius of u."""
-    radii = np.unique(np.abs(u.kink_points()))
-    if radii.size == 0:
-        return []
-    xw = float(x @ omega)
-    x2 = float(x @ x)
-    breaks = []
-    for r in radii:
-        disc = xw * xw - (x2 - r * r)
-        if disc < 0:
-            continue
-        sq = math.sqrt(disc)
-        for h in (-xw - sq, -xw + sq):
-            if 1e-12 < h < H:
-                breaks.append(h)
-    return breaks
-
-
-def _power_inner(u: ScalarField, x: np.ndarray, omega: np.ndarray,
-                 beta: float, q: float, H: float, n_panels: int,
-                 exclude=None) -> float:
-    """Inner integral of phi(h)^q h^{-(q - beta) - 1} over (0, H] as
-    (1/beta) * integral of psi(h)^q dt with t = h^beta, psi = phi / h.
-
-    `exclude` optionally drops the h intervals (a[i], b[i]) given as a
-    pair of arrays -- used for the small-jump restriction.  Panels follow
-    a geometric h grid plus the ray's kink crossings and the excluded
-    interval ends, all mapped to t.
+    A ray's panels break at a geometric grid from 1e-13 to H_i, at its
+    kink-radius crossings and at the ends of the intervals `exclude` =
+    (row, a, b), whose panels are dropped.  Returns (row, h, w_t, psi):
+    the ray of each panel and, one (k, 15) row per panel, the nodes in h,
+    their t weights and the ray slope psi there.
     """
-    g = float(u.grad(x[None, :])[0] @ omega)
-    h_floor = 1e-13
-    breaks = set(np.geomspace(h_floor, H, n_panels + 1).tolist())
-    breaks.update(_ray_kink_breaks(u, x, omega, H))
-    keep = None
+    m, n_panels = X.shape[0], max(16, quad.h_bracket_grid // 2)
+    geo = np.geomspace(1e-13, H, n_panels + 1, axis=1)
+    rows = np.repeat(np.arange(m), n_panels + 2)
+    parts = [(rows, np.hstack([np.zeros((m, 1)), geo]).ravel(),
+              np.zeros_like(rows))]
+    radii = np.unique(np.abs(u.kink_points()))
+    if radii.size:
+        # np.vecdot rounds as the dot product of a single point does
+        xw = np.vecdot(X, omega)[:, None]
+        disc = xw * xw - (np.vecdot(X, X)[:, None] - radii * radii)
+        sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        cross = np.hstack([-xw - sq, -xw + sq])
+        kr, kc = np.nonzero((cross > 1e-12) & (cross < H[:, None]))
+        parts.append((kr, cross[kr, kc], np.zeros_like(kr)))
     if exclude is not None:
-        ends = np.concatenate(exclude)
-        breaks.update(ends[(ends > h_floor) & (ends < H)].tolist())
-    hb = np.array(sorted(breaks))
-    if exclude is not None:
-        # a panel midpoint never sits on a break, so it lies strictly
-        # inside or outside every excluded interval
-        mid = 0.5 * (np.concatenate([[0.0], hb[:-1]]) + hb)[:, None]
-        keep = ~np.any((mid >= exclude[0]) & (mid <= exclude[1]), axis=1)
-    _, w, psi = ray_t_quadrature(u, x, omega, beta, hb, g, keep)
-    return float(np.sum(w * psi ** q)) / beta
+        # an interval opens (+1) at a and closes (-1) at b; ends past the
+        # cutoff move to H, so no kept panel reaches beyond it
+        erow, a, b = exclude
+        ends = np.concatenate([erow, erow])
+        parts.append((ends, np.minimum(np.concatenate([a, b]), H[ends]),
+                      np.repeat([1, -1], erow.size)))
+    row, h, mark = map(np.concatenate, zip(*parts))
+    order = np.lexsort((h, row))
+    row, h = row[order], h[order]
+    # a panel runs from one break to the next on the same ray, and is
+    # dropped while an excluded interval is open at its start
+    keep = ((row[1:] == row[:-1]) & (h[1:] > h[:-1])
+            & (np.cumsum(mark[order])[:-1] == 0))
+    row = row[:-1][keep]
+    beta = beta[row] if np.ndim(beta) else beta
+    t, w_t = piece_nodes(h[:-1][keep] ** beta, h[1:][keep] ** beta)
+    h = t ** np.reshape(1.0 / beta, (-1, 1))
+    psi = ray_slope(u, X[row], omega, h, np.vecdot(u.grad(X), omega)[row],
+                    u.eval(X)[row])
+    return row, h, w_t, psi
 
 
 def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
@@ -416,31 +411,34 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     support), which the far tail coef |u(x)|^q H^{-r} / r adds back.
     """
     rule = _resolve_rule(quad, u.dimension)
-    n_panels = max(16, quad.h_bracket_grid // 2)
-    eta = _FAR_ETA_FRAC * max(u.sup_bound, 1.0)
-    far = u.far_radius(eta)
+    far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
+    far_small = u.far_radius(_FAR_ETA_FRAC) if restrict_small else None
 
     def F(X):
         q, r = exps(X)
         u_x = u.eval(X)
         m = X.shape[0]
-        H = np.linalg.norm(X, axis=1) + far + 1.0
-        if quad.h_max is not None:
-            H = np.minimum(H, quad.h_max)
+        H = _ray_cutoff(X, far, quad)
         acc = np.zeros(m)
-        row = a = b = np.empty(0)
         for w, omega in zip(rule.weights, rule.nodes):
+            exclude = None
+            tail = np.ones(m, dtype=bool)
             if restrict_small:
-                row, a, b, _ = superlevel_intervals(u, X, omega, 1.0, quad)
-            # the large-jump intervals of point i are a[j:k], b[j:k]
-            cut = np.searchsorted(row, np.arange(m + 1))
-            for i, (j, k) in enumerate(zip(cut[:-1], cut[1:])):
-                val = coef * _power_inner(u, X[i], omega, beta, q[i], H[i],
-                                          n_panels,
-                                          (a[j:k], b[j:k]) if k > j else None)
-                if k == j or not math.isinf(b[k - 1]):
-                    val += coef * abs(u_x[i]) ** q[i] * H[i] ** (-r[i]) / r[i]
-                acc[i] += w * val
+                erow, a, b, _ = superlevel_intervals(u, X, omega, 1.0, quad,
+                                                     far_small)
+                exclude = (erow, a, b)
+                # a large jump that reaches infinity leaves no far tail
+                tail[erow[np.isinf(b)]] = False
+            row, _, w_t, psi = ray_t_nodes(u, X, omega, beta, H, quad,
+                                           exclude)
+            qn = q[row, None] if np.ndim(q) else q
+            # every ray keeps its first panel, so each row owns a
+            # non-empty run of 15 nodes per panel
+            starts = 15 * np.searchsorted(row, np.arange(m))
+            val = coef * (np.add.reduceat((w_t * psi ** qn).ravel(), starts)
+                          / beta)
+            val[tail] += (coef * np.abs(u_x) ** q * H ** (-r) / r)[tail]
+            acc += w * val
         return acc
 
     res = _outer_integrate(F, u, quad, far + 2.0, seeds=u.kink_points())
@@ -493,10 +491,8 @@ def bbm_functional(u: ScalarField, p_const: float, s: float,
     _require_lipschitz_decay(u, "bbm_functional")
 
     def exps(X):
-        # Python floats, not arrays: `psi ** 2.0` then takes numpy's
-        # exact-square path, as a float exponent always has
-        m = X.shape[0]
-        return [p_const] * m, [s * p_const] * m
+        # Python floats keep `psi ** 2.0` on numpy's exact-square path
+        return p_const, s * p_const
 
     return _power_functional(u, quad, 1.0 - s, (1.0 - s) * p_const, exps,
                              False)

@@ -6,7 +6,8 @@ is solved by bisection.  Because the lambda dependence factorizes per
 quadrature node (|u(x)/lambda|^{p(x)} = |u(x)|^{p(x)} lambda^{-p(x)}),
 the modular is discretized once into coefficient/exponent pairs and the
 bisection then iterates over a cached sum, with a fresh full quadrature
-of the modular at the final lambda as verification.
+of the modular at the final lambda as verification.  The fractional
+seminorm's pairs are the per-node terms of the functionals' ray kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .exponents import ExponentField, PairExponentField
 from .fields import ScalarField, truncation_radius
-from .functionals import (QuadratureSpec, _outer_integrate, _resolve_rule,
-                          _require_lipschitz_decay, ray_t_quadrature)
+from .functionals import (QuadratureSpec, _outer_integrate, _ray_cutoff,
+                          _require_lipschitz_decay, _resolve_rule,
+                          ray_t_nodes)
 from .quadrature import bisect_bracket, decade_seeds, panel_nodes
 
 _LAMBDA_CAP = 1e12
@@ -108,17 +110,20 @@ def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
     return ModularValue(res.value, R, res.n_evals, res.error)
 
 
+def _line_edges(u, R, grid, extra=()):
+    """Panel edges on [-R, R]: `grid` plus 0, +-R, u's kinks and `extra`."""
+    kinks = u.kink_points()
+    return np.unique(np.concatenate(
+        [grid, [0.0, -R, R], kinks[(-R < kinks) & (kinks < R)], extra]))
+
+
 def _modular_profile(u, p, weight, quad, R):
     """Coefficient/exponent pairs so that rho(lam) = sum a_i lam^{-e_i}."""
     n = u.dimension
     if n == 1:
-        seeds = sorted(set(float(k) for k in u.kink_points()
-                           if -R < k < R) | {0.0, -R, R}
-                       | set(decade_seeds(-R, R)))
         span = min(R, 50.0)
-        edges = np.unique(np.concatenate(
-            [np.linspace(-span, span, 161), np.asarray(seeds)]))
-        nodes, w = panel_nodes(edges, 15)
+        nodes, w = panel_nodes(_line_edges(u, R, np.linspace(-span, span, 161),
+                                           decade_seeds(-R, R)), 15)
         pts = nodes[:, None]
     else:
         rule = _resolve_rule(quad, n)
@@ -217,67 +222,58 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
         return FracSeminorm(0.0, 0, 0)
     _require_lipschitz_decay(u, "frac_seminorm")
 
-    n = u.dimension
-    if n != 1:
+    if u.dimension != 1:
         raise DomainError("frac_seminorm supports n = 1 (the exact outer "
                           "tail correction is one-dimensional)")
-    rule = _resolve_rule(quad, n)
+    rule = _resolve_rule(quad, 1)
 
-    eta = 1e-7 * max(u.sup_bound, 1.0)
-    far = u.far_radius(eta)
+    far = u.far_radius(1e-7 * max(u.sup_bound, 1.0))
     R = far + 2.0
     if quad.truncation_radius is not None:
         R = float(quad.truncation_radius)
 
-    seeds = sorted(set(float(k) for k in u.kink_points()
-                       if -R < k < R) | {0.0, -R, R})
-    xedges = np.unique(np.concatenate(
-        [np.linspace(-R, R, 49), np.asarray(seeds)]))
-    xnodes, xw = panel_nodes(xedges, 15)
+    xnodes, xw = panel_nodes(_line_edges(u, R, np.linspace(-R, R, 49)), 15)
     X = xnodes[:, None]
 
-    n_tpan = max(16, quad.h_bracket_grid // 2)
-    coeffs: list[np.ndarray] = []
-    exps: list[np.ndarray] = []
+    coeffs, exps = [], []
     u_x = u.eval(X)
-    grads = u.grad(X)
     p_diag = p_pair.eval_pair(X, X)
+    beta = (1.0 - s) * p_diag
+    H = _ray_cutoff(X, far, quad)
 
     for w_om, omega in zip(rule.weights, rule.nodes):
-        for i in range(X.shape[0]):
-            xi = X[i]
-            H = float(np.linalg.norm(xi)) + far + 1.0
-            if quad.h_max is not None:
-                H = min(H, quad.h_max)
-            beta0 = (1.0 - s) * float(p_diag[i])
-            h, wt, psi = ray_t_quadrature(
-                u, xi, omega, beta0, np.geomspace(1e-13, H, n_tpan + 1),
-                float(grads[i] @ omega))
-            y = xi[None, :] + h[:, None] * omega[None, :]
-            phat = p_pair.eval_pair(np.broadcast_to(xi, y.shape), y)
-            # phi^p h^{-sp-1} dh = psi^p h^{(1-s)(p - p0)} dt / beta0
-            hfac = np.exp((1.0 - s) * (phat - p_diag[i]) * np.log(h))
-            coeffs.append(xw[i] * w_om / beta0 * wt * psi ** phat * hfac)
+        # one outer x panel (15 points) per kernel call bounds the size
+        # of the node arrays
+        for k in range(0, X.shape[0], 15):
+            row, h, wt, psi = ray_t_nodes(u, X[k:k + 15], omega,
+                                          beta[k:k + 15], H[k:k + 15], quad)
+            i = row + k
+            y = X[i, None, :] + h[..., None] * omega
+            phat = p_pair.eval_pair(np.broadcast_to(X[i, None, :], y.shape),
+                                    y)
+            # phi^p h^{-sp-1} dh = psi^p h^{(1-s)(p - p0)} dt / beta,
+            # with p0 = p(x, x) and beta = (1 - s) p0
+            hfac = np.exp((1.0 - s) * (phat - p_diag[i, None]) * np.log(h))
+            coeffs.append((xw[i] * w_om / beta[i])[:, None] * wt
+                          * psi ** phat * hfac)
             exps.append(phat)
-            # far h tail: jump is |u(x)| beyond H, exponent frozen at H
-            p_far = float(p_pair.eval_pair(xi, xi + H * omega)[0])
-            c_tail = xw[i] * w_om * abs(float(u_x[i])) ** p_far \
-                * H ** (-s * p_far) / (s * p_far)
-            coeffs.append(np.array([c_tail]))
-            exps.append(np.array([p_far]))
+        # far h tail: jump is |u(x)| beyond H, exponent frozen at H
+        p_far = p_pair.eval_pair(X, X + H[:, None] * omega)
+        coeffs.append(xw * w_om * np.abs(u_x) ** p_far
+                      * H ** (-s * p_far) / (s * p_far))
+        exps.append(p_far)
 
-    # x outside [-R, R]: u(x) = 0 there up to eta, so the pair integrand
-    # is |u(y)|^p (x - y)^{-1-sp}; its x integral is exact
+    # x outside [-R, R]: u(x) = 0 there up to the far level, so the pair
+    # integrand is |u(y)|^p (x - y)^{-1-sp}; its x integral is exact
     for sign in (1.0, -1.0):
-        yv = X[:, 0]
         p_far = p_pair.eval_pair(X, np.full_like(X, sign * R))
-        dist = np.abs(sign * R - yv)
+        dist = np.abs(sign * R - X[:, 0])
         coeffs.append(xw * np.abs(u_x) ** p_far * dist ** (-s * p_far)
                       / (s * p_far))
         exps.append(p_far)
 
-    a = np.concatenate(coeffs)
-    e = np.concatenate(exps)
+    a = np.concatenate([c.ravel() for c in coeffs])
+    e = np.concatenate([c.ravel() for c in exps])
     if not np.any(a > 0.0):
         return FracSeminorm(0.0, 0, int(a.size))
 

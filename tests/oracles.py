@@ -1,15 +1,48 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values.
 
-Everything here works on raw (x, y) double integrals with Riemann sums:
-no polar reduction, no root bracketing, no exact antiderivatives.  The
+The Riemann oracles work on raw (x, y) double integrals: no polar
+reduction, no root bracketing, no exact antiderivatives.  The
 separation variable d = y - x uses a geometrically graded partition so
 the d ~ delta kernel scale is resolved; this is still a plain Riemann
-sum of the untransformed integrand (dx dy = dx dd).
+sum of the untransformed integrand (dx dy = dx dd).  The closed forms
+(`tent_gagliardo`, `gaussian_gagliardo`) are exact.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def tent_gagliardo(s: float) -> float:
+    """Integral over R^2 of |u(x) - u(y)|^2 / |x - y|^{1 + 2s} for the
+    tent u = max(0, 1 - |x|).
+
+    Substituting y = x + h leaves 2 * integral over h > 0 of
+    A(h) h^{-1-2s}, where A(h) = integral of (u(x+h) - u(x))^2 dx is
+    2h^2 - h^3 on [0, 1], 4/3 - (2 - h)^3 / 3 on [1, 2] and 4/3 beyond;
+    each piece integrates in closed form.
+    """
+    def power_integral(e):           # integral of h^e over [1, 2]
+        if e == -1.0:
+            return math.log(2.0)
+        return (2.0 ** (e + 1.0) - 1.0) / (e + 1.0)
+
+    near = 2.0 / (2.0 - 2.0 * s) - 1.0 / (3.0 - 2.0 * s)
+    e = -1.0 - 2.0 * s
+    middle = (-4.0 * power_integral(e) + 12.0 * power_integral(e + 1.0)
+              - 6.0 * power_integral(e + 2.0) + power_integral(e + 3.0)) / 3.0
+    far = (4.0 / 3.0) * 2.0 ** (-2.0 * s) / (2.0 * s)
+    return 2.0 * (near + middle + far)
+
+
+def gaussian_gagliardo(s: float) -> float:
+    """The same modular for u = exp(-x^2): A(h) = 2 sqrt(pi/2)
+    (1 - exp(-h^2/2)), and v = h^2/2 turns the h integral into
+    2^{-1-s} Gamma(1-s) / s."""
+    return 4.0 * math.sqrt(math.pi / 2.0) * 2.0 ** (-1.0 - s) \
+        * math.gamma(1.0 - s) / s
 
 
 def riemann_threshold_double(u, p, delta, x_box, n_x=2000, n_d=2000,

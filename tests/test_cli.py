@@ -149,6 +149,27 @@ NGUYEN_CFG = {"field": {"family": "gaussian"},
     (["nguyen"], {**NGUYEN_CFG, "field": {"family": "gaussian",
                                           "sigma": "wide"}}, "sigma"),
     (["constants", "--n", "abc"], None, "--n"),
+    (["nguyen"], {**NGUYEN_CFG, "quad": {"rel_tol": "x"}}, "rel_tol"),
+    (["nguyen"], {**NGUYEN_CFG, "quad": {"h_bracket_grid": 64.5}},
+     "h_bracket_grid"),
+    (["nguyen"], {**NGUYEN_CFG, "quad": {"h_bracket_grid": "64"}},
+     "h_bracket_grid"),
+    (["nguyen"], {**NGUYEN_CFG, "quad": {"sphere_rule": {
+        "dimension": 1, "node_count": "abc"}}}, "node_count"),
+    (["nguyen"], {"field": {"family": "gaussian", "dimension": 2},
+                  "exponent": {"family": "constant", "value": 2.0,
+                               "dimension": 2},
+                  "delta": 0.1, "quad": {"sphere_rule": {
+                      "dimension": 2, "node_count": "abc"}}}, "node_count"),
+    (["nguyen"], {**NGUYEN_CFG, "quad": {"sphere_rule": {
+        "dimension": 3, "node_count": [4, 0]}}}, "node_count"),
+    (["fracnorm"], {"field": {"family": "gaussian"},
+                    "exponent": {"family": "constant", "value": 2.0},
+                    "s": 0.5, "quad": {"truncation_radius": -3.0}},
+     "truncation_radius"),
+    (["nguyen"], {**NGUYEN_CFG, "field": {"family": "gaussian",
+                                          "dimension": 2}},
+     "the field is 2D but the exponent is 1D"),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, argv, cfg,
                                              key):
@@ -242,6 +263,21 @@ def test_non_numeric_list_value_exits_2(tmp_path, capsys, command, cfg, key):
     assert run_cli(command, "--config",
                    write_cfg(tmp_path, "bad.json", cfg)) == 2
     assert f"{key!r} must be numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("bmo", {"field": GAUSS_FIELD, "interior": [-1.0, 1.0],
+             "balls": [[0.0]]}, "balls"),
+    ("bmo", {"field": GAUSS_FIELD, "interior": [1],
+             "balls": [[0.0, 0.5]]}, "interior"),
+    ("diagnose-exponent", {"exponent": P2, "range": [1, 2, 3]}, "range"),
+    ("sweep", {"field": GAUSS_FIELD, "exponent": P2, "kind": "bbm",
+               "grid": [[0.7, 0.8], [0.9, 0.95]]}, "grid"),
+])
+def test_list_of_wrong_shape_exits_2(tmp_path, capsys, command, cfg, key):
+    assert run_cli(command, "--config",
+                   write_cfg(tmp_path, "bad.json", cfg)) == 2
+    assert f"{key!r} must be a" in capsys.readouterr().err
 
 
 def test_diagnose_exponent(tmp_path):

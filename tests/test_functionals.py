@@ -110,8 +110,10 @@ def test_superlevel_monotone_in_delta():
     quad = QuadratureSpec()
     X = np.array([[0.3], [0.9], [1.7]])
     omega = np.array([1.0])
-    row1, a1, b1, _ = superlevel_intervals(u, X, omega, 0.05, quad)
-    row2, a2, b2, _ = superlevel_intervals(u, X, omega, 0.1, quad)
+    row1, a1, b1, _ = superlevel_intervals(u, X, omega, 0.05, quad,
+                                           u.far_radius(0.05 * 1e-6))
+    row2, a2, b2, _ = superlevel_intervals(u, X, omega, 0.1, quad,
+                                           u.far_radius(0.1 * 1e-6))
 
     def member(i, h):
         mine = row1 == i
@@ -126,7 +128,8 @@ def test_superlevel_respects_lipschitz_floor():
     u = Gaussian()
     quad = QuadratureSpec()
     X = np.array([[0.5]])
-    _, a, _, _ = superlevel_intervals(u, X, np.array([1.0]), 0.2, quad)
+    _, a, _, _ = superlevel_intervals(u, X, np.array([1.0]), 0.2, quad,
+                                      u.far_radius(0.2 * 1e-6))
     floor = 0.2 / u.lipschitz_bound
     assert np.all(a >= 0.99 * floor)
 
@@ -141,7 +144,8 @@ def test_superlevel_tent_exact(x, omega, want):
     # its three linear pieces; the far jump |u(x)| > 0.3 makes the last
     # interval unbounded
     row, a, b, ambiguous = superlevel_intervals(
-        Tent(), np.array([[x]]), np.array([omega]), 0.3, QuadratureSpec())
+        Tent(), np.array([[x]]), np.array([omega]), 0.3, QuadratureSpec(),
+        1.0)
     assert row.tolist() == [0] * len(want)
     assert not ambiguous.any()
     np.testing.assert_allclose(np.column_stack([a, b]), want, rtol=0,
@@ -198,7 +202,8 @@ def test_superlevel_arrays_match_row_loop(delta, omega):
     u, quad = Gaussian(), QuadratureSpec()
     X = np.linspace(-3.0, 3.0, 41)[:, None]
     row, a, b, ambiguous = superlevel_intervals(u, X, np.array([omega]),
-                                                delta, quad)
+                                                delta, quad,
+                                                u.far_radius(delta * 1e-6))
     ivs, amb = _superlevel_by_loop(u, X, np.array([omega]), delta, quad)
     assert sum(map(len, ivs)) > 20
     assert [(int(i), float(lo), float(hi)) for i, lo, hi in zip(row, a, b)] \
@@ -257,6 +262,11 @@ def test_eps_small_jump_differs_for_tall_field():
     tail = eps_functional(u, p, 0.25, "large_jump_tail").value
     assert small < full
     assert tail > 0.0
+    # the excluded large-jump intervals against the capped oracle
+    ref = oracles.riemann_eps_double(
+        lambda x: 3.0 * np.exp(-np.asarray(x, float) ** 2), p2_np, 0.25,
+        (-7.0, 7.0), 2000, 3000, jump_cap=1.0)
+    assert small == pytest.approx(ref, rel=2e-3)
 
 
 def test_bbm_zero_and_scaling():
@@ -272,6 +282,20 @@ def test_bbm_tent_matches_riemann_oracle():
     S = oracles.riemann_gagliardo(tent_np, 2.0, s, (-60.0, 61.0))
     fv = bbm_functional(Tent(), 2.0, s)
     assert fv.value == pytest.approx((1.0 - s) * S, rel=2e-3)
+
+
+@pytest.mark.parametrize("s", [0.7, 0.8, 0.9, 0.95])
+def test_bbm_tent_exact(s):
+    fv = bbm_functional(Tent(), 2.0, s)
+    assert fv.value == pytest.approx((1.0 - s) * oracles.tent_gagliardo(s),
+                                     rel=1e-6)
+
+
+@pytest.mark.parametrize("s", [0.8, 0.95])
+def test_bbm_gaussian_exact(s):
+    fv = bbm_functional(Gaussian(), 2.0, s)
+    assert fv.value == pytest.approx(
+        (1.0 - s) * oracles.gaussian_gagliardo(s), rel=1e-6)
 
 
 def test_bbm_rejects_nonconstant_or_bad_s():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from vexs import Gaussian, Tent
-from vexs.functionals import ray_t_quadrature
+from vexs import Gaussian, QuadratureSpec, Tent
+from vexs.functionals import ray_t_nodes
 from vexs.quadrature import (bisect_bracket, gauss_nodes, golden_max,
                              panel_nodes, piece_nodes, sign_pieces,
                              vector_bisect)
@@ -116,18 +118,77 @@ def test_golden_max_on_parabola():
 
 
 @pytest.mark.parametrize("u", [Tent(), Gaussian()])
-def test_ray_t_quadrature_keep(u):
-    x, omega = np.array([0.3]), np.array([-1.0])
-    hb = np.geomspace(1e-13, 4.0, 17)
+def test_ray_t_nodes_batch_matches_rows_alone(u):
+    X = np.array([[0.3], [-2.0], [0.9]])
+    H = np.array([4.0, 6.5, 3.0])
+    omega, quad = np.array([-1.0]), QuadratureSpec(h_bracket_grid=32)
+    row, *batch = ray_t_nodes(u, X, omega, 0.4, H, quad)
+    # the t weights of each ray sum to its t range [0, H^beta]
+    np.testing.assert_allclose(np.bincount(row, batch[1].sum(axis=1)),
+                               H ** 0.4, rtol=1e-14)
+    for i in range(3):
+        alone = ray_t_nodes(u, X[i:i + 1], omega, 0.4, H[i:i + 1], quad)
+        for a, b in zip(alone[1:], batch):
+            assert np.array_equal(a, b[row == i])
+
+
+def test_ray_t_nodes_exclusion_stays_on_its_ray():
+    # ray 0 excludes (0.7, inf), which closes at its cutoff H; ray 1, with
+    # nothing excluded, is the same as when computed alone
+    u, quad = Gaussian(scale=3.0), QuadratureSpec(h_bracket_grid=32)
+    X, H, omega = np.array([[0.5], [1.0]]), np.array([5.0, 5.0]), np.ones(1)
+    exclude = (np.array([0]), np.array([0.7]), np.array([np.inf]))
+    row, h, w_t, psi = ray_t_nodes(u, X, omega, 0.4, H, quad, exclude)
+    alone = ray_t_nodes(u, X[1:], omega, 0.4, H[1:], quad)
+    for a, b in zip(alone[1:], (h, w_t, psi)):
+        assert np.array_equal(a, b[row == 1])
+    assert h[row == 0].max() < 0.7
+    assert w_t[row == 0].sum() == pytest.approx(0.7 ** 0.4, rel=1e-14)
+
+
+def _ray_nodes_by_loop(u, x, omega, beta, H, n_panels, a, b):
+    """Reference: the panel rule built one ray at a time, with excluded
+    panels found by their midpoints; returns (h, w_t, psi) per node."""
+    xw, x2 = float(x @ omega), float(x @ x)
+    breaks = set(np.geomspace(1e-13, H, n_panels + 1).tolist())
+    for r in np.unique(np.abs(u.kink_points())):
+        disc = xw * xw - (x2 - r * r)
+        if disc >= 0.0:
+            breaks.update(h for h in (-xw - math.sqrt(disc),
+                                      -xw + math.sqrt(disc)) if 1e-12 < h < H)
+    ends = np.concatenate([a, b])
+    breaks.update(ends[(ends > 1e-13) & (ends < H)].tolist())
+    hi = np.array(sorted(breaks))
+    lo = np.concatenate([[0.0], hi[:-1]])
+    mid = 0.5 * (lo + hi)[:, None]
+    keep = ~np.any((mid >= a) & (mid <= b), axis=1)
+    t, w_t = piece_nodes(lo[keep] ** beta, hi[keep] ** beta)
+    h = t ** (1.0 / beta)
     g = float(u.grad(x[None, :])[0] @ omega)
-    full = ray_t_quadrature(u, x, omega, 0.4, hb, g)
-    every = ray_t_quadrature(u, x, omega, 0.4, hb, g,
-                             np.ones(hb.size, dtype=bool))
-    for a, b in zip(full, every):
-        assert np.array_equal(a, b)
-    keep = np.arange(hb.size) % 3 == 1
-    some = ray_t_quadrature(u, x, omega, 0.4, hb, g, keep)
-    for a, b in zip(full, some):
-        assert np.array_equal(a.reshape(-1, 15)[keep].ravel(), b)
-    # the t weights of all panels sum to the t range [0, H^beta]
-    assert np.sum(full[1]) == pytest.approx(4.0 ** 0.4, rel=1e-14)
+    quotient = np.abs(u.eval(x + h[..., None] * omega) - u.eval(x)) / h
+    psi = np.where(h >= 1e-7 * max(1.0, float(np.linalg.norm(x))),
+                   quotient, abs(g))
+    return h, w_t, psi
+
+
+@pytest.mark.parametrize("u, omega", [
+    (Tent(scale=2.5), np.array([-1.0])),
+    (Gaussian(scale=3.0), np.array([1.0])),
+    (Tent(dimension=2), np.array([0.6, -0.8])),
+])
+def test_ray_t_nodes_match_ray_loop(u, omega):
+    n = u.dimension
+    X = np.linspace(-1.5, 1.2, 4 * n).reshape(4, n)
+    H = np.linalg.norm(X, axis=1) + 2.0
+    # row 0's interval runs to infinity and row 1's starts beyond H; both
+    # must close at H
+    exclude = (np.array([0, 1, 2, 2]), np.array([0.3, H[1] + 0.5, 0.1, 0.9]),
+               np.array([np.inf, np.inf, 0.5, 1.4]))
+    quad = QuadratureSpec(h_bracket_grid=32)
+    row, *batch = ray_t_nodes(u, X, omega, 0.4, H, quad, exclude)
+    for i in range(4):
+        mine = exclude[0] == i
+        ref = _ray_nodes_by_loop(u, X[i], omega, 0.4, H[i], 16,
+                                 exclude[1][mine], exclude[2][mine])
+        for a, b in zip(ref, batch):
+            np.testing.assert_array_equal(a, b[row == i])

@@ -156,6 +156,26 @@ def test_frac_seminorm_tent_matches_gagliardo_oracle():
     assert val == pytest.approx(ref, rel=2e-3)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_frac_seminorm_gaussian_exact(s):
+    # with constant p = 2 the seminorm is the square root of the modular
+    val = frac_seminorm(Gaussian(), s, PairExponentField(constant(2.0))).value
+    assert val == pytest.approx(math.sqrt(oracles.gaussian_gagliardo(s)),
+                                rel=1e-9)
+
+
+def test_frac_seminorm_tent_independent_of_ray_grid():
+    # the ray panels break at the tent's kinks, so a finer geometric ray
+    # grid changes nothing the method resolves
+    pair = PairExponentField(constant(2.0))
+    vals = [frac_seminorm(Tent(), 0.5, pair,
+                          QuadratureSpec(h_bracket_grid=g)).value
+            for g in (128, 256)]
+    assert vals[1] == pytest.approx(vals[0], rel=1e-9)
+    assert vals[0] == pytest.approx(math.sqrt(oracles.tent_gagliardo(0.5)),
+                                    rel=1e-6)
+
+
 def test_frac_seminorm_variable_pair_runs():
     pair = PairExponentField(inverse_quadratic(2.0, 1.0))
     res = frac_seminorm(Gaussian(), 0.5, pair)
