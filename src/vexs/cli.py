@@ -51,7 +51,7 @@ def number(cfg: dict, key: str, context: str, default=None, kind=float,
     try:
         value = kind(cfg[key])
     except (TypeError, ValueError):
-        what = "an integer" if kind is integer else "numeric"
+        what = "a non-negative integer" if kind is integer else "numeric"
     else:
         got = np.shape(value)
         if shape is None or (len(got) == len(shape) and all(
@@ -62,12 +62,13 @@ def number(cfg: dict, key: str, context: str, default=None, kind=float,
 
 
 def integer(value):
-    """A JSON integer as given (64.5, "64" and true are refused), or a
-    list of them as a tuple; the `kind` of `number` for counts."""
+    """A non-negative JSON integer as given (64.5, "64", true and -1 are
+    refused), or a list of them as a tuple; the `kind` of `number` for
+    counts and seeds."""
     if isinstance(value, list):
         return tuple(integer(v) for v in value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("not an integer")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError("not a non-negative integer")
     return value
 
 
@@ -87,24 +88,23 @@ def parse_field(cfg: dict) -> fields.ScalarField:
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ConfigError("field config must be a mapping with a family")
     fam = cfg["family"]
+    scale = number(cfg, "scale", "field", 1.0)
+    dim = number(cfg, "dimension", "field", 1, integer)
     if fam == "gaussian":
         check_keys(cfg, {"family", "sigma", "center", "scale", "dimension"},
                    "field")
         return fields.Gaussian(number(cfg, "sigma", "field", 1.0),
                                number(cfg, "center", "field", 0.0, floats),
-                               number(cfg, "scale", "field", 1.0),
-                               number(cfg, "dimension", "field", 1, int))
+                               scale, dim)
     if fam == "tent":
         check_keys(cfg, {"family", "scale", "dimension"}, "field")
-        return fields.Tent(number(cfg, "scale", "field", 1.0),
-                           number(cfg, "dimension", "field", 1, int))
+        return fields.Tent(scale, dim)
     if fam == "smooth-bump":
         check_keys(cfg, {"family", "scale", "dimension"}, "field")
-        return fields.SmoothBump(number(cfg, "scale", "field", 1.0),
-                                 number(cfg, "dimension", "field", 1, int))
+        return fields.SmoothBump(scale, dim)
     if fam == "power-tail":
         check_keys(cfg, {"family", "scale"}, "field")
-        return fields.PowerTail(number(cfg, "scale", "field", 1.0))
+        return fields.PowerTail(scale)
     if fam == "log-singular":
         check_keys(cfg, {"family", "window"}, "field")
         return fields.LogSingular(
@@ -123,24 +123,22 @@ def parse_exponent(cfg: dict) -> exponents.ExponentField:
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise ConfigError("exponent config must be a mapping with a family")
     fam = cfg["family"]
+    dim = number(cfg, "dimension", "exponent", 1, integer)
     if fam == "constant":
         check_keys(cfg, {"family", "value", "dimension"}, "exponent",
                    ("value",))
-        return exponents.constant(number(cfg, "value", "exponent"),
-                                  number(cfg, "dimension", "exponent", 1, int))
+        return exponents.constant(number(cfg, "value", "exponent"), dim)
     if fam == "inverse-quadratic":
         check_keys(cfg, {"family", "a", "b", "dimension"}, "exponent",
                    ("a", "b"))
         return exponents.inverse_quadratic(
-            number(cfg, "a", "exponent"), number(cfg, "b", "exponent"),
-            number(cfg, "dimension", "exponent", 1, int))
+            number(cfg, "a", "exponent"), number(cfg, "b", "exponent"), dim)
     if fam == "sin-squared":
         check_keys(cfg, {"family", "a", "b", "direction", "dimension"},
                    "exponent", ("a", "b", "direction"))
         return exponents.sin_squared(
             number(cfg, "a", "exponent"), number(cfg, "b", "exponent"),
-            number(cfg, "direction", "exponent", kind=floats),
-            number(cfg, "dimension", "exponent", 1, int))
+            number(cfg, "direction", "exponent", kind=floats), dim)
     if fam == "piecewise-table":
         check_keys(cfg, {"family", "breaks", "values", "interp"}, "exponent",
                    ("breaks", "values"))
@@ -283,7 +281,7 @@ def cmd_lemma41(args) -> int:
         cfg = load_config(args.config)
         check_keys(cfg, {"name", "preset", "seed", "quad"}, "lemma41 config")
         preset = cfg.get("preset", "unit-distance")
-        seed = number(cfg, "seed", "lemma41 config", args.seed, int)
+        seed = number(cfg, "seed", "lemma41 config", args.seed, integer)
         name = cfg.get("name", preset)
         # layer_cake_check reads rel_tol alone
         quad = parse_quad(cfg.get("quad"), {"rel_tol"}, "lemma41 quad")
@@ -459,10 +457,12 @@ def cmd_maximal(args) -> int:
     check_keys(cfg, {"name", "field", "points", "r_max", "depth", "omega"},
                "maximal config", ("field", "points"))
     u = parse_field(cfg["field"])
+    points = number(cfg, "points", "maximal config", None, floats, (None,))
+    if points.size == 0:
+        raise ConfigError("maximal config: 'points' must not be empty")
     profile = maximal.maximal_profile(
-        u, number(cfg, "points", "maximal config", None, floats, (None,)),
-        number(cfg, "r_max", "maximal config", 10.0),
-        number(cfg, "depth", "maximal config", 3, int), cfg.get("omega"))
+        u, points, number(cfg, "r_max", "maximal config", 10.0),
+        number(cfg, "depth", "maximal config", 3, integer), cfg.get("omega"))
     return _report(args, cfg, "maximal", {
         "operation": "maximal",
         "points": list(profile.points),
@@ -524,10 +524,10 @@ def cmd_diagnose_exponent(args) -> int:
         pairs = number(cfg, "pairs", "diagnose config", kind=floats)
     else:
         rng = np.random.default_rng(
-            number(cfg, "seed", "diagnose config", args.seed, int))
+            number(cfg, "seed", "diagnose config", args.seed, integer))
         lo, hi = number(cfg, "range", "diagnose config", (-10.0, 10.0),
                         floats, (2,))
-        m = number(cfg, "n_pairs", "diagnose config", 1000, int)
+        m = number(cfg, "n_pairs", "diagnose config", 1000, integer)
         pairs = rng.uniform(lo, hi, size=(m, 2, p.dimension))
     diag = exponents.log_holder_diagnose(p, pairs)
     return _report(args, cfg, "diagnose", {

@@ -123,7 +123,9 @@ class ExponentField:
     # -- analytic tail infimum -----------------------------------------
 
     def p_range_min(self, lo: float, hi: float) -> float:
-        """Analytic infimum of p over the 1D interval [lo, hi]."""
+        """Analytic infimum of p over the 1D interval [lo, hi], either end
+        possibly infinite; for an exponent radial in any dimension,
+        p_range_min(r, inf) is its infimum over |x| >= r."""
         fam, par = self.family, self.params
         if fam == "constant":
             return self.p_minus
@@ -156,39 +158,6 @@ class ExponentField:
                     cands.append(float(v))
         if not cands:
             cands.append(float(self.eval(np.array([0.5 * (lo + hi)]))[0]))
-        return float(min(cands))
-
-    def p_tail_min(self, radius: float) -> float:
-        """Analytic infimum of p over {|x| >= radius}.
-
-        Truncation bounds for modulars of slowly decaying fields need the
-        exponent on the tail, not the global p_minus.
-        """
-        fam, par = self.family, self.params
-        if fam == "constant":
-            return self.p_minus
-        if fam == "inverse-quadratic":
-            if par["b"] >= 0:
-                return par["a"]
-            return par["a"] + par["b"] / (1.0 + radius * radius)
-        if fam == "sin-squared":
-            # sin^2 attains 0 (and 1) arbitrarily far out
-            return self.p_minus
-        breaks = np.asarray(par["breaks"], dtype=float)
-        values = np.asarray(par["values"], dtype=float)
-        if par["interp"] == "const":
-            cands = [values[0], values[-1]]
-            for i in range(1, len(values) - 1):
-                lo, hi = breaks[i - 1], breaks[i]
-                if hi >= radius or lo <= -radius:
-                    cands.append(values[i])
-            return float(min(cands))
-        cands = [values[0], values[-1],
-                 float(self.eval(np.array([radius]))[0]) if breaks[0] <= radius <= breaks[-1] else values[-1],
-                 float(self.eval(np.array([-radius]))[0]) if breaks[0] <= -radius <= breaks[-1] else values[0]]
-        for b, v in zip(breaks, values):
-            if abs(b) >= radius:
-                cands.append(float(v))
         return float(min(cands))
 
 

@@ -10,12 +10,13 @@ central finite differences with a step that scales with |x|.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, DivergenceError, UnsupportedFieldError
 from .exponents import as_points
-from .quadrature import bisect_bracket
+from .quadrature import bisect_bracket, golden_max
 
 _FD_STEP = 1e-5
 
@@ -249,9 +250,9 @@ class SmoothBump(ScalarField):
         return np.array([-1.0, 0.0, 1.0])
 
 
+@cache
 def _bump_grad_max() -> float:
     # sup_r 2r exp(-1/(1-r^2)) / (1-r^2)^2 on (0,1); smooth unimodal profile
-    from .quadrature import golden_max
     def f(r):
         q = 1.0 - r * r
         return 2.0 * r * math.exp(-1.0 / q) / (q * q)
@@ -468,7 +469,7 @@ def truncation_radius(u: ScalarField, p, tol: float) -> float:
         # the global minimum, which would spuriously reject one-sided
         # slowly decaying fields); None when the shell misses the support
         if u.dimension != 1:
-            return max(1.0, p.p_tail_min(r))
+            return max(1.0, p.p_range_min(r, math.inf))
         best = None
         for lo, hi in ((r, 2.0 * r), (-2.0 * r, -r)):
             slo, shi = max(lo, sup_lo), min(hi, sup_hi)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BracketingError, DomainError, UnsupportedFieldError
 from .fields import ScalarField
 from .quadrature import (adaptive_integrate, panel_nodes, piece_nodes,
-                         sign_pieces)
+                         row_pieces, sign_pieces)
 from .sphere import SphereRule, default_rule, k_np_values
 
 # far-field headroom: |u| must drop below this fraction of the threshold
@@ -383,16 +383,9 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
         ends = np.concatenate([erow, erow])
         parts.append((ends, np.minimum(np.concatenate([a, b]), H[ends]),
                       np.repeat([1, -1], erow.size)))
-    row, h, mark = map(np.concatenate, zip(*parts))
-    order = np.lexsort((h, row))
-    row, h = row[order], h[order]
-    # a panel runs from one break to the next on the same ray, and is
-    # dropped while an excluded interval is open at its start
-    keep = ((row[1:] == row[:-1]) & (h[1:] > h[:-1])
-            & (np.cumsum(mark[order])[:-1] == 0))
-    row = row[:-1][keep]
+    row, lo, hi = row_pieces(*map(np.concatenate, zip(*parts)))
     beta = beta[row] if np.ndim(beta) else beta
-    t, w_t = piece_nodes(h[:-1][keep] ** beta, h[1:][keep] ** beta)
+    t, w_t = piece_nodes(lo ** beta, hi ** beta)
     h = t ** np.reshape(1.0 / beta, (-1, 1))
     psi = ray_slope(u, X[row], omega, h, np.vecdot(u.grad(X), omega)[row],
                     u.eval(X)[row])

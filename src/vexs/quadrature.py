@@ -7,8 +7,11 @@ integrator with a reproducible refinement order, vectorized bisection
 for batches of sign-change brackets, the sign-change sectioning of
 sampled paths into signed pieces (`sign_pieces`, which serves the
 superlevel rays, the layer-cake cells and the mean-oscillation balls),
-scalar bisection of one bracket by a predicate, and golden-section
-maximization.
+the cutting of rows at sorted breakpoints into pieces (`row_pieces`,
+which serves the ray panels and the maximal-function intervals), decade
+breakpoints about centers (`decade_seeds`), scalar bisection of one
+bracket by a predicate, and golden-section maximization of one bracket
+or of many in lockstep.
 
 Determinism contract: given identical inputs, every routine performs
 the same floating-point operations in the same order, so repeated runs
@@ -199,6 +202,20 @@ def sign_pieces(residual: Callable[[np.ndarray], Callable],
     return row[keep], lo[keep], hi[keep], is_pos[keep]
 
 
+def row_pieces(row: np.ndarray, x: np.ndarray, mark=None):
+    """Cut rows at their breaks: (row[i], x[i]) are the breaks, in any
+    order, and a piece runs from one break of a row to the next larger
+    one.  With `mark`, a break opens (+1) or closes (-1) an excluded
+    stretch, and pieces starting while one is open are dropped.  Returns
+    (row, lo, hi) of the pieces, by row and by abscissa within a row."""
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    keep = (row[1:] == row[:-1]) & (x[1:] > x[:-1])
+    if mark is not None:
+        keep &= np.cumsum(mark[order])[:-1] == 0
+    return row[:-1][keep], x[:-1][keep], x[1:][keep]
+
+
 def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
                    iters: int, rel_width: float = 0.0
                    ) -> tuple[float, float, int]:
@@ -223,39 +240,39 @@ def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximization of a scalar unimodal-ish function."""
+def golden_max(f: Callable, a, b, iters: int = 60):
+    """Golden-section maximization of unimodal-ish functions on [a, b].
+
+    `a` and `b` are numbers or arrays of brackets, which then step in
+    lockstep: f maps an array of abscissae, one per bracket, to their
+    values, and each element performs the float operations of a scalar
+    run on its own bracket.  Returns (argmax, max), scalars for scalar
+    brackets."""
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    if fc > fd:
-        return c, fc
-    return d, fd
+        # keep [a, d] (left) or [c, b]; the kept inner point changes slot
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - _INV_GOLDEN * (b - a),
+                       a + _INV_GOLDEN * (b - a))
+        f_new = f(new)
+        c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
+                        np.where(left, f_new, fd), np.where(left, fc, f_new))
+    return np.where(fc > fd, c, d)[()], np.where(fc > fd, fc, fd)[()]
 
 
-def decade_seeds(lo: float, hi: float) -> list[float]:
-    """Interior breakpoints at +-10^k covering (lo, hi).
+def decade_seeds(centers, lo: float, hi: float, j0: int = 0) -> np.ndarray:
+    """The points c +- 10^j, j >= j0, of each center c that lie strictly
+    inside (lo, hi): breakpoints grading panels by decades about c.
 
     Panels spanning many decades hide all their mass from any fixed-node
     rule (every node lands where the integrand already vanished), which
     defeats error estimation; decade seeds keep panel scale ratios sane.
     """
-    out: set[float] = set()
-    top = max(abs(lo), abs(hi))
-    k = 0
-    while 10.0 ** k < top:
-        for s in (10.0 ** k, -10.0 ** k):
-            if lo < s < hi:
-                out.add(s)
-        k += 1
-    return sorted(out)
+    c = np.atleast_1d(np.asarray(centers, dtype=float))
+    far = np.max(np.maximum(np.abs(lo - c), np.abs(hi - c)), initial=1.0)
+    d = 10.0 ** np.arange(j0, int(np.log10(far)) + 1)
+    s = np.add.outer(c, np.concatenate([d, -d])).ravel()
+    return s[(lo < s) & (s < hi)]

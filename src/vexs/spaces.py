@@ -104,7 +104,7 @@ def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
         vals = np.abs(u.eval(pts)) / lam
         return vals ** p.eval(pts) * _weight_values(weight, pts)
 
-    seeds = np.concatenate([u.kink_points(), decade_seeds(-R, R)])
+    seeds = np.concatenate([u.kink_points(), decade_seeds(0.0, -R, R)])
     res = _outer_integrate(integrand, u, replace(quad, truncation_radius=R),
                            R, seeds)
     return ModularValue(res.value, R, res.n_evals, res.error)
@@ -123,7 +123,7 @@ def _modular_profile(u, p, weight, quad, R):
     if n == 1:
         span = min(R, 50.0)
         nodes, w = panel_nodes(_line_edges(u, R, np.linspace(-span, span, 161),
-                                           decade_seeds(-R, R)), 15)
+                                           decade_seeds(0.0, -R, R)), 15)
         pts = nodes[:, None]
     else:
         rule = _resolve_rule(quad, n)
@@ -235,7 +235,7 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
     xnodes, xw = panel_nodes(_line_edges(u, R, np.linspace(-R, R, 49)), 15)
     X = xnodes[:, None]
 
-    coeffs, exps = [], []
+    coeffs, neg_exps = [], []
     u_x = u.eval(X)
     p_diag = p_pair.eval_pair(X, X)
     beta = (1.0 - s) * p_diag
@@ -256,12 +256,12 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
             hfac = np.exp((1.0 - s) * (phat - p_diag[i, None]) * np.log(h))
             coeffs.append((xw[i] * w_om / beta[i])[:, None] * wt
                           * psi ** phat * hfac)
-            exps.append(phat)
+            neg_exps.append(-phat)
         # far h tail: jump is |u(x)| beyond H, exponent frozen at H
         p_far = p_pair.eval_pair(X, X + H[:, None] * omega)
         coeffs.append(xw * w_om * np.abs(u_x) ** p_far
                       * H ** (-s * p_far) / (s * p_far))
-        exps.append(p_far)
+        neg_exps.append(-p_far)
 
     # x outside [-R, R]: u(x) = 0 there up to the far level, so the pair
     # integrand is |u(y)|^p (x - y)^{-1-sp}; its x integral is exact
@@ -270,15 +270,20 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
         dist = np.abs(sign * R - X[:, 0])
         coeffs.append(xw * np.abs(u_x) ** p_far * dist ** (-s * p_far)
                       / (s * p_far))
-        exps.append(p_far)
+        neg_exps.append(-p_far)
 
+    # the largest arrays of a call, so each list is freed once copied
     a = np.concatenate([c.ravel() for c in coeffs])
-    e = np.concatenate([c.ravel() for c in exps])
+    del coeffs
+    neg_e = np.concatenate([c.ravel() for c in neg_exps])
+    del neg_exps
     if not np.any(a > 0.0):
         return FracSeminorm(0.0, 0, int(a.size))
 
     def rho(lam: float) -> float:
-        return float(np.sum(a * lam ** (-e)))
+        t = lam ** neg_e        # in place from here: no second temporary
+        t *= a
+        return float(np.sum(t))
 
     lam, iters = _bisect_lambda(rho)
     return FracSeminorm(lam, iters, int(a.size))

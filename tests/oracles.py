@@ -180,3 +180,29 @@ def layer_cake_brute(phi, psi, alpha, box, n_xy=1500, n_delta=200):
     small = np.where(PHI <= 1.0, PHI ** (AL + 1.0) * PSI / (AL + 1.0), 0.0)
     large = np.where(PHI > 1.0, PSI / (AL + 1.0), 0.0)
     return lhs, float(np.sum(small)) * cell, float(np.sum(large)) * cell
+
+
+def counterexample_maximal(x: float) -> float:
+    """Centered maximal function of u = y^{-1/3} on [2, oo) (zero before)
+    at x <= -2: the ball average (3/(4r))((x+r)^{2/3} - 2^{2/3}) at its
+    one stationary radius r = t^3 - x, where t > 2^{1/3} is the root of
+    t^3 - 3 2^{2/3} t + 2x = 0."""
+    from scipy.optimize import brentq
+    c = 2.0 ** (2.0 / 3.0)
+    t = brentq(lambda t: t ** 3 - 3.0 * c * t + 2.0 * x, 2.0 ** (1.0 / 3.0),
+               2.0 + 2.0 * abs(x) ** (1.0 / 3.0), xtol=1e-15, rtol=1e-15)
+    r = t ** 3 - x
+    return 3.0 / (4.0 * r) * (t * t - c)
+
+
+def log_abs_integral(a: float, b: float, window: tuple) -> float:
+    """Integral of |log|y|| over [a, b] cut to `window`, from the odd
+    antiderivative F(y) = y - y log y (0 < y <= 1), y log y - y + 2
+    (y >= 1)."""
+    def F(y):
+        t = abs(y)
+        if t == 0.0:
+            return 0.0
+        v = t - t * math.log(t) if t <= 1.0 else t * math.log(t) - t + 2.0
+        return math.copysign(v, y)
+    return F(min(b, window[1])) - F(max(a, window[0]))

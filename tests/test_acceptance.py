@@ -311,16 +311,22 @@ def test_criterion_13_determinism(tmp_path):
                                            "a": 2.0, "b": 1.0},
                               "n_pairs": 500, "range": [-10.0, 10.0]},
     }
-    for cmd, cfg in cfg_specs.items():
-        path = tmp_path / f"{cmd}.json"
+    # the one-sided maximal scan, crowding toward a singular point
+    one_sided = {"name": "s", "field": {"family": "log-singular",
+                                        "window": [-1.0, 2.0]},
+                 "points": [-0.5, -1e-3, 0.25, 1.5], "r_max": 3.0,
+                 "omega": -1}
+    for k, (cmd, cfg) in enumerate([*cfg_specs.items(),
+                                    ("maximal", one_sided)]):
+        path = tmp_path / f"{cmd}_{k}.json"
         path.write_text(json.dumps(cfg))
         scenarios.append(([cmd, "--config", str(path)], None))
 
     ok = True
-    for argv, fixed_names in scenarios:
+    for k, (argv, fixed_names) in enumerate(scenarios):
         payloads = []
         for run in ("a", "b"):
-            out = tmp_path / f"{argv[0]}_{run}"
+            out = tmp_path / f"{argv[0]}_{k}_{run}"
             rc = cli_main(argv + ["--out", str(out), "--quiet"])
             assert rc == 0, argv
             names = fixed_names or sorted(

@@ -140,6 +140,8 @@ def test_counterexample_csv_cells_parse_as_floats(counterexample_rows):
 NGUYEN_CFG = {"field": {"family": "gaussian"},
               "exponent": {"family": "constant", "value": 2.0},
               "delta": 0.1}
+MAXIMAL_CFG = {"field": {"family": "gaussian"}, "points": [0.0, 1.0]}
+DIAGNOSE_CFG = {"exponent": {"family": "constant", "value": 2.0}}
 
 
 @pytest.mark.parametrize("argv, cfg, key", [
@@ -170,6 +172,23 @@ NGUYEN_CFG = {"field": {"family": "gaussian"},
     (["nguyen"], {**NGUYEN_CFG, "field": {"family": "gaussian",
                                           "dimension": 2}},
      "the field is 2D but the exponent is 1D"),
+    (["maximal"], {**MAXIMAL_CFG, "omega": 1, "r_max": 0}, "r_max"),
+    (["maximal"], {**MAXIMAL_CFG, "r_max": -2}, "r_max"),
+    (["maximal"], {**MAXIMAL_CFG, "r_max": 1e-7}, "r_max"),
+    (["maximal"], {**MAXIMAL_CFG, "points": []}, "points"),
+    (["maximal"], {**MAXIMAL_CFG, "depth": 4.6}, "depth"),
+    (["maximal"], {**MAXIMAL_CFG, "depth": -1}, "depth"),
+    (["maximal"], {**MAXIMAL_CFG, "field": {"family": "tent",
+                                            "dimension": 1.5}}, "dimension"),
+    (["nguyen"], {**NGUYEN_CFG, "exponent": {"family": "constant",
+                                             "value": 2.0, "dimension": "1"}},
+     "dimension"),
+    (["nguyen"], {**NGUYEN_CFG, "field": {"family": "gaussian",
+                                          "dimension": True}}, "dimension"),
+    (["diagnose-exponent"], {**DIAGNOSE_CFG, "n_pairs": 4.6}, "n_pairs"),
+    (["diagnose-exponent"], {**DIAGNOSE_CFG, "seed": -1}, "seed"),
+    (["lemma41"], {"preset": "random-smooth", "seed": 4.6}, "seed"),
+    (["maximal"], {**MAXIMAL_CFG, "omega": True}, "omega"),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, argv, cfg,
                                              key):

@@ -138,10 +138,11 @@ def test_log_holder_skips_coincident_pairs():
     assert math.isfinite(d.c_holder_estimate)
 
 
-def test_piecewise_table_tail_min():
+def test_piecewise_table_range_min_one_sided():
     p = piecewise_table([-2.0, 2.0], [2.0, 4.0], interp="linear")
-    # the left ray (p = 2) is part of every tail
-    assert p.p_tail_min(3.0) == 2.0
-    assert p.p_tail_min(0.5) == 2.0
+    assert p.p_range_min(3.0, math.inf) == 4.0
+    assert p.p_range_min(0.5, math.inf) == 3.25
+    assert p.p_range_min(-math.inf, -3.0) == 2.0
     q = piecewise_table([0.0], [4.0, 3.0])
-    assert q.p_tail_min(1.0) == 3.0
+    assert q.p_range_min(1.0, math.inf) == 3.0
+    assert q.p_range_min(-math.inf, -1.0) == 4.0

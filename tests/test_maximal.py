@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import oracles
 from vexs import (DomainError, Gaussian, LogSingular, SampledTable, Tent,
                   bmo_quantity, counterexample_experiment,
                   counterexample_exponent, counterexample_field,
                   directional_maximal, hl_maximal, maximal_profile, modular)
+from vexs.maximal import _interval_average
 
 
 def test_hl_maximal_constant_field():
@@ -67,6 +69,50 @@ def test_maximal_profile_shape():
     prof = maximal_profile(Gaussian(), [0.0, 1.0], r_max=4.0)
     assert len(prof.points) == 2 == len(prof.values)
     assert prof.depth == 3
+
+
+@pytest.mark.parametrize("u, xs", [
+    (Gaussian(), [-3.0, -0.4, 0.0, 0.7, 2.5]),
+    (Tent(scale=2.0), [-1.5, -0.2, 0.0, 0.45, 1.0]),
+    (counterexample_field(), [-700.0, -30.0, -2.0, 1.0, 2.5, 40.0]),
+    (LogSingular((-1.0, 2.0)), [-0.9, -1e-3, 0.2, 0.6, 1.7]),
+])
+def test_batched_maximal_matches_scalar_calls(u, xs):
+    xs = np.asarray(xs)
+    r_max = 2.0 * np.abs(xs) + 3.0
+    batch = hl_maximal(u, xs, r_max)
+    assert [hl_maximal(u, x, r) for x, r in zip(xs, r_max)] == list(batch)
+    for omega in (-1.0, 1.0):
+        batch = directional_maximal(u, xs, omega, 5.0, depth=2)
+        assert [directional_maximal(u, x, omega, 5.0, depth=2)
+                for x in xs] == list(batch)
+    assert isinstance(hl_maximal(u, xs[0], 5.0), float)
+
+
+@pytest.mark.parametrize("x", [-2.0, -3.0, -10.0, -100.0, -1000.0, -5000.0,
+                               -10000.0])
+def test_counterexample_maximal_matches_closed_form(x):
+    # GL15 on decade-graded panels: about 1e-11 relative
+    val = hl_maximal(counterexample_field(), x, 4.0 * abs(x) + 40.0)
+    assert val == pytest.approx(oracles.counterexample_maximal(x), rel=1e-9)
+
+
+def test_log_singular_averages_match_closed_form():
+    # intervals across, at and next to the singular point 0
+    lo = np.array([-0.3, -1.0, 1e-3, -0.5, -2.0, -0.39, 0.0])
+    hi = np.array([0.6, 0.01, 1.9, 1.5, 3.0, 1.7, 0.8])
+    got = _interval_average(LogSingular((-1.0, 2.0)), lo, hi)
+    want = [oracles.log_abs_integral(a, b, (-1.0, 2.0)) / (b - a)
+            for a, b in zip(lo, hi)]
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_maximal_rejects_bad_radius_and_points():
+    for r_max in (0.0, -2.0, 1e-7, np.inf):
+        with pytest.raises(DomainError, match="r_max"):
+            directional_maximal(Gaussian(), 0.0, 1.0, r_max)
+    with pytest.raises(DomainError, match="finite"):
+        hl_maximal(Gaussian(), [0.0, np.nan], 3.0)
 
 
 def test_counterexample_modular_u_value():

@@ -5,9 +5,9 @@ import pytest
 
 from vexs import Gaussian, QuadratureSpec, Tent
 from vexs.functionals import ray_t_nodes
-from vexs.quadrature import (bisect_bracket, gauss_nodes, golden_max,
-                             panel_nodes, piece_nodes, sign_pieces,
-                             vector_bisect)
+from vexs.quadrature import (bisect_bracket, decade_seeds, gauss_nodes,
+                             golden_max, panel_nodes, piece_nodes, row_pieces,
+                             sign_pieces, vector_bisect)
 
 
 def test_bisect_bracket_runs_iters_steps():
@@ -109,6 +109,51 @@ def test_sign_pieces_cuts_at_roots():
     assert is_pos.tolist() == [True, False, True, True]
     np.testing.assert_allclose(lo, [-1.0, -0.5, 0.5, 2.0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(hi, [-0.5, 0.5, 1.0, 3.0], rtol=0, atol=1e-15)
+
+
+def test_golden_max_arrays_match_scalar_runs():
+    # brackets of one array step in lockstep, each exactly as alone
+    peaks = np.array([0.3, -0.7, 1.9, 0.3])
+    a = np.array([-1.0, -2.0, 1.0, 0.29])
+    b = np.array([2.0, 0.0, 5.0, 0.31])
+
+    def f(t, p=peaks):
+        return np.exp(-(t - p) ** 2) * (1.0 + 0.1 * np.sin(7.0 * t))
+
+    x, fx = golden_max(f, a, b, iters=40)
+    for k in range(peaks.size):
+        xk, fk = golden_max(lambda t: f(t, peaks[k]), a[k], b[k], iters=40)
+        assert (x[k], fx[k]) == (xk, fk)
+        assert np.ndim(xk) == 0
+
+
+def test_row_pieces_match_unique_per_row():
+    rng = np.random.default_rng(3)
+    row = rng.integers(0, 5, size=60)
+    x = np.round(rng.uniform(0.0, 4.0, size=60), 1)   # with repeats
+    got = row_pieces(row, x)
+    for k in range(5):
+        edges = np.unique(x[row == k])
+        mine = got[0] == k
+        np.testing.assert_array_equal(got[1][mine], edges[:-1])
+        np.testing.assert_array_equal(got[2][mine], edges[1:])
+    assert np.all(np.diff(got[0]) >= 0)
+    # an excluded stretch [1, 2] on row 0 drops the pieces inside it
+    row = np.array([0, 0, 0, 0, 0, 0, 1, 1])
+    x = np.array([3.0, 0.0, 1.5, 1.0, 2.0, 1.0, 0.0, 1.0])
+    mark = np.array([0, 0, 0, 1, -1, 0, 0, 0])
+    rows, lo, hi = row_pieces(row, x, mark)
+    np.testing.assert_array_equal(rows, [0, 0, 1])
+    np.testing.assert_array_equal(lo, [0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(hi, [1.0, 3.0, 1.0])
+
+
+def test_decade_seeds_grade_about_each_center():
+    np.testing.assert_array_equal(np.sort(decade_seeds(0.0, -150.0, 50.0)),
+                                  [-100.0, -10.0, -1.0, 1.0, 10.0])
+    got = np.sort(decade_seeds([2.0, 5.0], 1.5, 20.0, j0=-1))
+    np.testing.assert_allclose(got, [1.9, 2.1, 3.0, 4.0, 4.9, 5.1, 6.0,
+                                     12.0, 15.0], rtol=0, atol=1e-15)
 
 
 def test_golden_max_on_parabola():
