@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -36,12 +37,21 @@ def check_keys(cfg: dict, allowed: set, context: str,
         raise ConfigError(f"{context} needs key(s): {', '.join(missing)}")
 
 
+def real(value) -> float:
+    """A finite JSON number as a float (true, "1e-3" and NaN are
+    refused); the default `kind` of `number`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise TypeError("not a finite number")
+    return float(value)
+
+
 # how `number` names a required shape
 _SHAPE_NAMES = {(): "a single value", (2,): "a pair", (None,): "a flat list",
                 (None, 2): "a list of pairs"}
 
 
-def number(cfg: dict, key: str, context: str, default=None, kind=float,
+def number(cfg: dict, key: str, context: str, default=None, kind=real,
            shape=None):
     """kind(cfg[key]), or `default` when the key is absent.  A value that
     kind rejects, or whose shape is not `shape` (None matches any
@@ -51,7 +61,8 @@ def number(cfg: dict, key: str, context: str, default=None, kind=float,
     try:
         value = kind(cfg[key])
     except (TypeError, ValueError):
-        what = "a non-negative integer" if kind is integer else "numeric"
+        what = ("a non-negative integer" if kind is integer else
+                "numeric and finite")
     else:
         got = np.shape(value)
         if shape is None or (len(got) == len(shape) and all(
@@ -73,15 +84,22 @@ def integer(value):
 
 
 def floats(value) -> np.ndarray:
-    """A number or a (nested) list of numbers as a float array; the
-    `kind` of `number` for list values."""
-    return np.asarray(value, dtype=float)
+    """A number or a (nested) list of numbers, each as `real` takes it,
+    as a float array; the `kind` of `number` for list values."""
+    if isinstance(value, list):
+        return np.asarray([floats(v) for v in value], dtype=float)
+    return np.asarray(real(value))
 
 
-def number_list(text, flag: str, context: str, kind=float) -> list:
-    """A comma-separated command-line list, checked like `number`."""
-    return [number({flag: t}, flag, context, kind=kind)
-            for t in str(text).split(",")]
+def number_list(text, flag: str, context: str, kind=real) -> list:
+    """A comma-separated command-line list, read as JSON and each item
+    checked like `number`."""
+    try:
+        items = json.loads(f"[{text}]")
+    except ValueError:
+        raise ConfigError(f"{context}: {flag!r} must be a comma-separated "
+                          f"list of numbers, got {text!r}")
+    return [number({flag: v}, flag, context, kind=kind) for v in items]
 
 
 def parse_field(cfg: dict) -> fields.ScalarField:
@@ -174,7 +192,7 @@ def parse_quad(cfg: dict | None, used=QUAD_KEYS,
             raise ConfigError("sphere_rule: 'node_count' must be positive")
         rule = default_rule(dim, nc)
     kwargs = {k: number(cfg, k, context,
-                        kind=integer if k == "h_bracket_grid" else float)
+                        kind=integer if k == "h_bracket_grid" else real)
               for k in QUAD_KEYS - {"sphere_rule"} if k in cfg}
     return QuadratureSpec(sphere_rule=rule, **kwargs)
 
@@ -258,7 +276,7 @@ def _out_path(args, filename: str) -> str:
 
 
 def cmd_constants(args) -> int:
-    ns = number_list(args.n, "--n", "constants", int)
+    ns = number_list(args.n, "--n", "constants", integer)
     ps = number_list(args.p, "--p", "constants")
     rows = []
     for n in ns:

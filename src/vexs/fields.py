@@ -21,6 +21,15 @@ from .quadrature import bisect_bracket, golden_max
 _FD_STEP = 1e-5
 
 
+def _square_norms(d: np.ndarray) -> np.ndarray:
+    """np.sum(d * d, axis=1), added column by column in the same order;
+    numpy's reduction over a short row axis is about ten times slower."""
+    out = d[:, 0] * d[:, 0]
+    for j in range(1, d.shape[1]):
+        out += d[:, j] * d[:, j]
+    return out
+
+
 class ScalarField:
     """Base class; subclasses fill in the family specifics.
 
@@ -152,11 +161,11 @@ class Gaussian(ScalarField):
 
     def _eval(self, pts):
         d = pts - self.center
-        return self.scale * np.exp(-np.sum(d * d, axis=1) / self.sigma ** 2)
+        return self.scale * np.exp(-_square_norms(d) / self.sigma ** 2)
 
     def _grad(self, pts):
         d = pts - self.center
-        u = self.scale * np.exp(-np.sum(d * d, axis=1) / self.sigma ** 2)
+        u = self.scale * np.exp(-_square_norms(d) / self.sigma ** 2)
         return (-2.0 / self.sigma ** 2) * d * u[:, None]
 
     def tail_bound(self, radius):

@@ -20,6 +20,7 @@ deterministic; repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -37,6 +38,11 @@ _FAR_ETA_FRAC = 1e-6
 # below this ray parameter the difference quotient is replaced by the
 # directional derivative (relative to max(1, |x|))
 _H_SAFE = 1e-7
+# grid samples in a block of ray directions, whose flips share one
+# bisection; u.eval takes a grid, and a power block its GL nodes, in
+# _EVAL_SAMPLES at most (larger node arrays cost more per node than calls)
+_BLOCK_SAMPLES = 2 ** 17
+_EVAL_SAMPLES = 2 ** 15
 
 
 @dataclass
@@ -193,6 +199,29 @@ def _ray_cutoff(X: np.ndarray, far: float, quad) -> np.ndarray:
     return H
 
 
+def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
+    """The weighted sum, in rule order, of the values (shape (d, m))
+    that block(rows, omega) returns for the rays of the points X (m, n)
+    in d >= 1 of the rule's directions at a time, d * m <= rays where it
+    can: row k*m + i of rows is point i, in the direction omega[k*m + i]
+    (direction-major), or omega itself when d = 1."""
+    m = X.shape[0]
+    step = max(1, rays // m)
+    acc = np.zeros(m)
+    for k in range(0, rule.node_count, step):
+        nodes = rule.nodes[k:k + step]
+        vals = block(np.tile(X, (len(nodes), 1)), nodes[0] if len(nodes) == 1
+                     else np.repeat(nodes, m, axis=0))
+        for w, v in zip(rule.weights[k:k + step], vals):
+            acc += w * v
+    return acc
+
+
+def _at(omega: np.ndarray, rows) -> np.ndarray:
+    """The directions of the rays `rows`: omega, or its rows if per ray."""
+    return omega if omega.ndim == 1 else omega[rows]
+
+
 # ----------------------------------------------------------------------
 # superlevel machinery
 # ----------------------------------------------------------------------
@@ -201,7 +230,8 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
                          threshold: float, quad: QuadratureSpec, far: float):
     """Superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} of the
     points X (shape (m, n)) as flat arrays (row, a, b, ambiguous), given
-    far = u.far_radius(threshold * _FAR_ETA_FRAC).
+    far = u.far_radius(threshold * _FAR_ETA_FRAC); omega is one direction
+    w for every ray or one per row, shape (m, n).
 
     Interval i is (a[i], b[i]) on the ray of point row[i]; the intervals
     are sorted by row and by h within a row.  b = inf when the set
@@ -220,12 +250,21 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     N = quad.h_bracket_grid
     live = np.nonzero(H > h_lo)[0]
     log_lo = math.log(h_lo)
-    grids = np.exp(log_lo + (np.log(H[live]) - log_lo)[:, None]
-                   * np.linspace(0.0, 1.0, N)[None, :])
-    pts = X[live, None, :] + grids[..., None] * omega[None, None, :]
-    G = np.abs(u.eval(pts.reshape(-1, X.shape[1])).reshape(live.size, N)
-               - u_x[live, None]) - threshold
-    pos = G > 0.0
+    grids = log_lo + (np.log(H[live]) - log_lo)[:, None] \
+        * np.linspace(0.0, 1.0, N)[None, :]
+    np.exp(grids, out=grids)
+
+    def residual(rows):
+        # the residual at ray parameters h of shape (rows, ...)
+        Xb, wb = X[live[rows], None, :], _at(omega, live[rows])[..., None, :]
+        uxb = u_x[live[rows], None]
+        return lambda h: (np.abs(u.eval(Xb + h.reshape(len(Xb), -1, 1) * wb)
+                                 - uxb) - threshold).reshape(h.shape)
+
+    pos = np.empty(grids.shape, dtype=bool)
+    step = max(1, _EVAL_SAMPLES // N)
+    for s in range(0, live.size, step):
+        pos[s:s + step] = residual(slice(s, s + step))(grids[s:s + step]) > 0
 
     max_flips = int(np.max(np.sum(pos[:, :-1] != pos[:, 1:], axis=1),
                            initial=0))
@@ -233,11 +272,6 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
         raise BracketingError(
             f"{max_flips} sign changes on a {N}-point ray grid; increase "
             "h_bracket_grid")
-
-    def residual(rows):
-        Xb, uxb = X[live[rows]], u_x[live[rows]]
-        return lambda h: np.abs(u.eval(Xb + h[:, None] * omega[None, :])
-                                - uxb) - threshold
 
     cell, a, b, is_pos = sign_pieces(residual, grids, pos)
     cell, a, b = cell[is_pos], a[is_pos], b[is_pos]
@@ -269,27 +303,31 @@ def nguyen_functional(u: ScalarField, p, delta: float,
     state = {"found": False, "amb": 0.0}
 
     def F(X):
+        m = X.shape[0]
         px = p.eval(X)
-        acc = np.zeros(X.shape[0])
-        for w, omega in zip(rule.weights, rule.nodes):
+        # libm powers of Python floats; numpy's SIMD pow rounds otherwise
+        delta_p = np.array([delta ** q for q in px.tolist()])
+
+        def block(rows, omega):
             # closed-form inner integral: over each superlevel interval
             # (a, b), delta^p (a^-p - b^-p) / p, without the 1/p when weighted
-            row, a, b, ambiguous = superlevel_intervals(u, X, omega, delta,
+            row, a, b, ambiguous = superlevel_intervals(u, rows, omega, delta,
                                                         quad, far)
-            # libm powers of Python floats; numpy's SIMD pow rounds otherwise
-            P = px[row].tolist()
-            vals = np.zeros(X.shape[0])
+            P = px[row % m].tolist()
+            vals = np.zeros(rows.shape[0])
             np.add.at(vals, row, [ai ** -q - bi ** -q for ai, bi, q
                                   in zip(a.tolist(), b.tolist(), P)])
-            vals *= [delta ** q for q in px.tolist()]
-            if not weighted:
-                vals /= px
             state["found"] = state["found"] or row.size > 0
-            # possible unclassified mass beyond H on ambiguous rays
-            state["amb"] += sum(delta ** q * bi ** -q / q for q, bi, flag
-                                in zip(P, b.tolist(), ambiguous) if flag)
-            acc += w * vals
-        return acc
+            # possible unclassified mass beyond H on ambiguous rays, summed
+            # per direction
+            amb = [(r // m, delta ** q * bi ** -q / q) for r, q, bi, flag
+                   in zip(row.tolist(), P, b.tolist(), ambiguous) if flag]
+            for _, terms in itertools.groupby(amb, key=lambda t: t[0]):
+                state["amb"] += sum(t for _, t in terms)
+            vals = vals.reshape(-1, m) * delta_p
+            return vals if weighted else vals / px
+        return _direction_sum(X, rule, _BLOCK_SAMPLES // quad.h_bracket_grid,
+                              block)
 
     base = u.far_radius(0.5 * min(delta, u.sup_bound)) + 2.0
     res = _outer_integrate(F, u, quad, base, seeds=u.kink_points())
@@ -339,14 +377,15 @@ def _weight_flag(weight_mode: str) -> bool:
 def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
               h: np.ndarray, grad_dir, u_x) -> np.ndarray:
     """|u(x + h w) - u(x)| / h on pieces of rays: row k of h holds ray
-    parameters on the ray from x[k], where u is u_x[k] and grad u . w is
+    parameters on the ray from x[k] in direction w (omega, or omega[k]
+    when it holds one per row), where u is u_x[k] and grad u . w is
     grad_dir[k].  Below the cancellation floor the quotient loses all
     significant digits and is replaced by |grad_dir|."""
     h_safe = _H_SAFE * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
     out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
     big = h >= h_safe[:, None]
     k = np.nonzero(big)[0]
-    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * omega[None, :])
+    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * _at(omega, k))
                       - u_x[k]) / h[big]
     return out
 
@@ -354,7 +393,8 @@ def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
 def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
                 H: np.ndarray, quad: QuadratureSpec, exclude=None):
     """GL15 nodes in t = h^beta on the rays x_i + h w, 0 < h <= H_i, of
-    the points X; beta is a number or one per point.
+    the points X; w is omega or, when omega holds one direction per row,
+    omega[i], and beta is a number or one per point.
 
     A ray's panels break at a geometric grid from 1e-13 to H_i, at its
     kink-radius crossings and at the ends of the intervals `exclude` =
@@ -387,8 +427,8 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
     beta = beta[row] if np.ndim(beta) else beta
     t, w_t = piece_nodes(lo ** beta, hi ** beta)
     h = t ** np.reshape(1.0 / beta, (-1, 1))
-    psi = ray_slope(u, X[row], omega, h, np.vecdot(u.grad(X), omega)[row],
-                    u.eval(X)[row])
+    psi = ray_slope(u, X[row], _at(omega, row), h,
+                    np.vecdot(u.grad(X), omega)[row], u.eval(X)[row])
     return row, h, w_t, psi
 
 
@@ -409,30 +449,34 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
 
     def F(X):
         q, r = exps(X)
-        u_x = u.eval(X)
         m = X.shape[0]
         H = _ray_cutoff(X, far, quad)
-        acc = np.zeros(m)
-        for w, omega in zip(rule.weights, rule.nodes):
+        far_tail = coef * np.abs(u.eval(X)) ** q * H ** (-r) / r
+
+        def block(rows, omega):
             exclude = None
-            tail = np.ones(m, dtype=bool)
+            tail = np.ones((rows.shape[0] // m, m), dtype=bool)
             if restrict_small:
-                erow, a, b, _ = superlevel_intervals(u, X, omega, 1.0, quad,
-                                                     far_small)
+                erow, a, b, _ = superlevel_intervals(u, rows, omega, 1.0,
+                                                     quad, far_small)
                 exclude = (erow, a, b)
                 # a large jump that reaches infinity leaves no far tail
-                tail[erow[np.isinf(b)]] = False
-            row, _, w_t, psi = ray_t_nodes(u, X, omega, beta, H, quad,
+                tail.flat[erow[np.isinf(b)]] = False
+            row, _, w_t, psi = ray_t_nodes(u, rows, omega, beta,
+                                           np.tile(H, len(tail)), quad,
                                            exclude)
-            qn = q[row, None] if np.ndim(q) else q
+            qn = q[row % m, None] if np.ndim(q) else q
             # every ray keeps its first panel, so each row owns a
             # non-empty run of 15 nodes per panel
-            starts = 15 * np.searchsorted(row, np.arange(m))
+            starts = 15 * np.searchsorted(row, np.arange(rows.shape[0]))
             val = coef * (np.add.reduceat((w_t * psi ** qn).ravel(), starts)
                           / beta)
-            val[tail] += (coef * np.abs(u_x) ** q * H ** (-r) / r)[tail]
-            acc += w * val
-        return acc
+            val = val.reshape(tail.shape)
+            val[tail] += np.broadcast_to(far_tail, tail.shape)[tail]
+            return val
+        # a ray holds about 7.5 h_bracket_grid nodes
+        return _direction_sum(X, rule, _EVAL_SAMPLES * 2
+                              // (15 * quad.h_bracket_grid), block)
 
     res = _outer_integrate(F, u, quad, far + 2.0, seeds=u.kink_points())
     return FunctionalValue(res.value, res.error, res.radius, res.n_evals)

@@ -1,12 +1,13 @@
 """Hardy-Littlewood and directional maximal functions, the variable
 exponent divergence experiment, and normalized mean-oscillation integrals.
 
-One radius scan serves every maximal function: all points of a call
-and all grid radii are averaged in one batch, then golden-section
-refinement steps every point's bracket in lockstep.  Averages are GL15
-on panels cut at the field's kinks and graded by decades about each kink
-and singular point, so the experiment profiles (indicator overlaps,
-power tails, log singularities) are resolved to quadrature accuracy.
+One radius scan serves every maximal function: the points of a block
+(up to _POINT_BLOCK of them) and all grid radii are averaged in one
+batch, then golden-section refinement steps every point's bracket in
+lockstep.  Averages are GL15 on panels cut at the field's kinks and
+graded by decades about each kink and singular point, so the experiment
+profiles (indicator overlaps, power tails, log singularities) are
+resolved to quadrature accuracy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from . import spaces
 from .sweeps import fit_offset_power
 
 _R_FLOOR = 1e-6
+# points per radius scan; each point's scan holds about 0.5 MB
+_POINT_BLOCK = 64
 
 
 @dataclass
@@ -87,25 +90,31 @@ def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
         raise DomainError("maximal function points must be finite")
     if not np.all(np.isfinite(r_max) & (r_max > _R_FLOOR)):
         raise DomainError(f"r_max must be finite and above {_R_FLOOR:g}")
-    xs = x.ravel()[:, None]
     left = np.asarray(sides, dtype=float)[:, None, None] < 0.0
 
-    def avg(r):
-        # r holds radii per point, shape (m, k); sides stack on axis 0
-        lo = np.where(left, xs - r, xs)
-        hi = np.where(left, xs, xs + r)
-        a = _interval_average(u, lo.ravel(), hi.ravel()).reshape(lo.shape)
-        return np.sum(a, axis=0) / len(sides)
+    def scan(xs, r_max):
+        def avg(r):
+            # r holds radii per point, shape (m, k); sides stack on axis 0
+            lo = np.where(left, xs - r, xs)
+            hi = np.where(left, xs, xs + r)
+            a = _interval_average(u, lo.ravel(), hi.ravel()).reshape(lo.shape)
+            return np.sum(a, axis=0) / len(sides)
 
-    rs = np.geomspace(_R_FLOOR, r_max, n_grid, axis=1)
-    vals = avg(rs)
-    i = np.argmax(vals, axis=1)
-    at = np.arange(xs.size)
-    _, best = golden_max(lambda r: avg(r[:, None])[:, 0],
-                         rs[at, np.maximum(i - 1, 0)],
-                         rs[at, np.minimum(i + 1, n_grid - 1)],
-                         iters=20 * depth)
-    return np.maximum(vals[at, i], best).reshape(x.shape)[()]
+        rs = np.geomspace(_R_FLOOR, r_max, n_grid, axis=1)
+        vals = avg(rs)
+        i = np.argmax(vals, axis=1)
+        at = np.arange(xs.size)
+        _, best = golden_max(lambda r: avg(r[:, None])[:, 0],
+                             rs[at, np.maximum(i - 1, 0)],
+                             rs[at, np.minimum(i + 1, n_grid - 1)],
+                             iters=20 * depth)
+        return np.maximum(vals[at, i], best)
+
+    # a block of points at a time bounds the scan's memory
+    xs = x.ravel()[:, None]
+    out = [scan(xs[k:k + _POINT_BLOCK], r_max[k:k + _POINT_BLOCK])
+           for k in range(0, xs.shape[0], _POINT_BLOCK)]
+    return np.concatenate(out or [np.empty(0)]).reshape(x.shape)[()]
 
 
 def hl_maximal(u: ScalarField, x, r_max, depth: int = 3,

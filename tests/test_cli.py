@@ -285,6 +285,35 @@ def test_non_numeric_list_value_exits_2(tmp_path, capsys, command, cfg, key):
 
 
 @pytest.mark.parametrize("command, cfg, key", [
+    ("maximal", {**MAXIMAL_CFG, "r_max": True}, "r_max"),
+    ("nguyen", {**NGUYEN_CFG, "quad": {"rel_tol": "1e-3"}}, "rel_tol"),
+    ("nguyen", {**NGUYEN_CFG, "quad": {"rel_tol": "nan"}}, "rel_tol"),
+    ("nguyen", {**NGUYEN_CFG, "delta": math.nan}, "delta"),
+    ("nguyen", {**NGUYEN_CFG, "quad": {"h_max": math.inf}}, "h_max"),
+    ("maximal", {**MAXIMAL_CFG, "points": [True, 2]}, "points"),
+    ("bmo", {"field": GAUSS_FIELD, "interior": [True, 2],
+             "balls": [[0.0, 0.5]]}, "interior"),
+    ("sweep", {"field": GAUSS_FIELD, "exponent": P2, "kind": "bbm",
+               "grid": [0.7, "0.8"]}, "grid"),
+])
+def test_float_values_refuse_booleans_strings_and_non_finite(
+        tmp_path, capsys, command, cfg, key):
+    # each would once have run: true as 1.0, "1e-3" as 0.001, and a NaN
+    # tolerance that no stopping test ever satisfies
+    assert run_cli(command, "--config",
+                   write_cfg(tmp_path, "bad.json", cfg)) == 2
+    assert f"{key!r} must be numeric and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "nan"), ("--p", "true"),
+                                         ("--n", "2.5")])
+def test_command_line_lists_are_checked_like_config_values(capsys, flag,
+                                                           value):
+    assert run_cli("constants", flag, value) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
     ("bmo", {"field": GAUSS_FIELD, "interior": [-1.0, 1.0],
              "balls": [[0.0]]}, "balls"),
     ("bmo", {"field": GAUSS_FIELD, "interior": [1],

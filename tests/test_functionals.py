@@ -212,6 +212,84 @@ def test_superlevel_arrays_match_row_loop(delta, omega):
     assert list(zip(row[ambiguous].tolist(), b[ambiguous].tolist())) == amb
 
 
+def _rays(u, n_dir):
+    """Points of u's dimension and n_dir directions, as the separate
+    arrays and as direction-major rows (row k*m + i is point i in
+    direction k)."""
+    from vexs import default_rule
+    n = u.dimension
+    X = np.linspace(-2.5, 2.1, 9 * n).reshape(9, n)
+    nodes = default_rule(n, None if n == 1 else n_dir).nodes
+    return X, nodes, np.tile(X, (len(nodes), 1)), np.repeat(nodes, 9, axis=0)
+
+
+@pytest.mark.parametrize("u", [Gaussian(scale=1.5),
+                               Gaussian(scale=1.5, dimension=2)])
+def test_superlevel_per_row_directions_match_stacked_calls(u):
+    X, nodes, rows, omega = _rays(u, 8)
+    quad, far = QuadratureSpec(h_bracket_grid=64), u.far_radius(0.3e-6)
+    got = superlevel_intervals(u, rows, omega, 0.3, quad, far)
+    alone = [superlevel_intervals(u, X, w, 0.3, quad, far) for w in nodes]
+    want = [np.concatenate([r + k * len(X) for k, (r, *_) in
+                            enumerate(alone)])]
+    want += [np.concatenate(parts) for parts in list(zip(*alone))[1:]]
+    assert want[0].size > 10
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def one_direction_blocks(monkeypatch):
+    """Run the direction blocks once with a single direction each (and
+    the ray grids one ray per field evaluation) and once with every
+    direction in one block."""
+    import vexs.functionals as fn
+
+    def both(compute):
+        for budget in (1, 2 ** 40):
+            monkeypatch.setattr(fn, "_BLOCK_SAMPLES", budget)
+            monkeypatch.setattr(fn, "_EVAL_SAMPLES", budget)
+            yield compute()
+    return lambda compute: tuple(both(compute))
+
+
+def test_nguyen_2d_same_value_for_any_direction_block(one_direction_blocks):
+    from vexs import default_rule
+    u, p = Gaussian(dimension=2), inverse_quadratic(2.0, 1.0, dimension=2)
+    quad = QuadratureSpec(sphere_rule=default_rule(2, 16), h_bracket_grid=64,
+                          outer_x_tolerance=1e-2, rel_tol=1e-2)
+    single, whole = one_direction_blocks(
+        lambda: nguyen_functional(u, p, 0.2, "p_of_x", quad))
+    assert single == whole and single.value > 0.0
+
+
+def test_eps_small_jump_same_value_for_any_direction_block(
+        one_direction_blocks):
+    u, p = Gaussian(scale=3.0), inverse_quadratic(2.0, 1.0)
+    quad = QuadratureSpec(outer_x_tolerance=1e-5)
+    single, whole = one_direction_blocks(
+        lambda: eps_functional(u, p, 0.25, "small_jump", quad))
+    assert single == whole and single.value > 0.0
+
+
+def test_superlevel_memory_is_bounded_on_many_rows():
+    # 20,000 rays of 128 samples: the grid itself is 20 MB, and its
+    # evaluation in slices keeps the peak near it (unsliced, the points
+    # and the field's temporaries reach about 100 MB)
+    import tracemalloc
+    u, quad = Gaussian(), QuadratureSpec(h_bracket_grid=128)
+    X = np.linspace(-4.0, 4.0, 20000)[:, None]
+    far = u.far_radius(0.1e-6)
+    tracemalloc.start()
+    try:
+        row, *_ = superlevel_intervals(u, X, np.array([1.0]), 0.1, quad, far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.size > 10000
+    assert peak < 32 * 2 ** 20
+
+
 def test_eps_zero_field_all_modes():
     z = Gaussian(scale=0.0)
     for mode in ("full", "small_jump", "large_jump_tail"):

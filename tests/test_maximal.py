@@ -89,6 +89,22 @@ def test_batched_maximal_matches_scalar_calls(u, xs):
     assert isinstance(hl_maximal(u, xs[0], 5.0), float)
 
 
+def test_long_profile_matches_points_alone_in_bounded_memory():
+    # 200 points scan in blocks: every value is the point's own scan,
+    # and the peak allocation stays far below one unblocked scan's
+    # (about 0.5 MB per point, 95 MB here)
+    import tracemalloc
+    pts = np.linspace(-2.0, 2.0, 200)
+    tracemalloc.start()
+    try:
+        prof = maximal_profile(Tent(), pts, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+    assert list(prof.values) == [hl_maximal(Tent(), x, 3.0) for x in pts]
+
+
 @pytest.mark.parametrize("x", [-2.0, -3.0, -10.0, -100.0, -1000.0, -5000.0,
                                -10000.0])
 def test_counterexample_maximal_matches_closed_form(x):

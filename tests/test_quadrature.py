@@ -191,6 +191,31 @@ def test_ray_t_nodes_exclusion_stays_on_its_ray():
     assert w_t[row == 0].sum() == pytest.approx(0.7 ** 0.4, rel=1e-14)
 
 
+@pytest.mark.parametrize("u", [Gaussian(scale=1.5),
+                               Gaussian(scale=1.5, dimension=2)])
+def test_ray_t_nodes_per_row_directions_match_stacked_calls(u):
+    # direction-major rows (row k*m + i is point i in direction k), with
+    # per-point beta and an exclusion on some rays of every direction
+    from vexs import default_rule
+    n = u.dimension
+    X = np.linspace(-2.5, 2.1, 5 * n).reshape(5, n)
+    nodes = default_rule(n, None if n == 1 else 8).nodes
+    H, beta = np.linalg.norm(X, axis=1) + 2.0, np.linspace(0.3, 0.6, 5)
+    exclude = (np.array([0, 3]), np.array([0.4, 0.2]),
+               np.array([np.inf, 0.9]))
+    quad, d = QuadratureSpec(h_bracket_grid=32), len(nodes)
+    got = ray_t_nodes(u, np.tile(X, (d, 1)), np.repeat(nodes, 5, axis=0),
+                      np.tile(beta, d), np.tile(H, d), quad,
+                      (np.concatenate([exclude[0] + 5 * k
+                                       for k in range(d)]),
+                       np.tile(exclude[1], d), np.tile(exclude[2], d)))
+    alone = [ray_t_nodes(u, X, w, beta, H, quad, exclude) for w in nodes]
+    want = [np.concatenate([r + 5 * k for k, (r, *_) in enumerate(alone)])]
+    want += [np.concatenate(parts) for parts in list(zip(*alone))[1:]]
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+
+
 def _ray_nodes_by_loop(u, x, omega, beta, H, n_panels, a, b):
     """Reference: the panel rule built one ray at a time, with excluded
     panels found by their midpoints; returns (h, w_t, psi) per node."""
