@@ -20,8 +20,9 @@ class UnsupportedFieldError(VexsError):
 
 
 class BracketingError(VexsError):
-    """Superlevel-set bracketing detected a sign change that bisection
-    could not isolate; the h grid is too coarse for this integrand."""
+    """Superlevel-set bracketing found more sign changes on a ray's h grid
+    than it resolves (over a quarter of its samples); the grid is too
+    coarse for this integrand."""
 
 
 class ConfigError(VexsError):

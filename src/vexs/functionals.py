@@ -6,7 +6,8 @@ integral over the ray parameter h in y = x + h w.  The threshold
 functional's inner integrand delta^p h^{-p-1} has an exact
 antiderivative, so its only numerical content is the location of the
 superlevel set {h : |u(x+hw) - u(x)| > delta}, found by sign-change
-bracketing on a geometric h grid refined by bisection.  The
+bracketing on a geometric h grid whose brackets are solved to 4 ulp by
+a safeguarded Illinois (regula falsi) step.  The
 epsilon-perturbed, BBM and fractional-order integrals have no closed
 inner antiderivative; one kernel, `ray_t_nodes`, computes them in the
 substituted variable t = h^beta, which absorbs the h^{beta-1}
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
-from .fields import ScalarField
+from .fields import ScalarField, _square_norms
 from .quadrature import (adaptive_integrate, panel_nodes, piece_nodes,
                          row_pieces, sign_pieces)
 from .sphere import SphereRule, default_rule, k_np_values
@@ -38,8 +39,8 @@ _FAR_ETA_FRAC = 1e-6
 # below this ray parameter the difference quotient is replaced by the
 # directional derivative (relative to max(1, |x|))
 _H_SAFE = 1e-7
-# grid samples in a block of ray directions, whose flips share one
-# bisection; u.eval takes a grid, and a power block its GL nodes, in
+# grid samples in a block of ray directions, whose flips share one root
+# solve; u.eval takes a grid, and a power block its GL nodes, in
 # _EVAL_SAMPLES at most (larger node arrays cost more per node than calls)
 _BLOCK_SAMPLES = 2 ** 17
 _EVAL_SAMPLES = 2 ** 15
@@ -60,7 +61,8 @@ class QuadratureSpec:
         for the epsilon/BBM inner integrals.
     h_max: hard radial cutoff for the inner integrals; None means automatic
         (analytic far tails are added beyond the cutoff either way).
-    rel_tol: global relative tolerance (shell stopping, bisection brackets).
+    rel_tol: global relative tolerance (shell stopping, the layer-cake
+        threshold integral).
     """
 
     truncation_radius: float | None = None
@@ -193,7 +195,7 @@ def _require_lipschitz_decay(u: ScalarField, op: str) -> float:
 
 def _ray_cutoff(X: np.ndarray, far: float, quad) -> np.ndarray:
     """Per point, the h beyond which its rays stay outside radius far."""
-    H = np.linalg.norm(X, axis=1) + far + 1.0
+    H = np.sqrt(_square_norms(X)) + far + 1.0
     if quad.h_max is not None:
         H = np.minimum(H, quad.h_max)
     return H
@@ -220,6 +222,19 @@ def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
 def _at(omega: np.ndarray, rows) -> np.ndarray:
     """The directions of the rays `rows`: omega, or its rows if per ray."""
     return omega if omega.ndim == 1 else omega[rows]
+
+
+def _ray_points(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The points x[k] + h[k, j] w[k] (w one direction or one per row),
+    shape h.shape + (n,): the floats of x[:, None] + h[..., None] * w,
+    made a coordinate at a time, since numpy broadcasts over a short last
+    axis several times slower."""
+    w = np.broadcast_to(w, x.shape)
+    out = np.empty(h.shape + x.shape[1:])
+    for j in range(x.shape[1]):
+        np.multiply(h, w[:, j, None], out=out[..., j])
+        out[..., j] += x[:, j, None]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -250,35 +265,42 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     N = quad.h_bracket_grid
     live = np.nonzero(H > h_lo)[0]
     log_lo = math.log(h_lo)
-    grids = log_lo + (np.log(H[live]) - log_lo)[:, None] \
-        * np.linspace(0.0, 1.0, N)[None, :]
-    np.exp(grids, out=grids)
+    log_span = np.log(H[live]) - log_lo
+    t = np.linspace(0.0, 1.0, N)
 
     def residual(rows):
         # the residual at ray parameters h of shape (rows, ...)
-        Xb, wb = X[live[rows], None, :], _at(omega, live[rows])[..., None, :]
-        uxb = u_x[live[rows], None]
-        return lambda h: (np.abs(u.eval(Xb + h.reshape(len(Xb), -1, 1) * wb)
-                                 - uxb) - threshold).reshape(h.shape)
+        r = live[rows]
+        Xb, wb, uxb = X[r], _at(omega, r), u_x[r, None]
+        return lambda h: (np.abs(u.eval(_ray_points(Xb, wb, h.reshape(
+            len(Xb), -1))) - uxb) - threshold).reshape(h.shape)
 
-    pos = np.empty(grids.shape, dtype=bool)
-    step = max(1, _EVAL_SAMPLES // N)
-    for s in range(0, live.size, step):
-        pos[s:s + step] = residual(slice(s, s + step))(grids[s:s + step]) > 0
-
-    max_flips = int(np.max(np.sum(pos[:, :-1] != pos[:, 1:], axis=1),
-                           initial=0))
-    if max_flips > N // 4:
-        raise BracketingError(
-            f"{max_flips} sign changes on a {N}-point ray grid; increase "
-            "h_bracket_grid")
-
-    cell, a, b, is_pos = sign_pieces(residual, grids, pos)
-    cell, a, b = cell[is_pos], a[is_pos], b[is_pos]
+    # rays go through in blocks of _BLOCK_SAMPLES grid samples, which
+    # bounds the memory of the grids and their residuals; the field gets
+    # them in slices of _EVAL_SAMPLES
+    parts = [(np.empty(0, dtype=int), np.empty(0), np.empty(0),
+              np.empty(0, dtype=bool))]
+    block, step = max(1, _BLOCK_SAMPLES // N), max(1, _EVAL_SAMPLES // N)
+    for s in range(0, live.size, block):
+        grids = np.exp(log_lo + log_span[s:s + block, None] * t)
+        vals = np.empty(grids.shape)
+        for e in range(0, len(grids), step):
+            g = grids[e:e + step]
+            vals[e:e + step] = residual(slice(s + e, s + e + len(g)))(g)
+        pos = vals > 0.0
+        max_flips = int(np.max(np.sum(pos[:, :-1] != pos[:, 1:], axis=1)))
+        if max_flips > N // 4:
+            raise BracketingError(
+                f"{max_flips} sign changes on a {N}-point ray grid; "
+                "increase h_bracket_grid")
+        cell, a, b, is_pos = sign_pieces(lambda r: residual(s + r), grids,
+                                         vals)
+        cell, a, b = cell[is_pos], a[is_pos], b[is_pos]
+        # a set still above the threshold at the last grid point runs on
+        # to H, or to infinity when the far jump |u(x)| clears it
+        parts.append((s + cell, a, b, b == grids[cell, -1]))
+    cell, a, b, tail = (np.concatenate(v) for v in zip(*parts))
     row = live[cell]
-    # a set still above the threshold at the last grid point runs on to
-    # H, or to infinity when the far jump |u(x)| clears the threshold
-    tail = b == grids[cell, -1]
     far_jump = np.abs(u_x[row])
     clear = far_jump > threshold + eta
     b[tail] = np.where(clear[tail], math.inf, H[row[tail]])
@@ -349,7 +371,7 @@ def local_energy(u: ScalarField, p, weight_mode: str = "unit",
 
     def F(X):
         px = p.eval(X)
-        g = np.linalg.norm(u.grad(X), axis=1)
+        g = np.sqrt(_square_norms(u.grad(X)))
         vals = k_np_values(n, px) * g ** px
         if weighted:
             vals = vals * px
@@ -559,9 +581,9 @@ class _PairSection:
     range into the parts above and below {phi = threshold}.  Whole cells
     are classified by the extremes of phi over their sample path.  One
     piece builder, `_boundary_pieces`, resolves the boundary cells of both
-    callers: `quadrature.sign_pieces` bisects every sign change of the
-    batch at once and cuts each cell into signed (row, lo, hi) pieces,
-    which get fresh GL nodes.
+    callers: `quadrature.sign_pieces` solves every sign change of the
+    batch at once, from the sampled values of phi, and cuts each cell
+    into signed (row, lo, hi) pieces, which get fresh GL nodes.
     """
 
     N_XPAN = 16
@@ -612,14 +634,14 @@ class _PairSection:
         # order at a fraction of its cost on n-d masks
         dd, rows, cols = np.unravel_index(np.flatnonzero(boundary),
                                           boundary.shape)
-        pos = self.PHI_samples[rows, cols, :] > threshs[dd, None]  # (k, 17)
+        vals = self.PHI_samples[rows, cols, :] - threshs[dd, None]  # (k, 17)
 
         def residual(brows):
             xv, th = self.xnodes[rows[brows]], threshs[dd[brows]]
             return lambda y: self.phi(xv, y) - th
 
         cell, lo, hi, is_above = sign_pieces(residual, self.ysamples[cols],
-                                             pos)
+                                             vals)
         return dd[cell], rows[cell], lo, hi, is_above
 
     def _piece_nodes(self, row, lo, hi):
@@ -635,7 +657,7 @@ class _PairSection:
 
         Whole cells reuse the precomputed psi cell integrals; boundary
         cells across the entire (threshold, x, cell) batch share one
-        vectorized bisection and one fresh GL evaluation.
+        vectorized root solve and one fresh GL evaluation.
         """
         threshs = np.asarray(threshs, dtype=float)
         above_all = self.cell_min[None] > threshs[:, None, None]  # (d, m, c)
@@ -757,7 +779,7 @@ def uniform_bound_check(u: ScalarField, p, delta_grid,
         return UniformBoundCheck(0.0, 0.0, vals)
 
     def igd(X, q):
-        return np.linalg.norm(u.grad(X), axis=1) ** q
+        return np.sqrt(_square_norms(u.grad(X))) ** q
 
     base = u.far_radius(1e-10 * max(u.sup_bound, 1.0)) + 2.0
     rhs = 0.0

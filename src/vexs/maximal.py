@@ -258,9 +258,9 @@ def _ball_oscillation(u: ScalarField, a: float, b: float,
 
     # cut the y range of every x node at the roots of u(y) = u(x)
     ygrid = np.linspace(a, b, 65)
-    pos = u.eval(ygrid)[None, :] - ux[:, None] > 0.0
+    vals = u.eval(ygrid)[None, :] - ux[:, None]
     node, lo, hi, _ = sign_pieces(lambda rows: lambda y: u.eval(y) - ux[rows],
-                                  np.broadcast_to(ygrid, pos.shape), pos)
+                                  np.broadcast_to(ygrid, vals.shape), vals)
     ys, ws = piece_nodes(lo, hi)
     diff = np.abs(u.eval(ys.ravel()).reshape(ys.shape) - ux[node, None])
     acc = np.zeros(xnodes.size)

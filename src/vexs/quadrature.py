@@ -3,8 +3,9 @@
 Everything here is plumbing shared by the heavier modules: fixed
 Gauss-Legendre rules on arbitrary pieces (`piece_nodes`) and on
 contiguous panels (`panel_nodes`), an adaptive panel-splitting
-integrator with a reproducible refinement order, vectorized bisection
-for batches of sign-change brackets, the sign-change sectioning of
+integrator with a reproducible refinement order, a vectorized
+safeguarded Illinois root step for batches of sign-change brackets
+(`vector_bisect`), the sign-change sectioning of
 sampled paths into signed pieces (`sign_pieces`, which serves the
 superlevel rays, the layer-cake cells and the mean-oscillation balls),
 the cutting of rows at sorted breakpoints into pieces (`row_pieces`,
@@ -137,51 +138,97 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
                           n_evals=n_evals, n_panels=len(panels))
 
 
-def vector_bisect(g: Callable[[np.ndarray], np.ndarray],
-                  lo: np.ndarray, hi: np.ndarray,
-                  lo_positive: np.ndarray,
-                  iters: int = 60) -> np.ndarray:
-    """Bisect a batch of sign-change brackets simultaneously.
+_EPS = np.finfo(float).eps
+# every _CHECK steps, a root bracket whose width has not halved since the
+# last check takes a midpoint step
+_CHECK = 5
 
-    g maps an array of abscissae to residual values; `lo_positive` gives
-    the sign of g at each `lo`.  All brackets shrink in lockstep for at
-    most `iters` calls of g, stopping early after a step that moved no
-    bracket end (every bracket is then a fixed point, so stopping changes
-    no result).
+
+def vector_bisect(g: Callable[[np.ndarray], Callable],
+                  lo: np.ndarray, hi: np.ndarray,
+                  g_lo: np.ndarray, g_hi: np.ndarray,
+                  iters: int = 300) -> np.ndarray:
+    """Roots of a batch of sign-change brackets [lo, hi], by a safeguarded
+    Illinois (modified regula falsi) iteration.
+
+    g(idx) returns the residual of the brackets idx (an index array) as a
+    function of one abscissa per bracket; `g_lo` and `g_hi` are the
+    residuals at the ends, one positive and the other not, and the root
+    is where "residual > 0" flips.  Each step goes to the secant point,
+    kept at least tol = 2 eps max(|lo|, |hi|) inside the bracket (Brent's
+    nudge, so a one-sided approach ends by crossing the root), and halves
+    the residual of an end kept twice in a row.  Every _CHECK steps, a
+    bracket whose width has not halved since the last check takes a
+    midpoint step (counted as halving it), so the width halves at least
+    that often.  A bracket is done once its width is at most 2 tol
+    (4 ulp; its midpoint is returned) or a residual is exactly 0 (that
+    abscissa is returned), or after `iters` steps, enough for about 60
+    halvings.  Only unfinished brackets are evaluated, and each performs
+    the float operations of a scalar run on that bracket, whatever batch
+    it is in.  The name is that of the bisection this replaced, which the
+    benchmark's per-layer metrics bind.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        same = (g(mid) > 0.0) == lo_positive
-        new_lo = np.where(same, mid, lo)
-        new_hi = np.where(same, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+    x0, x1 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f0, f1 = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
+    # x0 is the end kept by the last step and x1 the last point, first lo
+    # and hi; a zero residual collapses the bracket onto its abscissa
+    x1 = np.where(f0 == 0.0, x0, x1)
+    x0 = np.where(f1 == 0.0, x1, x0)
+    root = np.empty(x0.size)
+    act = np.arange(x0.size)
+    ref = np.full(x0.size, np.inf)  # the width at the last check
+    for it in range(iters + 1):
+        d = x1 - x0
+        w = np.abs(d)
+        tol = 2.0 * _EPS * np.maximum(np.abs(x0), np.abs(x1))
+        done = w <= 2.0 * tol
+        if done.any():
+            root[act[done]] = (x0 + 0.5 * d)[done]
+            more = ~done
+            act, x0, x1, f0, f1, ref, d, w, tol = (
+                v[more] for v in (act, x0, x1, f0, f1, ref, d, w, tol))
+        if not act.size or it == iters:
             break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+        e = tol / w
+        c = x1 - np.fmin(np.fmax(f1 / (f1 - f0), e), 1.0 - e) * d
+        if it % _CHECK == 0:
+            mid = w > 0.5 * ref
+            np.copyto(c, x0 + 0.5 * d, where=mid)
+            ref = np.where(mid, 0.5 * w, w)
+        fc = g(act)(c)
+        # c replaces x1 when their residuals agree in sign; x0 is then
+        # kept again (after the first step, twice in a row: the step that
+        # made x1 kept it too), so its residual is halved
+        again = (fc > 0.0) == (f1 > 0.0)
+        x0 = np.where(again, x0, x1)
+        f0 = np.where(again, 0.5 * f0 if it else f0, f1)
+        np.copyto(x0, c, where=fc == 0.0)
+        x1, f1 = c, fc
+    root[act] = x0 + 0.5 * (x1 - x0)
+    return root
 
 
 def sign_pieces(residual: Callable[[np.ndarray], Callable],
-                samples: np.ndarray, pos: np.ndarray):
+                samples: np.ndarray, values: np.ndarray):
     """Cut sampled paths into pieces of constant residual sign.
 
     Row k of `samples` (shape (m, s)) holds increasing abscissae of one
-    path and row k of `pos` whether the residual is positive there.
-    `residual(rows)` returns the residual of those rows as a function of
-    an abscissa per row.  Every sign flip between adjacent samples is
-    bisected, all in one `vector_bisect` call (none when nothing flips).
-    Returns (row, lo, hi, is_pos) of the non-empty pieces, by row and by
-    abscissa within each row, so np.add.at accumulates them in a fixed
-    order.
+    path and row k of `values` the residual there.  `residual(rows)`
+    returns the residual of those rows as a function of an abscissa per
+    row.  Every flip of `values > 0` between adjacent samples is solved
+    for its root, all in one `vector_bisect` call seeded with the sampled
+    values (none when nothing flips).  Returns (row, lo, hi, is_pos) of
+    the non-empty pieces, by row and by abscissa within each row, so
+    np.add.at accumulates them in a fixed order.
     """
+    pos = values > 0.0
     brows, bloc = np.divmod(np.flatnonzero(pos[:, :-1] != pos[:, 1:]),
                             pos.shape[1] - 1)
     roots = np.empty(0)
     if brows.size:
-        roots = vector_bisect(residual(brows), samples[brows, bloc],
-                              samples[brows, bloc + 1], pos[brows, bloc],
-                              iters=60)
+        roots = vector_bisect(lambda idx: residual(brows[idx]),
+                              samples[brows, bloc], samples[brows, bloc + 1],
+                              values[brows, bloc], values[brows, bloc + 1])
     # brows is non-decreasing, so row k owns a contiguous run of
     # nseg[k] - 1 roots; its piece j sits at first[k] + j (roots of
     # earlier rows + k + j), and root i closes piece i + brows[i] and

@@ -8,6 +8,7 @@ from vexs import (DomainError, Gaussian, QuadratureSpec, Tent, bbm_functional,
                   constant, eps_functional, inverse_quadratic,
                   layer_cake_check, local_energy, nguyen_functional,
                   uniform_bound_check)
+from vexs import quadrature
 from vexs.cli import lemma41_preset
 from vexs.functionals import _PairSection, superlevel_intervals
 from vexs.quadrature import adaptive_integrate, vector_bisect
@@ -166,14 +167,16 @@ def _superlevel_by_loop(u, X, omega, threshold, quad):
     grids = np.exp(math.log(h_lo) + (np.log(H[live]) - math.log(h_lo))[:, None]
                    * np.linspace(0.0, 1.0, N)[None, :])
     pts = X[live, None, :] + grids[..., None] * omega[None, None, :]
-    pos = np.abs(u.eval(pts.reshape(-1, n)).reshape(live.size, N)
-                 - u_x[live, None]) - threshold > 0.0
+    vals = np.abs(u.eval(pts.reshape(-1, n)).reshape(live.size, N)
+                  - u_x[live, None]) - threshold
+    pos = vals > 0.0
     rows, cols = np.nonzero(pos[:, :-1] != pos[:, 1:])
     Xb, uxb = X[live[rows]], u_x[live[rows]]
     roots = vector_bisect(
-        lambda h: np.abs(u.eval(Xb + h[:, None] * omega[None, :]) - uxb)
-        - threshold, grids[rows, cols], grids[rows, cols + 1],
-        pos[rows, cols], iters=60)
+        lambda i: lambda h: np.abs(u.eval(Xb[i] + h[:, None] * omega[None, :])
+                                   - uxb[i]) - threshold,
+        grids[rows, cols], grids[rows, cols + 1], vals[rows, cols],
+        vals[rows, cols + 1])
     for k, idx in enumerate(live):
         state = bool(pos[k, 0])
         start = grids[k, 0] if state else None
@@ -210,6 +213,32 @@ def test_superlevel_arrays_match_row_loop(delta, omega):
         == [(i, float(lo), float(hi)) for i, iv in enumerate(ivs)
             for lo, hi in iv]
     assert list(zip(row[ambiguous].tolist(), b[ambiguous].tolist())) == amb
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
+def test_superlevel_root_work_is_bounded(monkeypatch, delta):
+    # count residual evaluations as the benchmark's tracer does (the size
+    # of each index array handed to the row factory g); bisection to
+    # 4 ulp would take about 50 per bracket
+    counts = {"brackets": 0, "evals": 0}
+    solve = quadrature.vector_bisect
+
+    def counted(g, lo, *args):
+        counts["brackets"] += np.size(lo)
+
+        def g_counted(idx):
+            counts["evals"] += np.size(idx)
+            return g(idx)
+        return solve(g_counted, lo, *args)
+
+    monkeypatch.setattr(quadrature, "vector_bisect", counted)
+    u, quad = Gaussian(), QuadratureSpec()
+    X = np.linspace(-3.0, 3.0, 41)[:, None]
+    for omega in (1.0, -1.0):
+        superlevel_intervals(u, X, np.array([omega]), delta, quad,
+                             u.far_radius(delta * 1e-6))
+    assert counts["brackets"] > 40
+    assert counts["evals"] < 12 * counts["brackets"]
 
 
 def _rays(u, n_dir):
@@ -455,13 +484,14 @@ def _boundary_pieces_by_loop(sec, threshs, boundary):
     """Reference: cut each boundary cell in a Python loop, walking its
     roots in y order with alternating signs."""
     dd, rows, cols = np.nonzero(boundary)
-    pos = sec.PHI_samples[rows, cols, :] > threshs[dd, None]
+    vals = sec.PHI_samples[rows, cols, :] - threshs[dd, None]
+    pos = vals > 0.0
     brows, bloc = np.nonzero(pos[:, :-1] != pos[:, 1:])
     xv, th = sec.xnodes[rows[brows]], threshs[dd[brows]]
-    roots = vector_bisect(lambda y: sec.phi(xv, y) - th,
+    roots = vector_bisect(lambda i: lambda y: sec.phi(xv[i], y) - th[i],
                           sec.ysamples[cols[brows], bloc],
                           sec.ysamples[cols[brows], bloc + 1],
-                          pos[brows, bloc], iters=60)
+                          vals[brows, bloc], vals[brows, bloc + 1])
     starts = np.searchsorted(brows, np.arange(dd.size + 1))
     pieces = []
     for k in range(dd.size):

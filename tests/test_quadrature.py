@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vexs import Gaussian, QuadratureSpec, Tent
+from vexs import Gaussian, QuadratureSpec, Tent, quadrature
 from vexs.functionals import ray_t_nodes
 from vexs.quadrature import (bisect_bracket, decade_seeds, gauss_nodes,
                              golden_max, panel_nodes, piece_nodes, row_pieces,
@@ -61,34 +61,104 @@ def test_piece_nodes_rows_match_panel_nodes():
     assert np.array_equal(weights.ravel(), flat[1])
 
 
-def test_vector_bisect_stops_at_fixed_point():
-    roots_true = np.array([0.3, 1.0 / 3.0, 0.7, 0.05])
-    calls = []
+def _solve(f, lo, hi):
+    """vector_bisect on the residual f(x, idx) of brackets [lo, hi];
+    returns the roots and the evaluations of each bracket."""
+    evals = np.zeros(lo.size, dtype=int)
 
-    def g(h):
-        calls.append(h.size)
-        return h - roots_true
+    def g(idx):
+        np.add.at(evals, idx, 1)
+        return lambda x: f(x, idx)
+    every = np.arange(lo.size)
+    return vector_bisect(g, lo, hi, f(lo, every), f(hi, every)), evals
 
-    lo, hi = np.zeros(4), np.ones(4)
-    lo_positive = np.zeros(4, dtype=bool)
-    roots = vector_bisect(g, lo, hi, lo_positive, iters=60)
-    assert len(calls) < 60
-    # the same brackets bisected for all 60 steps
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        same = (mid - roots_true > 0.0) == lo_positive
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    assert np.array_equal(roots, 0.5 * (lo + hi))
+
+def _within_4_ulp(got, want):
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+
+_ROOTS = np.sqrt(np.linspace(0.5, 5.0, 200))
+
+
+@pytest.mark.parametrize("f", [
+    lambda x, i: x * x - _ROOTS[i] ** 2,
+    # kink at the root, and a kink off the root on either side of it
+    lambda x, i: np.maximum(x - _ROOTS[i], 4.0 * (x - _ROOTS[i])),
+    lambda x, i: np.minimum(x - _ROOTS[i], 3.0 * (x - _ROOTS[i]) + 0.1),
+    lambda x, i: np.minimum(x - _ROOTS[i], 0.2 * (x - _ROOTS[i]) + 0.05),
+    # a step: no secant information at all
+    lambda x, i: np.where(x > _ROOTS[i], 1.0, -1.0),
+], ids=["smooth", "kink-at-root", "kink-left", "kink-right", "step"])
+def test_vector_bisect_roots_within_4_ulp(f):
+    rng = np.random.default_rng(3)
+    lo = _ROOTS - rng.uniform(0.01, 1.0, _ROOTS.size)
+    hi = _ROOTS + rng.uniform(0.01, 1.0, _ROOTS.size)
+    roots, _ = _solve(f, lo, hi)
+    _within_4_ulp(roots, _ROOTS)
+
+
+def test_vector_bisect_returns_exact_zeros():
+    # a zero residual at a bracket end returns that end, and one at a
+    # step (the secant of x - 1/2 on [0, 1]) returns it after one step
+    roots, evals = _solve(lambda x, i: x - 0.5, np.array([0.5, 0.0, 0.0]),
+                          np.array([1.0, 0.5, 1.0]))
+    assert roots.tolist() == [0.5, 0.5, 0.5]
+    assert evals.tolist() == [0, 0, 1]
+
+
+def test_vector_bisect_bracket_alone_matches_batch():
+    rng = np.random.default_rng(5)
+    c = rng.uniform(0.5, 5.0, 64)
+    kind = np.arange(64) % 3
+
+    def f(x, i):
+        return np.where(kind[i] == 0, x * x - c[i],
+                        np.where(kind[i] == 1, np.exp(-x) - np.exp(-c[i]),
+                                 np.where(x > c[i], 1.0, -1.0)))
+    lo, hi = 0.8 * np.sqrt(c), 1.1 * c + 1.0
+    lo[kind == 1], lo[kind == 2] = 0.5 * c[kind == 1], 0.3 * c[kind == 2]
+    batch, _ = _solve(f, lo, hi)
+    for k in range(64):
+        alone, _ = _solve(lambda x, i: f(x, i + k), lo[k:k + 1],
+                          hi[k:k + 1])
+        assert alone[0] == batch[k]
+
+
+def test_vector_bisect_smooth_brackets_take_few_steps():
+    # brackets of relative width 0.1 about roots of smooth residuals
+    rng = np.random.default_rng(7)
+    lo = _ROOTS * (1.0 - rng.uniform(0.001, 0.09, _ROOTS.size))
+    hi = 1.1 * lo
+    for f in (lambda x, i: x * x - _ROOTS[i] ** 2,
+              lambda x, i: np.exp(-x * x) - np.exp(-_ROOTS[i] ** 2),
+              lambda x, i: np.log(x) - np.log(_ROOTS[i])):
+        roots, evals = _solve(f, lo, hi)
+        _within_4_ulp(roots, _ROOTS)
+        assert evals.max() <= 12
+
+
+@pytest.mark.parametrize("tiny", [1.0, 1e-300])
+def test_vector_bisect_worst_case_is_finite(tiny):
+    # a step residual gives the secant nothing to use, and one of 1e-300
+    # against 1 pins the secant point to an end; the width still halves
+    # at least once every _CHECK steps until it is 4 ulp
+    roots = np.linspace(0.25, 0.75, 101)
+    lo, hi = np.zeros(roots.size), np.ones(roots.size)
+    got, evals = _solve(lambda x, i: np.where(x > roots[i], 1.0, -tiny),
+                        lo, hi)
+    _within_4_ulp(got, roots)
+    halvings = np.ceil(np.log2(1.0 / (4.0 * np.finfo(float).eps * roots)))
+    assert np.all(evals <= quadrature._CHECK * (halvings + 1))
 
 
 def test_sign_pieces_without_flips_skips_residual():
     samples = np.array([[0.0, 0.5, 1.0], [2.0, 3.0, 4.0]])
-    pos = np.array([[True] * 3, [False] * 3])
+    values = np.array([[1.0, 0.5, 2.0], [0.0, -1.0, -3.0]])
 
     def residual(rows):
-        raise AssertionError("nothing flips, so nothing is bisected")
+        raise AssertionError("nothing flips, so nothing is solved")
 
-    row, lo, hi, is_pos = sign_pieces(residual, samples, pos)
+    row, lo, hi, is_pos = sign_pieces(residual, samples, values)
     assert row.tolist() == [0, 1]
     assert lo.tolist() == [0.0, 2.0]
     assert hi.tolist() == [1.0, 4.0]
@@ -99,12 +169,12 @@ def test_sign_pieces_cuts_at_roots():
     # u(y) = y^2 - 1/4 on two paths: flips at -1/2 and 1/2 on the first,
     # none on the second
     samples = np.array([np.linspace(-1.0, 1.0, 8), np.linspace(2.0, 3.0, 8)])
-    pos = samples ** 2 - 0.25 > 0.0
+    values = samples ** 2 - 0.25
 
     def residual(rows):
         return lambda y: y ** 2 - 0.25
 
-    row, lo, hi, is_pos = sign_pieces(residual, samples, pos)
+    row, lo, hi, is_pos = sign_pieces(residual, samples, values)
     assert row.tolist() == [0, 0, 0, 1]
     assert is_pos.tolist() == [True, False, True, True]
     np.testing.assert_allclose(lo, [-1.0, -0.5, 0.5, 2.0], rtol=0, atol=1e-15)
