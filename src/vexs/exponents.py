@@ -84,6 +84,11 @@ class ExponentField:
     def is_constant(self) -> bool:
         return self.p_minus == self.p_plus
 
+    @property
+    def radial(self) -> bool:
+        """True when p(x) depends on |x| alone."""
+        return self.family in ("constant", "inverse-quadratic")
+
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x) -> np.ndarray:

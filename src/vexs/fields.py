@@ -47,6 +47,7 @@ class ScalarField:
     lipschitz_bound : global Lipschitz constant, or None
     support_radius : radius of the support, or None if unbounded
     singular_points : tuple of 1D locations where eval is undefined
+    radial : True when u(x) depends on |x| alone
     """
 
     dimension: int = 1
@@ -57,6 +58,7 @@ class ScalarField:
     lipschitz_bound: float | None = None
     support_radius: float | None = None
     singular_points: tuple = ()
+    radial: bool = False
 
     # -- evaluation ----------------------------------------------------
 
@@ -163,14 +165,23 @@ class Gaussian(ScalarField):
         # max of |u'| = (2r/sigma^2) e^{-r^2/sigma^2} at r = sigma/sqrt(2)
         self.lipschitz_bound = abs(self.scale) * math.sqrt(2.0 / math.e) / self.sigma
 
+    @property
+    def radial(self) -> bool:
+        return not np.any(self.center)
+
     def _eval(self, pts):
         return self.scale * np.exp(-_square_norms(pts, self.center)
                                    / self.sigma ** 2)
 
     def _grad(self, pts):
-        d = pts - self.center
-        u = self.scale * np.exp(-_square_norms(d) / self.sigma ** 2)
-        return (-2.0 / self.sigma ** 2) * d * u[:, None]
+        # the floats of (-2 / sigma^2) * (pts - center) * u[:, None], a
+        # column at a time
+        u = self._eval(pts)
+        c = -2.0 / self.sigma ** 2
+        out = np.empty_like(pts)
+        for j in range(self.dimension):
+            out[:, j] = c * (pts[:, j] - self.center[j]) * u
+        return out
 
     def tail_bound(self, radius):
         r = max(0.0, radius - float(np.linalg.norm(self.center)))
@@ -195,6 +206,7 @@ class Tent(ScalarField):
     """
 
     family = "tent"
+    radial = True
 
     def __init__(self, scale: float = 1.0, dimension: int = 1):
         self.dimension = dimension
@@ -229,6 +241,7 @@ class SmoothBump(ScalarField):
     """u(x) = scale * exp(-1 / (1 - |x|^2)) inside |x| < 1, zero outside."""
 
     family = "smooth-bump"
+    radial = True
 
     def __init__(self, scale: float = 1.0, dimension: int = 1):
         self.dimension = dimension

@@ -116,13 +116,20 @@ class _OuterResult:
 
 
 def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
-                     base_radius: float, seeds=()) -> _OuterResult:
+                     base_radius: float, seeds=(), radial: bool = False
+                     ) -> _OuterResult:
     """Integrate F (callable on (m, n) points) over R^n.
 
     n = 1 integrates the line directly; n >= 2 reduces to polar
     coordinates with the functional-grade sphere rule for the angular
-    part.  `seeds` are 1D abscissae (or radii) used as initial panel
-    boundaries.
+    part.  radial=True says F takes one value on each sphere |x| = r
+    (up to rounding, and for the threshold and power integrands up to
+    the inner rule's error, none on the equal-angle 2D rule); the outer
+    angular part then takes one direction, the rule's first node,
+    weighted by the rule's total weight.  `seeds` are 1D abscissae (or
+    radii) used as initial panel boundaries.  F must give a point the
+    same value whatever batch it is in: adaptive_integrate hands it
+    several panels at once.
     """
     n = u.dimension
     count = [0]
@@ -134,12 +141,17 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
         segment = _integrate_segments_1d
     else:
         rule = _resolve_rule(quad, n)
+        nodes, weights = rule.nodes, rule.weights
+        if radial:
+            nodes, weights = nodes[:1], np.array([np.sum(weights)])
 
         def f_line(rs):
-            pts = (rs[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
-            vals = F(pts).reshape(rs.size, rule.node_count)
+            pts = (rs[:, None, None] * nodes[None, :, :]).reshape(-1, n)
+            vals = F(pts).reshape(rs.size, weights.size)
             count[0] += pts.shape[0]
-            return (vals @ rule.weights) * rs ** (n - 1)
+            # a row-wise sum: a BLAS mat-vec rounds a row differently
+            # in different batches
+            return np.sum(vals * weights, axis=1) * rs ** (n - 1)
         segment = _integrate_segments_radial
 
     # a fixed truncation radius takes no doubling shells
@@ -352,7 +364,8 @@ def nguyen_functional(u: ScalarField, p, delta: float,
                               block)
 
     base = u.far_radius(0.5 * min(delta, u.sup_bound)) + 2.0
-    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points())
+    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points(),
+                           radial=u.radial and p.radial)
     return FunctionalValue(
         value=res.value,
         error_estimate=res.error + state["amb"],
@@ -382,7 +395,8 @@ def local_energy(u: ScalarField, p, weight_mode: str = "unit",
     except UnsupportedFieldError:
         raise UnsupportedFieldError(
             "local_energy needs a decaying or compactly supported field")
-    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points())
+    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points(),
+                           radial=u.radial and p.radial)
     return FunctionalValue(res.value, res.error, res.radius, res.n_evals)
 
 
@@ -407,8 +421,9 @@ def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
     out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
     big = h >= h_safe[:, None]
     k = np.nonzero(big)[0]
-    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * _at(omega, k))
-                      - u_x[k]) / h[big]
+    hb = h[big]
+    pts = _ray_points(x[k], _at(omega, k), hb[:, None])[:, 0]
+    out[big] = np.abs(u.eval(pts) - u_x[k]) / hb
     return out
 
 
@@ -455,11 +470,11 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
 
 
 def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
-                      beta: float, exps, restrict_small: bool
+                      beta: float, exps, restrict_small: bool, radial: bool
                       ) -> FunctionalValue:
     """coef times the double integral of |u(x)-u(y)|^q / |x-y|^{n+r},
     with (q, r) = exps(X) per outer point and r = q - beta, so the ray
-    integral runs in t = h^beta.
+    integral runs in t = h^beta; radial when u and exps are.
 
     restrict_small limits the pairs to |u(x)-u(y)| <= 1.  Beyond the ray
     cutoff H the jump is |u(x)| up to eta (exactly so for compact
@@ -468,8 +483,16 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
     far_small = u.far_radius(_FAR_ETA_FRAC) if restrict_small else None
+    # a ray holds about 7.5 h_bracket_grid nodes
+    rays = max(1, _EVAL_SAMPLES * 2 // (15 * quad.h_bracket_grid))
 
     def F(X):
+        # equal runs of at most `rays` points, so that no block of rays
+        # outgrows the budget when the outer integral batches panels
+        runs = np.array_split(X, -(-X.shape[0] // rays))
+        return np.concatenate([F_points(r) for r in runs])
+
+    def F_points(X):
         q, r = exps(X)
         m = X.shape[0]
         H = _ray_cutoff(X, far, quad)
@@ -496,11 +519,10 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             val = val.reshape(tail.shape)
             val[tail] += np.broadcast_to(far_tail, tail.shape)[tail]
             return val
-        # a ray holds about 7.5 h_bracket_grid nodes
-        return _direction_sum(X, rule, _EVAL_SAMPLES * 2
-                              // (15 * quad.h_bracket_grid), block)
+        return _direction_sum(X, rule, rays, block)
 
-    res = _outer_integrate(F, u, quad, far + 2.0, seeds=u.kink_points())
+    res = _outer_integrate(F, u, quad, far + 2.0, seeds=u.kink_points(),
+                           radial=radial)
     return FunctionalValue(res.value, res.error, res.radius, res.n_evals)
 
 
@@ -532,7 +554,8 @@ def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",
         return px + eps, px
 
     return _power_functional(u, quad, eps, eps, exps,
-                             mode == "small_jump" and 2.0 * u.sup_bound > 1.0)
+                             mode == "small_jump" and 2.0 * u.sup_bound > 1.0,
+                             u.radial and p.radial)
 
 
 def bbm_functional(u: ScalarField, p_const: float, s: float,
@@ -554,7 +577,7 @@ def bbm_functional(u: ScalarField, p_const: float, s: float,
         return p_const, s * p_const
 
     return _power_functional(u, quad, 1.0 - s, (1.0 - s) * p_const, exps,
-                             False)
+                             False, u.radial)
 
 
 # ----------------------------------------------------------------------
@@ -622,26 +645,24 @@ class _PairSection:
         self.cell_min = self.PHI_samples.min(axis=2)
         self.cell_max = self.PHI_samples.max(axis=2)
 
-    def _boundary_pieces(self, threshs: np.ndarray, boundary: np.ndarray):
-        """Split the boundary cells flagged in `boundary` (shape (d, m, c))
-        at the roots of phi(x, .) = threshs[d].
+    def _boundary_pieces(self, threshs: np.ndarray, dd, rows, cols):
+        """Split the boundary cells (threshold dd[k], x row rows[k], y cell
+        cols[k]), given in row-major order over (d, m, c), at the roots of
+        phi(x, .) = threshs[dd].
 
         Returns (d, row, lo, hi, is_above) arrays of the non-empty pieces,
-        in boundary-cell order (row-major over (d, m, c)) and by y within
-        each cell, so that np.add.at accumulates them in a fixed order.
+        in boundary-cell order and by y within each cell, so that
+        np.add.at accumulates them in a fixed order.
         """
-        # flatnonzero plus unravel_index gives np.nonzero's row-major
-        # order at a fraction of its cost on n-d masks
-        dd, rows, cols = np.unravel_index(np.flatnonzero(boundary),
-                                          boundary.shape)
-        vals = self.PHI_samples[rows, cols, :] - threshs[dd, None]  # (k, 17)
+        vals = self.PHI_samples[rows, cols, :]  # (k, 17)
+        vals -= threshs[dd, None]
 
         def residual(brows):
             xv, th = self.xnodes[rows[brows]], threshs[dd[brows]]
             return lambda y: self.phi(xv, y) - th
 
-        cell, lo, hi, is_above = sign_pieces(residual, self.ysamples[cols],
-                                             vals)
+        cell, lo, hi, is_above = sign_pieces(residual, self.ysamples, vals,
+                                             cols)
         return dd[cell], rows[cell], lo, hi, is_above
 
     def _piece_nodes(self, row, lo, hi):
@@ -660,15 +681,23 @@ class _PairSection:
         vectorized root solve and one fresh GL evaluation.
         """
         threshs = np.asarray(threshs, dtype=float)
-        above_all = self.cell_min[None] > threshs[:, None, None]  # (d, m, c)
-        above = np.sum(np.where(above_all, self.cell_psi[None], 0.0), axis=2)
-        boundary = ~above_all & (self.cell_max[None] > threshs[:, None, None])
-        if not boundary.any():
+        t3 = threshs[:, None, None]
+        whole = self.cell_min > t3  # (d, m, c)
+        # a threshold at a time, so that no (d, m, c) float array is built
+        above = np.array([np.sum(np.where(w, self.cell_psi, 0.0), axis=1)
+                          for w in whole])
+        # flatnonzero plus unravel_index gives np.nonzero's row-major
+        # order at a fraction of its cost on n-d masks
+        cells = np.unravel_index(
+            np.flatnonzero(~whole & (self.cell_max > t3)), whole.shape)
+        del whole  # not held through the root solve
+        if not cells[0].size:
             return above
-        dd, row, lo, hi, is_above = self._boundary_pieces(threshs, boundary)
+        dd, row, lo, hi, is_above = self._boundary_pieces(threshs, *cells)
         dd, row = dd[is_above], row[is_above]
         xb, ys, ww = self._piece_nodes(row, lo[is_above], hi[is_above])
-        np.add.at(above, (dd, row), np.sum(ww * self.psi(xb, ys), axis=1))
+        ww *= self.psi(xb, ys)
+        np.add.at(above, (dd, row), np.sum(ww, axis=1))
         return above
 
     def integral_pair(self, thresh: float, row_data: np.ndarray,
@@ -691,8 +720,9 @@ class _PairSection:
                                            self.PSI_nodes), axis=(1, 2))
         boundary = ~(above_all | below_all)
         if boundary.any():
+            rows, cols = np.nonzero(boundary)
             _, rows, lo, hi, is_above = self._boundary_pieces(
-                np.array([thresh]), boundary[None])
+                np.array([thresh]), np.zeros_like(rows), rows, cols)
             xb, ys, ww = self._piece_nodes(rows, lo, hi)
             phis = self.phi(xb, ys)
             psis = self.psi(xb, ys)
@@ -733,7 +763,9 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
     def D(deltas):
         above = sec.psi_integral_above_batch(deltas)
         layers = above * deltas[:, None] ** alpha_x[None, :]
-        return layers @ sec.xweights
+        # a row-wise sum: a BLAS mat-vec rounds a row differently in
+        # different batches
+        return np.sum(layers * sec.xweights, axis=1)
 
     lres = adaptive_integrate(D, 0.0, 1.0, rel_tol=quad.rel_tol * 0.01,
                               max_panels=128)
@@ -785,6 +817,6 @@ def uniform_bound_check(u: ScalarField, p, delta_grid,
     rhs = 0.0
     for q in (p.p_plus, p.p_minus):
         res = _outer_integrate(lambda X, q=q: igd(X, q), u, quad, base,
-                               seeds=u.kink_points())
+                               seeds=u.kink_points(), radial=u.radial)
         rhs += res.value
     return UniformBoundCheck(max(vals), rhs, vals)

@@ -72,13 +72,19 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
                        min_width_frac: float = 1e-13) -> AdaptiveResult:
     """Adaptive composite Gauss integration of f over [a, b].
 
-    Each panel is evaluated with GL15 and GL7 in a single batched call;
-    their difference is the panel error.  The worst panel (ties broken
-    by creation index, so refinement order is reproducible) is split in
-    half until the summed error drops below rel_tol times the running
-    total.  `seeds` are interior breakpoints (kinks, support edges) used
-    for the initial partition.  The final sum runs over panels sorted by
-    left endpoint.
+    Each panel is evaluated with GL15 and GL7; their difference is the
+    panel error.  The worst panel (ties broken by creation index, so
+    refinement order is reproducible) is split in half until the summed
+    error drops below rel_tol times the running total.  `seeds` are
+    interior breakpoints (kinks, support edges) used for the initial
+    partition.  The final sum runs over panels sorted by left endpoint.
+
+    f sees the nodes of the whole initial partition in one call and the
+    nodes of both halves of a split in one call (QUADPACK's paired
+    evaluation), so it runs 1 + (number of splits) times.  Each panel's
+    sums run over its own 22 values, so an f whose value at a point does
+    not depend on the rest of its batch gives the floats of one call per
+    panel.
     """
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"bad integration interval [{a}, {b}]")
@@ -88,27 +94,32 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
 
     n_evals = 0
 
-    def eval_panel(lo: float, hi: float) -> tuple[float, float]:
+    def eval_panels(los, his) -> list[tuple[float, float]]:
         nonlocal n_evals
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = f(mid + half * xall)
-        n_evals += xall.size
-        i15 = half * float(np.sum(w15 * vals[:15]))
-        i7 = half * float(np.sum(w7 * vals[15:]))
-        return i15, abs(i15 - i7)
+        mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
+        halves = [0.5 * (hi - lo) for lo, hi in zip(los, his)]
+        vals = f(np.concatenate([mid + half * xall for mid, half
+                                 in zip(mids, halves)]))
+        vals = vals.reshape(len(mids), xall.size)
+        n_evals += vals.size
+        out = []
+        for half, v in zip(halves, vals):
+            i15 = half * float(np.sum(w15 * v[:15]))
+            i7 = half * float(np.sum(w7 * v[15:]))
+            out.append((i15, abs(i15 - i7)))
+        return out
 
     pts = [a, b] + [float(s) for s in seeds if a < s < b]
     pts = sorted(set(pts))
     heap: list[tuple[float, int, float, float, float]] = []
-    counter = 0
     total = 0.0
     total_err = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        v, e = eval_panel(lo, hi)
-        heapq.heappush(heap, (-e, counter, lo, hi, v))
-        counter += 1
+    for lo, hi, (v, e) in zip(pts[:-1], pts[1:],
+                              eval_panels(pts[:-1], pts[1:])):
+        heapq.heappush(heap, (-e, len(heap), lo, hi, v))
         total += v
         total_err += e
+    counter = len(heap)
 
     min_width = min_width_frac * (b - a)
     while len(heap) < max_panels:
@@ -122,8 +133,7 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
             heapq.heappush(heap, (0.0, counter, lo, hi, v))
             counter += 1
             continue
-        v1, e1 = eval_panel(lo, mid)
-        v2, e2 = eval_panel(mid, hi)
+        (v1, e1), (v2, e2) = eval_panels((lo, mid), (mid, hi))
         total += (v1 + v2) - v
         total_err += (e1 + e2) - (-neg_e)
         heapq.heappush(heap, (-e1, counter, lo, mid, v1))
@@ -209,11 +219,12 @@ def vector_bisect(g: Callable[[np.ndarray], Callable],
 
 
 def sign_pieces(residual: Callable[[np.ndarray], Callable],
-                samples: np.ndarray, values: np.ndarray):
+                samples: np.ndarray, values: np.ndarray, path=None):
     """Cut sampled paths into pieces of constant residual sign.
 
-    Row k of `samples` (shape (m, s)) holds increasing abscissae of one
-    path and row k of `values` the residual there.  `residual(rows)`
+    Row k of `values` (shape (m, s)) holds the residual of path k at
+    increasing abscissae: row k of `samples`, or row path[k] when paths
+    share their abscissae (so no (m, s) copy is made).  `residual(rows)`
     returns the residual of those rows as a function of an abscissa per
     row.  Every flip of `values > 0` between adjacent samples is solved
     for its root, all in one `vector_bisect` call seeded with the sampled
@@ -224,10 +235,12 @@ def sign_pieces(residual: Callable[[np.ndarray], Callable],
     pos = values > 0.0
     brows, bloc = np.divmod(np.flatnonzero(pos[:, :-1] != pos[:, 1:]),
                             pos.shape[1] - 1)
+    path = np.arange(pos.shape[0]) if path is None else path
     roots = np.empty(0)
     if brows.size:
+        bpath = path[brows]
         roots = vector_bisect(lambda idx: residual(brows[idx]),
-                              samples[brows, bloc], samples[brows, bloc + 1],
+                              samples[bpath, bloc], samples[bpath, bloc + 1],
                               values[brows, bloc], values[brows, bloc + 1])
     # brows is non-decreasing, so row k owns a contiguous run of
     # nseg[k] - 1 roots; its piece j sits at first[k] + j (roots of
@@ -241,8 +254,8 @@ def sign_pieces(residual: Callable[[np.ndarray], Callable],
     at = np.arange(brows.size) + brows
     hi[at] = roots
     lo[at + 1] = roots
-    lo[first] = samples[:, 0]
-    hi[first + nseg - 1] = samples[:, -1]
+    lo[first] = samples[path, 0]
+    hi[first + nseg - 1] = samples[path, -1]
     odd = (np.arange(row.size) - first[row]) % 2 == 1
     is_pos = pos[row, 0] ^ odd
     keep = hi > lo

@@ -105,8 +105,10 @@ def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
         return vals ** p.eval(pts) * _weight_values(weight, pts)
 
     seeds = np.concatenate([u.kink_points(), decade_seeds(0.0, -R, R)])
+    # a weight is never taken as radial
+    radial = weight is None and u.radial and p.radial
     res = _outer_integrate(integrand, u, replace(quad, truncation_radius=R),
-                           R, seeds)
+                           R, seeds, radial)
     return ModularValue(res.value, R, res.n_evals, res.error)
 
 

@@ -5,11 +5,12 @@ import pytest
 
 import oracles
 from vexs import (DomainError, Gaussian, QuadratureSpec, Tent, bbm_functional,
-                  constant, eps_functional, inverse_quadratic,
-                  layer_cake_check, local_energy, nguyen_functional,
-                  uniform_bound_check)
-from vexs import quadrature
+                  constant, default_rule, eps_functional, inverse_quadratic,
+                  layer_cake_check, local_energy, modular, nguyen_functional,
+                  sin_squared, uniform_bound_check)
+from vexs import functionals, quadrature
 from vexs.cli import lemma41_preset
+from vexs.exponents import ExponentField
 from vexs.functionals import _PairSection, superlevel_intervals
 from vexs.quadrature import adaptive_integrate, vector_bisect
 
@@ -512,7 +513,7 @@ def test_boundary_pieces_match_per_cell_loop():
     ts = np.quantile(sec.PHI_samples, [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
     t3 = ts[:, None, None]
     boundary = ~(sec.cell_min[None] > t3) & (sec.cell_max[None] > t3)
-    got = sec._boundary_pieces(ts, boundary)
+    got = sec._boundary_pieces(ts, *np.nonzero(boundary))
     want = _boundary_pieces_by_loop(sec, ts, boundary)
     assert len(want) > 500
     assert [(int(d), int(r), float(lo), float(hi), bool(a))
@@ -545,6 +546,145 @@ def test_nguyen_gaussian_2d_approaches_local_energy():
     target = math.pi ** 2 / 2.0
     fv = nguyen_functional(u, p, 0.1, "unit", quad)
     assert fv.value == pytest.approx(target, rel=0.05)
+
+
+def test_local_energy_gaussian_3d():
+    # K_{3,2} = 2 pi / 3 and the gradient square integral of exp(-r^2)
+    # over R^3 is 3 pi^{3/2} / 2^{3/2}, so the energy is 2 pi (pi/2)^{3/2}
+    fv = local_energy(Gaussian(dimension=3), constant(2.0, dimension=3))
+    assert fv.value == pytest.approx(
+        2.0 * math.pi * (math.pi / 2.0) ** 1.5, rel=1e-7)
+
+
+@pytest.fixture
+def outer_evals(monkeypatch):
+    """The n_evals of every outer adaptive_integrate call, summed."""
+    seen = [0]
+
+    def counted(*args, **kwargs):
+        res = adaptive_integrate(*args, **kwargs)
+        seen[0] += res.n_evals
+        return res
+    monkeypatch.setattr(functionals, "adaptive_integrate", counted)
+    return seen
+
+
+def _rule16(**kw):
+    return QuadratureSpec(sphere_rule=default_rule(2, 16), **kw)
+
+
+RADIAL_CASES = {
+    "nguyen": lambda: nguyen_functional(
+        Gaussian(dimension=2), constant(2.0, dimension=2), 0.2, "unit",
+        _rule16(h_bracket_grid=64, outer_x_tolerance=1e-3, rel_tol=1e-3)),
+    "local_energy": lambda: local_energy(
+        Gaussian(dimension=2), inverse_quadratic(2.0, 1.0, dimension=2)),
+    "modular": lambda: modular(Gaussian(dimension=2),
+                               inverse_quadratic(2.0, 1.0, dimension=2)),
+    "bbm": lambda: bbm_functional(
+        Gaussian(dimension=2), 2.0, 0.8,
+        _rule16(h_bracket_grid=16, outer_x_tolerance=1e-2, rel_tol=1e-2)),
+}
+
+
+@pytest.mark.parametrize("name", RADIAL_CASES)
+def test_radial_reduction_matches_full_outer_rule(monkeypatch, outer_evals,
+                                                  name):
+    # one outer direction weighted by the rule's total against every
+    # direction of the rule: a rotation by one step permutes the inner
+    # directions of the equal-angle 2D rule, so the values agree up to
+    # rounding
+    reduced = RADIAL_CASES[name]()
+    assert reduced.node_count == outer_evals[0]
+    monkeypatch.setattr(Gaussian, "radial", False)
+    monkeypatch.setattr(ExponentField, "radial", False)
+    outer_evals[0] = 0
+    full = RADIAL_CASES[name]()
+    nodes = 16 if name in ("nguyen", "bbm") else 128
+    # the same radial panels, each radius taking every direction
+    assert full.node_count == nodes * outer_evals[0] \
+        == nodes * reduced.node_count
+    assert full.value == pytest.approx(reduced.value, rel=1e-13, abs=0.0)
+    assert reduced.value > 0.0
+
+
+@pytest.mark.parametrize("compute, target", [
+    (lambda: local_energy(Gaussian(center=(0.5, -0.25), dimension=2),
+                          constant(2.0, dimension=2)), math.pi ** 2 / 2.0),
+    (lambda: local_energy(Gaussian(dimension=2),
+                          sin_squared(2.0, 1.0, (1.0, 0.0), dimension=2)),
+     None),
+    (lambda: modular(Gaussian(dimension=2), constant(2.0, dimension=2),
+                     weight=lambda pts: np.ones(len(pts))), math.pi / 2.0),
+])
+def test_non_radial_inputs_keep_the_full_outer_rule(outer_evals, compute,
+                                                    target):
+    fv = compute()
+    assert fv.node_count == 128 * outer_evals[0]
+    if target is not None:
+        assert fv.value == pytest.approx(target, rel=1e-7)
+
+
+BATCH_CASES = {
+    "nguyen": lambda quad: nguyen_functional(
+        Gaussian(), inverse_quadratic(2.0, 1.0), 0.1, "p_of_x", quad),
+    "nguyen_2d": lambda quad: nguyen_functional(
+        Gaussian(center=(0.5, 0.0), dimension=2), constant(2.0, dimension=2),
+        0.2, "unit", _rule16(h_bracket_grid=32)),
+    "eps_small_jump": lambda quad: eps_functional(
+        Gaussian(scale=3.0), inverse_quadratic(2.0, 1.0), 0.25, "small_jump",
+        quad),
+    "bbm": lambda quad: bbm_functional(Tent(), 2.0, 0.8, quad),
+    "local_energy": lambda quad: local_energy(
+        Gaussian(center=(0.5, 0.0), dimension=2), constant(2.0, dimension=2)),
+}
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: local_energy(Gaussian(center=(0.5, 0.0), dimension=2),
+                         constant(2.0, dimension=2)),
+    lambda: modular(Gaussian(dimension=2), constant(2.0, dimension=2),
+                    weight=lambda pts: 1.0 + pts[:, 0] ** 2),
+    lambda: nguyen_functional(Gaussian(), inverse_quadratic(2.0, 1.0), 0.1),
+    lambda: layer_cake_check(*lemma41_preset("random-smooth", seed=4)[:4]),
+])
+def test_outer_integral_matches_one_call_per_panel(monkeypatch, compute):
+    # paired panel calls give the floats of one call per panel, 2D
+    # direction sums and layer-cake threshold batches included
+    batched = compute()
+    monkeypatch.setattr(
+        functionals, "adaptive_integrate", lambda *args, **kwargs:
+        quadrature.AdaptiveResult(*oracles.adaptive_integrate_per_panel(
+            *args, **kwargs)))
+    assert compute() == batched
+
+
+@pytest.mark.parametrize("name", BATCH_CASES)
+def test_outer_rows_do_not_depend_on_batch(monkeypatch, name):
+    # the outer integrand on five panels of rows at once, against one
+    # call per panel; a power block holds no more rays than its budget
+    rays = []
+    ray_t_nodes = functionals.ray_t_nodes
+
+    def counted(u, X, *args, **kwargs):
+        rays.append(X.shape[0])
+        return ray_t_nodes(u, X, *args, **kwargs)
+
+    def five_panels(F, u, quad, base_radius, seeds=(), radial=False):
+        X = np.linspace(-3.0, 3.0, 5 * 22)[:, None] * np.ones(u.dimension)
+        whole = F(X)
+        per_panel = [F(X[k:k + 22]) for k in range(0, X.shape[0], 22)]
+        assert np.array_equal(whole, np.concatenate(per_panel))
+        return functionals._OuterResult(float(np.sum(whole)), 0.0,
+                                        base_radius, X.shape[0])
+
+    monkeypatch.setattr(functionals, "ray_t_nodes", counted)
+    monkeypatch.setattr(functionals, "_outer_integrate", five_panels)
+    quad = QuadratureSpec(h_bracket_grid=64)
+    assert BATCH_CASES[name](quad).node_count == 110
+    budget = functionals._EVAL_SAMPLES * 2 // (15 * quad.h_bracket_grid)
+    assert max(rays, default=0) <= budget
+    assert bool(rays) == (name in ("eps_small_jump", "bbm"))
 
 
 def test_uniform_bound_zero_field():

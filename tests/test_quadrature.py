@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from vexs import Gaussian, QuadratureSpec, Tent, quadrature
 from vexs.functionals import ray_t_nodes
-from vexs.quadrature import (bisect_bracket, decade_seeds, gauss_nodes,
+from vexs.quadrature import (AdaptiveResult, adaptive_integrate,
+                             bisect_bracket, decade_seeds, gauss_nodes,
                              golden_max, panel_nodes, piece_nodes, row_pieces,
                              sign_pieces, vector_bisect)
 
@@ -224,6 +226,32 @@ def test_decade_seeds_grade_about_each_center():
     got = np.sort(decade_seeds([2.0, 5.0], 1.5, 20.0, j0=-1))
     np.testing.assert_allclose(got, [1.9, 2.1, 3.0, 4.0, 4.9, 5.1, 6.0,
                                      12.0, 15.0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("f, a, b, seeds, kw", [
+    (lambda x: np.sin(6.0 * x), 0.0, 3.0, (), {}),
+    (lambda x: np.abs(x - 0.3) ** 1.5, -1.0, 2.0, (0.0, 1.0), {}),
+    (lambda x: 1.0 / (1e-3 + x * x), -1.0, 1.0, (), {"rel_tol": 1e-12}),
+    # a jump refines to the minimal width and is accepted there, and
+    # max_panels stops the rest
+    (lambda x: np.where(x > 1.0 / 3.0, 2.0, 0.0), 0.0, 1.0, (),
+     {"min_width_frac": 1e-3, "max_panels": 40}),
+])
+def test_adaptive_integrate_one_call_per_split(f, a, b, seeds, kw):
+    # one f call for the initial partition, one per split, and the
+    # result of one call per panel
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+    res = adaptive_integrate(counted, a, b, seeds=seeds, **kw)
+    initial = 1 + sum(a < s < b for s in seeds)
+    assert len(calls) == 1 + res.n_panels - initial
+    assert calls[0] == 22 * initial and set(calls[1:]) <= {44}
+    assert res.n_panels > initial
+    assert res == AdaptiveResult(*oracles.adaptive_integrate_per_panel(
+        f, a, b, seeds=seeds, **kw))
 
 
 def test_golden_max_on_parabola():
