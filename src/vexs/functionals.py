@@ -39,6 +39,7 @@ _FAR_ETA_FRAC = 1e-6
 # below this ray parameter the difference quotient is replaced by the
 # directional derivative (relative to max(1, |x|))
 _H_SAFE = 1e-7
+_EPS = np.finfo(float).eps
 # grid samples in a block of ray directions, whose flips share one root
 # solve; u.eval takes a grid, and a power block its GL nodes, in
 # _EVAL_SAMPLES at most (larger node arrays cost more per node than calls)
@@ -120,21 +121,22 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
                      ) -> _OuterResult:
     """Integrate F (callable on (m, n) points) over R^n.
 
-    n = 1 integrates the line directly; n >= 2 reduces to polar
-    coordinates with the functional-grade sphere rule for the angular
-    part.  radial=True says F takes one value on each sphere |x| = r
-    (up to rounding, and for the threshold and power integrands up to
-    the inner rule's error, none on the equal-angle 2D rule); the outer
-    angular part then takes one direction, the rule's first node,
-    weighted by the rule's total weight.  `seeds` are 1D abscissae (or
-    radii) used as initial panel boundaries.  F must give a point the
-    same value whatever batch it is in: adaptive_integrate hands it
-    several panels at once.
+    n >= 2 reduces to polar coordinates with the functional-grade sphere
+    rule for the angular part.  radial=True says F takes one value on
+    each sphere |x| = r (up to rounding, and for the threshold and power
+    integrands up to the inner rule's error, none on the equal-angle 2D
+    rule); the outer angular part then takes one direction, the rule's
+    first node, weighted by the rule's total weight.  In 1D the sphere is
+    {+-1}, so a radial F is integrated over [0, R] with weight 2, and any
+    other F over the line [-R, R].  `seeds` are 1D abscissae (or radii)
+    used as initial panel boundaries.  F must give a point the same
+    value whatever batch it is in: adaptive_integrate hands it several
+    panels at once.
     """
     n = u.dimension
     count = [0]
 
-    if n == 1:
+    if n == 1 and not radial:
         def f_line(xs):
             count[0] += xs.size
             return F(xs[:, None])
@@ -410,6 +412,12 @@ def _weight_flag(weight_mode: str) -> bool:
 # power-kernel inner integrals (epsilon functional, BBM, fractional)
 # ----------------------------------------------------------------------
 
+def _slope_floor(X: np.ndarray) -> np.ndarray:
+    """Per point, the ray parameter below which ray_slope takes the
+    directional derivative for the difference quotient."""
+    return _H_SAFE * np.maximum(1.0, np.sqrt(np.vecdot(X, X)))
+
+
 def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
               h: np.ndarray, grad_dir, u_x) -> np.ndarray:
     """|u(x + h w) - u(x)| / h on pieces of rays: row k of h holds ray
@@ -417,9 +425,8 @@ def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
     when it holds one per row), where u is u_x[k] and grad u . w is
     grad_dir[k].  Below the cancellation floor the quotient loses all
     significant digits and is replaced by |grad_dir|."""
-    h_safe = _H_SAFE * np.maximum(1.0, np.sqrt(np.vecdot(x, x)))
     out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
-    big = h >= h_safe[:, None]
+    big = h >= _slope_floor(x)[:, None]
     k = np.nonzero(big)[0]
     hb = h[big]
     pts = _ray_points(x[k], _at(omega, k), hb[:, None])[:, 0]
@@ -435,20 +442,32 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
 
     A ray's panels break at a geometric grid from 1e-13 to H_i, at its
     kink-radius crossings and at the ends of the intervals `exclude` =
-    (row, a, b), whose panels are dropped.  Returns (row, h, w_t, psi):
-    the ray of each panel and, one (k, 15) row per panel, the nodes in h,
-    their t weights and the ray slope psi there.
+    (row, a, b), whose panels are dropped.  Below ray_slope's floor psi
+    is the constant |grad u . w|, so of the grid points under the floor
+    only the last, h0, is kept: [0, h0] is one panel there, unless a kink
+    or an exclusion cuts it.  Returns (row, h, w_t, psi): the ray of each
+    panel and, one (k, 15) row per panel, the nodes in h, their t weights
+    and the ray slope psi there.
     """
     m, n_panels = X.shape[0], max(16, quad.h_bracket_grid // 2)
     geo = np.geomspace(1e-13, H, n_panels + 1, axis=1)
-    rows = np.repeat(np.arange(m), n_panels + 2)
-    parts = [(rows, np.hstack([np.zeros((m, 1)), geo]).ravel(),
-              np.zeros_like(rows))]
+    # keep 0, H and each grid point whose successor reaches the floor;
+    # h0 < floor strictly, and GL15's top node lies 0.6% inside its panel
+    # in t, so no node of [0, h0] rounds up to the floor
+    low = geo[:, 1:] < _slope_floor(X)[:, None]
+    keep = np.pad(~low, ((0, 0), (1, 1)), constant_values=True)
+    edges = np.hstack([np.zeros((m, 1)), geo])[keep]
+    rows = np.repeat(np.arange(m), keep.sum(axis=1))
+    parts = [(rows, edges, np.zeros_like(rows))]
     radii = np.unique(np.abs(u.kink_points()))
     if radii.size:
         # np.vecdot rounds as the dot product of a single point does
         xw = np.vecdot(X, omega)[:, None]
-        disc = xw * xw - (np.vecdot(X, X)[:, None] - radii * radii)
+        x2 = np.vecdot(X, X)[:, None]
+        disc = xw * xw - (x2 - radii * radii)
+        # a ray through the origin has disc 0 at radius 0; rounding must
+        # not decide whether it gets its apex break
+        disc[np.abs(disc) <= 4.0 * _EPS * (xw * xw + x2)] = 0.0
         sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
         cross = np.hstack([-xw - sq, -xw + sq])
         kr, kc = np.nonzero((cross > 1e-12) & (cross < H[:, None]))
@@ -483,7 +502,7 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
     far_small = u.far_radius(_FAR_ETA_FRAC) if restrict_small else None
-    # a ray holds about 7.5 h_bracket_grid nodes
+    # a ray holds about 4.5 h_bracket_grid nodes
     rays = max(1, _EVAL_SAMPLES * 2 // (15 * quad.h_bracket_grid))
 
     def F(X):

@@ -584,10 +584,31 @@ RADIAL_CASES = {
     "bbm": lambda: bbm_functional(
         Gaussian(dimension=2), 2.0, 0.8,
         _rule16(h_bracket_grid=16, outer_x_tolerance=1e-2, rel_tol=1e-2)),
+    # rays through the apex, whose break rounding must not decide
+    "tent_bbm": lambda: bbm_functional(
+        Tent(dimension=2), 2.0, 0.8,
+        _rule16(h_bracket_grid=16, outer_x_tolerance=1e-2,
+                truncation_radius=2.0)),
+    # in 1D the sphere is {+-1}: the radial path integrates [0, R] once
+    "nguyen_1d": lambda: nguyen_functional(
+        Gaussian(), inverse_quadratic(2.0, 1.0), 0.1, "p_of_x"),
+    "local_energy_1d": lambda: local_energy(Gaussian(),
+                                            inverse_quadratic(2.0, 1.0)),
+    "modular_1d": lambda: modular(Gaussian(), inverse_quadratic(2.0, 1.0)),
+    "tent_bbm_1d": lambda: bbm_functional(Tent(), 2.0, 0.8),
+    "eps_small_jump_1d": lambda: eps_functional(
+        Gaussian(scale=3.0), inverse_quadratic(2.0, 1.0), 0.25, "small_jump",
+        QuadratureSpec(h_bracket_grid=64)),
 }
 
 
-@pytest.mark.parametrize("name", RADIAL_CASES)
+def _full_outer_rule(monkeypatch):
+    for cls in (Gaussian, Tent, ExponentField):
+        monkeypatch.setattr(cls, "radial", False)
+
+
+@pytest.mark.parametrize("name", [k for k in RADIAL_CASES
+                                  if not k.endswith("_1d")])
 def test_radial_reduction_matches_full_outer_rule(monkeypatch, outer_evals,
                                                   name):
     # one outer direction weighted by the rule's total against every
@@ -596,16 +617,52 @@ def test_radial_reduction_matches_full_outer_rule(monkeypatch, outer_evals,
     # rounding
     reduced = RADIAL_CASES[name]()
     assert reduced.node_count == outer_evals[0]
-    monkeypatch.setattr(Gaussian, "radial", False)
-    monkeypatch.setattr(ExponentField, "radial", False)
+    _full_outer_rule(monkeypatch)
     outer_evals[0] = 0
     full = RADIAL_CASES[name]()
-    nodes = 16 if name in ("nguyen", "bbm") else 128
+    nodes = 16 if name in ("nguyen", "bbm", "tent_bbm") else 128
     # the same radial panels, each radius taking every direction
     assert full.node_count == nodes * outer_evals[0] \
         == nodes * reduced.node_count
     assert full.value == pytest.approx(reduced.value, rel=1e-13, abs=0.0)
     assert reduced.value > 0.0
+
+
+@pytest.mark.parametrize("name", [k for k in RADIAL_CASES
+                                  if k.endswith("_1d")])
+def test_radial_fold_matches_full_line(monkeypatch, outer_evals, name):
+    # an even 1D integrand on [0, R], weight 2, against the whole line:
+    # each side is its own adaptive integral, so they agree to the outer
+    # tolerance, on about half the nodes
+    reduced = RADIAL_CASES[name]()
+    assert reduced.node_count == outer_evals[0]
+    _full_outer_rule(monkeypatch)
+    full = RADIAL_CASES[name]()
+    assert reduced.node_count <= 0.55 * full.node_count
+    assert full.value == pytest.approx(reduced.value, rel=1e-6, abs=0.0)
+    assert reduced.value > 0.0
+
+
+@pytest.mark.parametrize("compute, node_count, value", [
+    (lambda: nguyen_functional(Gaussian(center=0.7), constant(2.0), 0.1),
+     6820, 1.2555196777803952),
+    (lambda: local_energy(Gaussian(), sin_squared(2.0, 0.5, 1.0)),
+     704, 1.0183968729998132),
+], ids=["nguyen_off_center", "local_energy_sin_squared"])
+def test_non_radial_1d_inputs_keep_the_line(monkeypatch, compute,
+                                            node_count, value):
+    # the outer integral still starts on [-R, R], and takes the node
+    # count and value it took before even inputs were folded
+    starts = []
+
+    def recorded(f, a, b, **kwargs):
+        starts.append(a)
+        return adaptive_integrate(f, a, b, **kwargs)
+    monkeypatch.setattr(functionals, "adaptive_integrate", recorded)
+    fv = compute()
+    assert starts[0] < 0.0
+    assert fv.node_count == node_count
+    assert fv.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("compute, target", [

@@ -314,13 +314,20 @@ def test_ray_t_nodes_per_row_directions_match_stacked_calls(u):
         assert np.array_equal(a, b)
 
 
-def _ray_nodes_by_loop(u, x, omega, beta, H, n_panels, a, b):
+def _ray_nodes_by_loop(u, x, omega, beta, H, n_panels, a, b, merge=True):
     """Reference: the panel rule built one ray at a time, with excluded
-    panels found by their midpoints; returns (h, w_t, psi) per node."""
+    panels found by their midpoints; returns (h, w_t, psi) per node.  Of
+    the grid points below the slope floor only the last is a break, or
+    all of them without `merge`."""
     xw, x2 = float(x @ omega), float(x @ x)
-    breaks = set(np.geomspace(1e-13, H, n_panels + 1).tolist())
+    floor = 1e-7 * max(1.0, float(np.linalg.norm(x)))
+    geo = np.geomspace(1e-13, H, n_panels + 1).tolist()
+    breaks = {g for g, nxt in zip(geo, geo[1:] + [math.inf])
+              if nxt >= floor or not merge}
     for r in np.unique(np.abs(u.kink_points())):
         disc = xw * xw - (x2 - r * r)
+        if abs(disc) <= 4.0 * np.finfo(float).eps * (xw * xw + x2):
+            disc = 0.0
         if disc >= 0.0:
             breaks.update(h for h in (-xw - math.sqrt(disc),
                                       -xw + math.sqrt(disc)) if 1e-12 < h < H)
@@ -334,8 +341,7 @@ def _ray_nodes_by_loop(u, x, omega, beta, H, n_panels, a, b):
     h = t ** (1.0 / beta)
     g = float(u.grad(x[None, :])[0] @ omega)
     quotient = np.abs(u.eval(x + h[..., None] * omega) - u.eval(x)) / h
-    psi = np.where(h >= 1e-7 * max(1.0, float(np.linalg.norm(x))),
-                   quotient, abs(g))
+    psi = np.where(h >= floor, quotient, abs(g))
     return h, w_t, psi
 
 
@@ -360,3 +366,33 @@ def test_ray_t_nodes_match_ray_loop(u, omega):
                                  exclude[1][mine], exclude[2][mine])
         for a, b in zip(ref, batch):
             np.testing.assert_array_equal(a, b[row == i])
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.4, 1.0])
+@pytest.mark.parametrize("u, omega", [
+    (Tent(scale=2.5), np.array([-1.0])),
+    (Gaussian(scale=3.0), np.array([1.0])),
+    (Tent(dimension=2), np.array([0.6, -0.8])),
+    (Gaussian(dimension=2), np.array([0.6, -0.8])),
+])
+def test_merged_floor_panel_keeps_ray_integrals(u, omega, beta):
+    # below the floor psi is the constant |grad u . w|, so one panel
+    # there integrates psi^q as the grid's panels did, up to rounding
+    n = u.dimension
+    X = np.vstack([np.linspace(-1.5, 1.2, 4 * n).reshape(4, n),
+                   np.full((1, n), 40.0)])
+    H = np.linalg.norm(X, axis=1) + 2.0
+    quad, none = QuadratureSpec(h_bracket_grid=128), np.zeros(0)
+    row, h, w_t, psi = ray_t_nodes(u, X, omega, beta, H, quad)
+    for i in range(X.shape[0]):
+        g = abs(float(u.grad(X[i:i + 1])[0] @ omega))
+        floor = 1e-7 * max(1.0, float(np.linalg.norm(X[i])))
+        mine = row == i
+        under = np.all(h[mine] < floor, axis=1)
+        assert under.sum() == 1 and np.all(psi[mine][under] == g)
+        grid = _ray_nodes_by_loop(u, X[i], omega, beta, H[i], 64, none,
+                                  none, merge=False)
+        assert h[mine].size < grid[0].size
+        for q in (1.0, 2.0, 2.5):
+            assert np.sum(w_t[mine] * psi[mine] ** q) == pytest.approx(
+                np.sum(grid[1] * grid[2] ** q), rel=1e-14, abs=0.0)
