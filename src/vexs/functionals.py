@@ -620,8 +620,9 @@ class _PairSection:
 
     A fixed tensor layout (x nodes) x (y cells, GL15 within each cell)
     supports, for any batch of thresholds, splitting every x row's y
-    range into the parts above and below {phi = threshold}.  Whole cells
-    are classified by the extremes of phi over their sample path.  One
+    range into the parts above and below {phi = threshold}.  Cells are
+    classified by the extremes of phi over their sample path: wholly
+    above where cell_min > t, boundary where cell_min <= t < cell_max.  One
     piece builder, `_boundary_pieces`, resolves the boundary cells of both
     callers: `quadrature.sign_pieces` solves every sign change of the
     batch at once, from the sampled values of phi, and cuts each cell
@@ -666,12 +667,13 @@ class _PairSection:
 
     def _boundary_pieces(self, threshs: np.ndarray, dd, rows, cols):
         """Split the boundary cells (threshold dd[k], x row rows[k], y cell
-        cols[k]), given in row-major order over (d, m, c), at the roots of
-        phi(x, .) = threshs[dd].
+        cols[k]) at the roots of phi(x, .) = threshs[dd]; each (threshold,
+        row) must get its cells in increasing order, in any order across.
 
         Returns (d, row, lo, hi, is_above) arrays of the non-empty pieces,
-        in boundary-cell order and by y within each cell, so that
-        np.add.at accumulates them in a fixed order.
+        in boundary-cell order and by y within each cell, so that np.add.at
+        adds each (threshold, row)'s pieces by increasing y (roots do not
+        depend on the batch).
         """
         vals = self.PHI_samples[rows, cols, :]  # (k, 17)
         vals -= threshs[dd, None]
@@ -695,24 +697,30 @@ class _PairSection:
         """Integral of psi over {y : phi(x, y) > t} for a batch of
         thresholds at once; returns shape (len(threshs), n_xnodes).
 
-        Whole cells reuse the precomputed psi cell integrals; boundary
-        cells across the entire (threshold, x, cell) batch share one
-        vectorized root solve and one fresh GL evaluation.
+        Sorted thresholds of rank below kmin leave a cell wholly above,
+        ranks in [kmin, kmax) cut it (searchsorted of cell_min, cell_max).
+        Whole cells add their psi integral to bin (kmin, row), summed down
+        the ranks; the batch's boundary cells, cell by cell with thresholds
+        inner, share one root solve and one fresh GL evaluation.
         """
         threshs = np.asarray(threshs, dtype=float)
-        t3 = threshs[:, None, None]
-        whole = self.cell_min > t3  # (d, m, c)
-        # a threshold at a time, so that no (d, m, c) float array is built
-        above = np.array([np.sum(np.where(w, self.cell_psi, 0.0), axis=1)
-                          for w in whole])
-        # flatnonzero plus unravel_index gives np.nonzero's row-major
-        # order at a fraction of its cost on n-d masks
-        cells = np.unravel_index(
-            np.flatnonzero(~whole & (self.cell_max > t3)), whole.shape)
-        del whole  # not held through the root solve
-        if not cells[0].size:
+        order = np.argsort(threshs)
+        kmin, kmax = (np.searchsorted(threshs[order], e).ravel()
+                      for e in (self.cell_min, self.cell_max))
+        m, c = self.cell_min.shape
+        whole = np.bincount(kmin * m + np.arange(m * c) // c,
+                            self.cell_psi.ravel(), (threshs.size + 1) * m)
+        above = np.empty((threshs.size, m))
+        above[order] = np.cumsum(whole.reshape(-1, m)[:0:-1], axis=0)[::-1]
+        n = kmax - kmin
+        cell = np.repeat(np.arange(m * c), n)
+        # a cell's j-th boundary triple has rank kmin + j
+        dd = order[np.arange(cell.size) - np.repeat(np.cumsum(n) - kmax, n)]
+        del kmin, kmax, n, whole  # not held through the root solve
+        if not cell.size:
             return above
-        dd, row, lo, hi, is_above = self._boundary_pieces(threshs, *cells)
+        dd, row, lo, hi, is_above = self._boundary_pieces(
+            threshs, dd, *np.divmod(cell, c))
         dd, row = dd[is_above], row[is_above]
         xb, ys, ww = self._piece_nodes(row, lo[is_above], hi[is_above])
         ww *= self.psi(xb, ys)

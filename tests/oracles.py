@@ -229,6 +229,29 @@ def layer_cake_brute(phi, psi, alpha, box, n_xy=1500, n_delta=200):
     return lhs, float(np.sum(small)) * cell, float(np.sum(large)) * cell
 
 
+def pair_section_above_by_masks(sec, threshs):
+    """_PairSection.psi_integral_above_batch by (threshold, row, cell)
+    masks: a cell is whole where cell_min > t and boundary where
+    cell_min <= t < cell_max.  Whole cells are summed a threshold at a
+    time; the boundary cells, in row-major (threshold, row, cell) order,
+    are cut by sec._boundary_pieces.  Returns (above, (dd, rows, cols)),
+    above of shape (len(threshs), n_xnodes)."""
+    threshs = np.asarray(threshs, dtype=float)
+    t3 = threshs[:, None, None]
+    whole = sec.cell_min > t3
+    above = np.zeros((threshs.size, sec.xnodes.size))
+    for k, w in enumerate(whole):
+        above[k] = np.sum(np.where(w, sec.cell_psi, 0.0), axis=1)
+    cells = np.nonzero(~whole & (sec.cell_max > t3))
+    if cells[0].size:
+        dd, row, lo, hi, is_above = sec._boundary_pieces(threshs, *cells)
+        dd, row = dd[is_above], row[is_above]
+        xb, ys, ww = sec._piece_nodes(row, lo[is_above], hi[is_above])
+        ww *= sec.psi(xb, ys)
+        np.add.at(above, (dd, row), np.sum(ww, axis=1))
+    return above, cells
+
+
 def counterexample_maximal(x: float) -> float:
     """Centered maximal function of u = y^{-1/3} on [2, oo) (zero before)
     at x <= -2: the ball average (3/(4r))((x+r)^{2/3} - 2^{2/3}) at its
