@@ -169,6 +169,8 @@ def parse_exponent(cfg: dict) -> exponents.ExponentField:
 
 QUAD_KEYS = frozenset({"truncation_radius", "sphere_rule", "outer_x_tolerance",
                        "h_bracket_grid", "h_max", "rel_tol"})
+# the keys a modular (and so a norm or the counterexample's) reads in 1D
+MODULAR_KEYS = frozenset({"truncation_radius", "outer_x_tolerance", "rel_tol"})
 
 
 def parse_quad(cfg: dict | None, used=QUAD_KEYS,
@@ -422,9 +424,7 @@ def _modular_inputs(args, command: str, extra=()):
                f"{command} config", ("field", "exponent"))
     u, p = parse_field_exponent(cfg, f"{command} config")
     weight = parse_field(cfg["weight"]) if "weight" in cfg else None
-    used = {"truncation_radius", "outer_x_tolerance", "rel_tol"}
-    if u.dimension > 1:
-        used.add("sphere_rule")
+    used = MODULAR_KEYS | ({"sphere_rule"} if u.dimension > 1 else set())
     return cfg, u, p, weight, parse_quad(cfg.get("quad"), used)
 
 
@@ -459,7 +459,9 @@ def cmd_fracnorm(args) -> int:
                "fracnorm config", ("field", "exponent", "s"))
     u, base = parse_field_exponent(cfg, "fracnorm config")
     pair = exponents.PairExponentField(base)
-    quad = parse_quad(cfg.get("quad"))
+    # the ray kernel reads no outer tolerance and no rel_tol
+    quad = parse_quad(cfg.get("quad"), QUAD_KEYS - {"outer_x_tolerance",
+                                                   "rel_tol"})
     res = spaces.frac_seminorm(u, number(cfg, "s", "fracnorm config"),
                                pair, quad)
     return _report(args, cfg, "fracnorm", {
@@ -499,7 +501,7 @@ def cmd_counterexample(args) -> int:
         r_values = number(cfg, "r_values", "counterexample config",
                           kind=floats, shape=(None,))
         name = cfg.get("name", "counterexample")
-        quad = parse_quad(cfg.get("quad"))
+        quad = parse_quad(cfg.get("quad"), MODULAR_KEYS)
     else:
         r_values = number_list(args.r_values, "--r-values", "counterexample")
         name = "counterexample"

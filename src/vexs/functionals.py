@@ -114,6 +114,7 @@ class _OuterResult:
     error: float
     radius: float
     n_evals: int
+    nodes: object = dc_field(default=None, repr=False, compare=False)
 
 
 def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
@@ -128,71 +129,79 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
     rule); the outer angular part then takes one direction, the rule's
     first node, weighted by the rule's total weight.  In 1D the sphere is
     {+-1}, so a radial F is integrated over [0, R] with weight 2, and any
-    other F over the line [-R, R].  `seeds` are 1D abscissae (or radii)
-    used as initial panel boundaries.  F must give a point the same
-    value whatever batch it is in: adaptive_integrate hands it several
-    panels at once.
+    other F over the line [-R, R], as the one direction +1 of weight 1.
+    `seeds` are 1D abscissae (or radii) used as initial panel boundaries.
+    F must give a point the same value whatever batch it is in:
+    adaptive_integrate hands it several panels at once.  The result's
+    nodes() gives the points and weights of the final GL15 nodes of every
+    panel, whose weighted sum of F is the value up to rounding.
     """
     n = u.dimension
     count = [0]
 
     if n == 1 and not radial:
-        def f_line(xs):
-            count[0] += xs.size
-            return F(xs[:, None])
+        # x * 1.0 and a one-term sum are exact: the line's own floats
+        nodes, weights = np.ones((1, 1)), np.ones(1)
         segment = _integrate_segments_1d
     else:
         rule = _resolve_rule(quad, n)
         nodes, weights = rule.nodes, rule.weights
         if radial:
             nodes, weights = nodes[:1], np.array([np.sum(weights)])
-
-        def f_line(rs):
-            pts = (rs[:, None, None] * nodes[None, :, :]).reshape(-1, n)
-            vals = F(pts).reshape(rs.size, weights.size)
-            count[0] += pts.shape[0]
-            # a row-wise sum: a BLAS mat-vec rounds a row differently
-            # in different batches
-            return np.sum(vals * weights, axis=1) * rs ** (n - 1)
         segment = _integrate_segments_radial
+
+    def points(rs):
+        return (rs[:, None, None] * nodes[None, :, :]).reshape(-1, n)
+
+    def f_line(rs):
+        pts = points(rs)
+        vals = F(pts).reshape(rs.size, weights.size)
+        count[0] += pts.shape[0]
+        # a row-wise sum: a BLAS mat-vec rounds a row differently
+        # in different batches
+        return np.sum(vals * weights, axis=1) * rs ** (n - 1)
+
+    def outer_nodes():
+        rs, w = (np.concatenate(v) for v in zip(
+            *(panel_nodes(np.array(r.edges), 15) for r in parts)))
+        return points(rs), (w[:, None] * weights * rs[:, None] ** (n - 1)
+                            ).ravel()
 
     # a fixed truncation radius takes no doubling shells
     fixed = quad.truncation_radius is not None
     R = float(quad.truncation_radius) if fixed else base_radius
-    total, err = segment(f_line, 0.0, R, quad, seeds)
+    parts = segment(f_line, 0.0, R, quad, seeds)
+    total, err = sum(r.value for r in parts), sum(r.error for r in parts)
     for _ in range(0 if fixed else 40):
-        sval, serr = segment(f_line, R, 2.0 * R, quad, ())
+        shell = segment(f_line, R, 2.0 * R, quad, ())
+        parts += shell
+        sval = sum(r.value for r in shell)
         total += sval
-        err += serr
+        err += sum(r.error for r in shell)
         R *= 2.0
         if abs(sval) <= 0.25 * quad.rel_tol * max(abs(total), 1e-300):
             err += abs(sval)  # geometric-tail allowance for what remains
             break
-    return _OuterResult(total, err, R, count[0])
+    return _OuterResult(total, err, R, count[0], outer_nodes)
 
 
 def _integrate_segments_1d(f_line, r_lo, r_hi, quad, seeds):
     seeds = [s for s in np.atleast_1d(np.asarray(seeds, dtype=float))
              if -r_hi < s < r_hi]
     if r_lo == 0.0:
-        res = adaptive_integrate(f_line, -r_hi, r_hi,
-                                 rel_tol=quad.outer_x_tolerance,
-                                 seeds=sorted(set(seeds + [0.0])))
-        return res.value, res.error
-    left = adaptive_integrate(f_line, -r_hi, -r_lo,
-                              rel_tol=quad.outer_x_tolerance)
-    right = adaptive_integrate(f_line, r_lo, r_hi,
-                               rel_tol=quad.outer_x_tolerance)
-    return left.value + right.value, left.error + right.error
+        return [adaptive_integrate(f_line, -r_hi, r_hi,
+                                   rel_tol=quad.outer_x_tolerance,
+                                   seeds=sorted(set(seeds + [0.0])))]
+    return [adaptive_integrate(f_line, lo, hi, rel_tol=quad.outer_x_tolerance)
+            for lo, hi in ((-r_hi, -r_lo), (r_lo, r_hi))]
 
 
 def _integrate_segments_radial(f_line, r_lo, r_hi, quad, seeds):
     seeds = [abs(s) for s in np.atleast_1d(np.asarray(seeds, dtype=float))
              if r_lo < abs(s) < r_hi]
-    res = adaptive_integrate(f_line, max(r_lo, 0.0), r_hi,
-                             rel_tol=quad.outer_x_tolerance,
-                             seeds=sorted(set(seeds)))
-    return res.value, res.error
+    return [adaptive_integrate(f_line, max(r_lo, 0.0), r_hi,
+                               rel_tol=quad.outer_x_tolerance,
+                               seeds=sorted(set(seeds)))]
 
 
 def _require_lipschitz_decay(u: ScalarField, op: str) -> float:

@@ -62,6 +62,7 @@ class AdaptiveResult:
     error: float
     n_evals: int
     n_panels: int
+    edges: tuple
 
 
 def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -77,7 +78,8 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     refinement order is reproducible) is split in half until the summed
     error drops below rel_tol times the running total.  `seeds` are
     interior breakpoints (kinks, support edges) used for the initial
-    partition.  The final sum runs over panels sorted by left endpoint.
+    partition.  The final sum runs over panels sorted by left endpoint,
+    whose edges the result returns as a tuple.
 
     f sees the nodes of the whole initial partition in one call and the
     nodes of both halves of a split in one call (QUADPACK's paired
@@ -144,8 +146,9 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     panels = sorted(heap, key=lambda t: t[2])
     value = float(np.sum(np.array([p[4] for p in panels])))
     error = float(np.sum(np.array([abs(p[0]) for p in panels])))
-    return AdaptiveResult(value=value, error=error,
-                          n_evals=n_evals, n_panels=len(panels))
+    return AdaptiveResult(value=value, error=error, n_evals=n_evals,
+                          n_panels=len(panels),
+                          edges=tuple(t[2] for t in panels) + (b,))
 
 
 _EPS = np.finfo(float).eps

@@ -4,10 +4,11 @@ two-exponent seminorm.
 The Luxemburg construction inf{lambda > 0 : modular(u / lambda) <= 1}
 is solved by bisection.  Because the lambda dependence factorizes per
 quadrature node (|u(x)/lambda|^{p(x)} = |u(x)|^{p(x)} lambda^{-p(x)}),
-the modular is discretized once into coefficient/exponent pairs and the
-bisection then iterates over a cached sum, with a fresh full quadrature
-of the modular at the final lambda as verification.  The fractional
-seminorm's pairs are the per-node terms of the functionals' ray kernel.
+the adaptive modular at lambda = 1 gives coefficient/exponent pairs on
+its own final nodes, and the bisection then iterates over their sum,
+with a fresh adaptive modular at the final lambda as verification.  The
+fractional seminorm's pairs are the per-node terms of the functionals'
+ray kernel; both solve their sum = 1 through one helper.
 """
 
 from __future__ import annotations
@@ -90,14 +91,8 @@ def _domain_radius(u: ScalarField, p, quad: QuadratureSpec) -> float:
     return truncation_radius(u, p, tol)
 
 
-def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
-            quad: QuadratureSpec | None = None) -> ModularValue:
-    """The modular: integral of |u(x)/lam|^{p(x)} w(x) over the truncated
-    domain, by the functionals' outer integrator (polar for n >= 2) with
-    panel edges seeded at kinks and decades."""
-    quad = quad or QuadratureSpec()
-    if lam <= 0:
-        raise DomainError("lam must be positive")
+def _modular(u, p, weight, lam, quad):
+    """The outer result of the modular at lam (its radius fixed)."""
     R = _domain_radius(u, p, quad)
 
     def integrand(pts: np.ndarray) -> np.ndarray:
@@ -107,35 +102,26 @@ def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
     seeds = np.concatenate([u.kink_points(), decade_seeds(0.0, -R, R)])
     # a weight is never taken as radial
     radial = weight is None and u.radial and p.radial
-    res = _outer_integrate(integrand, u, replace(quad, truncation_radius=R),
-                           R, seeds, radial)
-    return ModularValue(res.value, R, res.n_evals, res.error)
+    return _outer_integrate(integrand, u, replace(quad, truncation_radius=R),
+                            R, seeds, radial)
 
 
-def _line_edges(u, R, grid, extra=()):
-    """Panel edges on [-R, R]: `grid` plus 0, +-R, u's kinks and `extra`."""
+def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
+            quad: QuadratureSpec | None = None) -> ModularValue:
+    """The modular: integral of |u(x)/lam|^{p(x)} w(x) over the truncated
+    domain, by the functionals' outer integrator (polar for n >= 2) with
+    panel edges seeded at kinks and decades."""
+    if lam <= 0:
+        raise DomainError("lam must be positive")
+    res = _modular(u, p, weight, lam, quad or QuadratureSpec())
+    return ModularValue(res.value, res.radius, res.n_evals, res.error)
+
+
+def _line_edges(u, R, grid):
+    """Panel edges on [-R, R]: `grid` plus 0, +-R and u's kinks."""
     kinks = u.kink_points()
     return np.unique(np.concatenate(
-        [grid, [0.0, -R, R], kinks[(-R < kinks) & (kinks < R)], extra]))
-
-
-def _modular_profile(u, p, weight, quad, R):
-    """Coefficient/exponent pairs so that rho(lam) = sum a_i lam^{-e_i}."""
-    n = u.dimension
-    if n == 1:
-        span = min(R, 50.0)
-        nodes, w = panel_nodes(_line_edges(u, R, np.linspace(-span, span, 161),
-                                           decade_seeds(0.0, -R, R)), 15)
-        pts = nodes[:, None]
-    else:
-        rule = _resolve_rule(quad, n)
-        redges = np.linspace(0.0, R, 81)
-        rnodes, rw = panel_nodes(redges, 15)
-        pts = (rnodes[:, None, None] * rule.nodes[None, :, :]).reshape(-1, n)
-        w = (rw[:, None] * rule.weights[None, :] *
-             (rnodes[:, None] ** (n - 1))).ravel()
-    a = w * np.abs(u.eval(pts)) ** p.eval(pts) * _weight_values(weight, pts)
-    return a, p.eval(pts), pts.shape[0]
+        [grid, [0.0, -R, R], kinks[(-R < kinks) & (kinks < R)]]))
 
 
 def _bisect_lambda(rho, hint: float = 1.0) -> tuple[float, int]:
@@ -150,7 +136,7 @@ def _bisect_lambda(rho, hint: float = 1.0) -> tuple[float, int]:
                 f"modular stays above 1 for lambda up to {_LAMBDA_CAP}")
     lo = hi
     while rho(lo) <= 1.0:
-        lo *= 0.5
+        hi, lo = lo, 0.5 * lo
         steps += 1
         if lo < 1e-300:
             return 0.0, steps
@@ -159,33 +145,43 @@ def _bisect_lambda(rho, hint: float = 1.0) -> tuple[float, int]:
     return hi, iters
 
 
+def _solve_lambda(a: np.ndarray, neg_e: np.ndarray) -> tuple[float, int]:
+    """Solve sum_i a_i lam^{-e_i} = 1, given neg_e = -e."""
+    def rho(lam: float) -> float:
+        t = lam ** neg_e        # in place from here: no second temporary
+        t *= a
+        return float(np.sum(t))
+    return _bisect_lambda(rho)
+
+
 def luxemburg_norm(u: ScalarField, p: ExponentField, weight=None,
                    quad: QuadratureSpec | None = None) -> LuxemburgNorm:
     """inf{lambda > 0 : modular(u/lambda) <= 1}; 0 for the zero function.
 
-    Bisection runs on the cached node profile; the result is verified by
-    a fresh adaptive modular at the final lambda (|rho - 1| <= 1e-8)."""
+    Bisection runs on the pairs a_i lambda^{-p_i} of the adaptive
+    modular's final nodes at lambda = 1; the result is verified by a
+    fresh adaptive modular at the final lambda (|rho - 1| <= 1e-8)."""
     quad = quad or QuadratureSpec()
-    R = _domain_radius(u, p, quad)
-    a, e, nodes = _modular_profile(u, p, weight, quad, R)
+    res = _modular(u, p, weight, 1.0, quad)
+    pts, w = res.nodes()
+    e = p.eval(pts)
+    a = w * np.abs(u.eval(pts)) ** e * _weight_values(weight, pts)
     if u.sup_bound == 0.0 or not np.any(a > 0.0):
-        return LuxemburgNorm(0.0, 0.0, 0, nodes)
+        return LuxemburgNorm(0.0, 0.0, 0, res.n_evals)
 
-    def rho(lam: float) -> float:
-        return float(np.sum(a * lam ** (-e)))
-
-    quad_fixed = replace(quad, truncation_radius=R)
-    lam, iters = _bisect_lambda(rho)
+    quad_fixed = replace(quad, truncation_radius=res.radius)
+    lam, iters = _solve_lambda(a, -e)
     check = modular(u, p, weight, lam, quad_fixed)
     if abs(check.value - 1.0) > _RHO_TOL:
-        # profile resolution was insufficient; bisect directly on the
-        # adaptive modular starting from the profile bracket
+        # the nodes at lambda = 1 did not resolve rho; bisect directly
+        # on the adaptive modular starting from their bracket
         lam, extra = _bisect_lambda(
             lambda t: modular(u, p, weight, t, quad_fixed).value,
             hint=lam)
         iters += extra
         check = modular(u, p, weight, lam, quad_fixed)
-    return LuxemburgNorm(lam, check.value, iters, nodes + check.node_count)
+    return LuxemburgNorm(lam, check.value, iters,
+                         res.n_evals + check.node_count)
 
 
 def norm_modular_inequality_check(u: ScalarField, p: ExponentField,
@@ -281,14 +277,7 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
     del neg_exps
     if not np.any(a > 0.0):
         return FracSeminorm(0.0, 0, int(a.size))
-
-    def rho(lam: float) -> float:
-        t = lam ** neg_e        # in place from here: no second temporary
-        t *= a
-        return float(np.sum(t))
-
-    lam, iters = _bisect_lambda(rho)
-    return FracSeminorm(lam, iters, int(a.size))
+    return FracSeminorm(*_solve_lambda(a, neg_e), int(a.size))
 
 
 def w_norm(u: ScalarField, s: float, p_pair: PairExponentField,

@@ -51,7 +51,8 @@ def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),
     """quadrature.adaptive_integrate as one f call per panel: GL15/GL7
     on each panel, the worst panel (oldest first on ties) halved until
     the summed error is below rel_tol times the total; returns
-    (value, error, n_evals, n_panels)."""
+    (value, error, n_evals, n_panels, edges), edges the final panel
+    edges as a tuple."""
     x15, w15 = np.polynomial.legendre.leggauss(15)
     x7, w7 = np.polynomial.legendre.leggauss(7)
     n_evals = 0
@@ -89,7 +90,7 @@ def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),
     panels = sorted(heap, key=lambda t: t[2])
     return (float(np.sum(np.array([t[4] for t in panels]))),
             float(np.sum(np.array([abs(t[0]) for t in panels]))),
-            n_evals, len(panels))
+            n_evals, len(panels), tuple(t[2] for t in panels) + (b,))
 
 
 def riemann_threshold_double(u, p, delta, x_box, n_x=2000, n_d=2000,

@@ -235,19 +235,37 @@ def test_unused_quad_rejected(tmp_path, capsys, command, payload):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["modular", "norm"])
-def test_outer_quad_rejects_unread_keys(tmp_path, capsys, command):
+GAUSS_P2 = {"field": {"family": "gaussian"},
+            "exponent": {"family": "constant", "value": 2.0}}
+MODULAR_UNREAD = ({**GAUSS_P2, "quad": {
+    "sphere_rule": {"dimension": 3, "node_count": [4, 8]},
+    "h_bracket_grid": 4096, "h_max": 5.0, "rel_tol": 1e-6}},
+    "h_bracket_grid, h_max, sphere_rule")
+# per command: a config whose quad holds keys the computation never reads,
+# and the message naming them
+UNREAD_QUAD = {
     # the outer integral of a 1D field reads no sphere rule, and neither
     # computation reads h_bracket_grid or h_max
-    cfg = write_cfg(tmp_path, f"{command}.json", {
-        "field": {"family": "gaussian"},
-        "exponent": {"family": "constant", "value": 2.0},
-        "quad": {"sphere_rule": {"dimension": 3, "node_count": [4, 8]},
-                 "h_bracket_grid": 4096, "h_max": 5.0, "rel_tol": 1e-6},
-    })
+    "modular": MODULAR_UNREAD,
+    "norm": MODULAR_UNREAD,
+    # the ray kernel reads no outer tolerance and no rel_tol
+    "fracnorm": ({**GAUSS_P2, "s": 0.5, "quad": {
+        "outer_x_tolerance": 1e-9, "rel_tol": 1e-8, "h_bracket_grid": 64}},
+        "outer_x_tolerance, rel_tol"),
+    # the counterexample's only quadrature is its 1D modular
+    "counterexample": ({"r_values": [10.0, 100.0], "quad": {
+        "h_bracket_grid": 64, "h_max": 5.0,
+        "sphere_rule": {"dimension": 2, "node_count": 16}, "rel_tol": 1e-6}},
+        "h_bracket_grid, h_max, sphere_rule"),
+}
+
+
+@pytest.mark.parametrize("command", UNREAD_QUAD)
+def test_outer_quad_rejects_unread_keys(tmp_path, capsys, command):
+    payload, keys = UNREAD_QUAD[command]
+    cfg = write_cfg(tmp_path, f"{command}.json", payload)
     assert run_cli(command, "--config", cfg) == 2
-    assert "unknown key(s) in quad: h_bracket_grid, h_max, sphere_rule" in \
-        capsys.readouterr().err
+    assert f"unknown key(s) in quad: {keys}" in capsys.readouterr().err
 
 
 GAUSS_FIELD = {"family": "gaussian"}

@@ -785,6 +785,26 @@ def test_outer_integral_matches_one_call_per_panel(monkeypatch, compute):
     assert compute() == batched
 
 
+@pytest.mark.parametrize("n, radial, rule", [
+    (1, False, None), (1, True, None), (2, True, None), (2, False, 16),
+    (3, True, None)])
+def test_outer_nodes_are_the_adaptive_rule(n, radial, rule):
+    # the exported nodes and weights integrate F to the value itself, over
+    # the first segment and every doubling shell (1D line, 1D radial,
+    # 2D radial, 2D non-radial with 16 directions, 3D radial)
+    center = np.zeros(n) if radial else np.linspace(0.3, -0.2, n)
+
+    def F(X):
+        return np.exp(-np.sum((X - center) ** 2, axis=1)) * (
+            1.0 + np.sum(X * X, axis=1))
+    quad = QuadratureSpec(sphere_rule=rule and default_rule(n, rule))
+    res = functionals._outer_integrate(F, Gaussian(dimension=n), quad, 1.5,
+                                       seeds=(0.5,), radial=radial)
+    pts, w = res.nodes()
+    assert res.radius > 1.5 and pts.shape == (w.size, n)
+    assert float(np.sum(w * F(pts))) == pytest.approx(res.value, rel=1e-13)
+
+
 @pytest.mark.parametrize("name", BATCH_CASES)
 def test_outer_rows_do_not_depend_on_batch(monkeypatch, name):
     # the outer integrand on five panels of rows at once, against one

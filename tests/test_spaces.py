@@ -95,6 +95,31 @@ def test_luxemburg_homogeneity(rng):
         assert scaled == pytest.approx(c * base, rel=1e-8)
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e-10, 1e-12, 1e-20, 1e-50, 1e-100])
+def test_luxemburg_small_norms_converge(c):
+    # a norm below 1 is bracketed in [lo, 2 lo], so the bisection closes
+    # it within its step cap and without the adaptive fallback
+    res = luxemburg_norm(Tent(scale=c), constant(2.0))
+    assert res.value == pytest.approx(c * math.sqrt(2.0 / 3.0), rel=1e-9,
+                                      abs=0.0)
+    assert res.iterations <= 60
+
+
+def test_luxemburg_small_variable_exponent_norm_converges():
+    res = luxemburg_norm(Gaussian(scale=1e-12), inverse_quadratic(2.0, 1.0))
+    assert res.iterations <= 60
+    assert abs(res.modular_at_value - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_luxemburg_gaussian_closed_form(n):
+    # ||e^{-|x|^2}||_{L^2(R^n)} = (pi/2)^{n/4}; the node count, not a
+    # wall time, pins the cost
+    res = luxemburg_norm(Gaussian(dimension=n), constant(2.0, n))
+    assert res.value == pytest.approx((math.pi / 2) ** (n / 4), rel=1e-9)
+    assert res.node_count < 10 ** 4
+
+
 def test_luxemburg_divergence_for_power_tail_p2():
     with pytest.raises(DivergenceError):
         luxemburg_norm(PowerTail(), constant(2.0))
