@@ -505,7 +505,7 @@ def truncation_radius(u: ScalarField, p, tol: float) -> float:
         return None if best is None else max(1.0, best)
 
     def tail_integral_bound(R: float) -> float:
-        # bound sup-tail on dyadic shells
+        # bound sup-tail on dyadic shells (terms >= 0: stop past tol)
         total = 0.0
         prev_term = math.inf
         r = R
@@ -520,6 +520,8 @@ def truncation_radius(u: ScalarField, p, tol: float) -> float:
                 val = bound ** pt if bound <= 1.0 else bound ** p.p_plus
                 term += shell * val
             total += term
+            if total > tol:
+                return total
             if term <= 1e-18 * max(total, tol):
                 return total
             if term >= prev_term:

@@ -43,8 +43,10 @@ def _interval_average(u: ScalarField, lo: np.ndarray, hi: np.ndarray,
                       n_panels: int = 8) -> np.ndarray:
     """Average of |u| over each 1D interval [lo[i], hi[i]], 0 where it is
     empty: GL15 on `n_panels` equal panels per interval, cut further at
-    the kinks and decade seeds inside it."""
-    ok = hi > lo
+    the kinks and decade seeds inside it.  An interval off
+    u.support_interval() takes no nodes: its average is exactly 0.0."""
+    s_lo, s_hi = u.support_interval()
+    ok = (hi > lo) & (hi > s_lo) & (lo < s_hi)
     rows = np.flatnonzero(ok)
     a, b = lo[rows], hi[rows]
     # kinks cut the panels, graded by decades about each kink (for a

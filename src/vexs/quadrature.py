@@ -79,7 +79,9 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     error drops below rel_tol times the running total.  `seeds` are
     interior breakpoints (kinks, support edges) used for the initial
     partition.  The final sum runs over panels sorted by left endpoint,
-    whose edges the result returns as a tuple.
+    whose edges the result returns as a tuple.  A panel no wider than
+    min_width_frac times its largest |endpoint| is accepted unsplit, as
+    in QUADPACK: its error leaves the stop test and stays in the result's.
 
     f sees the nodes of the whole initial partition in one call and the
     nodes of both halves of a split in one call (QUADPACK's paired
@@ -123,17 +125,20 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
         total_err += e
     counter = len(heap)
 
-    min_width = min_width_frac * (b - a)
+    accepted_err = 0.0
     while len(heap) < max_panels:
         if total_err <= rel_tol * max(abs(total), 1e-300):
             break
         neg_e, _, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if hi - lo <= min_width or mid <= lo or mid >= hi:
-            # cannot refine further (discontinuity or sub-ulp width on a
-            # huge domain); accept its estimate
+        if (hi - lo <= min_width_frac * max(abs(lo), abs(hi))
+                or mid <= lo or mid >= hi):
+            # cannot refine further (a discontinuity, or a width at the
+            # rounding scale of its endpoints): accept its estimate
             heapq.heappush(heap, (0.0, counter, lo, hi, v))
             counter += 1
+            total_err += neg_e
+            accepted_err -= neg_e
             continue
         (v1, e1), (v2, e2) = eval_panels((lo, mid), (mid, hi))
         total += (v1 + v2) - v
@@ -146,8 +151,8 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     panels = sorted(heap, key=lambda t: t[2])
     value = float(np.sum(np.array([p[4] for p in panels])))
     error = float(np.sum(np.array([abs(p[0]) for p in panels])))
-    return AdaptiveResult(value=value, error=error, n_evals=n_evals,
-                          n_panels=len(panels),
+    return AdaptiveResult(value=value, error=error + accepted_err,
+                          n_evals=n_evals, n_panels=len(panels),
                           edges=tuple(t[2] for t in panels) + (b,))
 
 

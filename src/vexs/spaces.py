@@ -160,7 +160,9 @@ def luxemburg_norm(u: ScalarField, p: ExponentField, weight=None,
 
     Bisection runs on the pairs a_i lambda^{-p_i} of the adaptive
     modular's final nodes at lambda = 1; the result is verified by a
-    fresh adaptive modular at the final lambda (|rho - 1| <= 1e-8)."""
+    fresh adaptive modular at the final lambda (|rho - 1| <= 1e-8).  If
+    that fails, lambda is bisected on the adaptive modular itself, and a
+    second failed check raises DivergenceError."""
     quad = quad or QuadratureSpec()
     res = _modular(u, p, weight, 1.0, quad)
     pts, w = res.nodes()
@@ -180,6 +182,10 @@ def luxemburg_norm(u: ScalarField, p: ExponentField, weight=None,
             hint=lam)
         iters += extra
         check = modular(u, p, weight, lam, quad_fixed)
+        if not abs(check.value - 1.0) <= _RHO_TOL:
+            raise DivergenceError(
+                f"Luxemburg norm did not converge: at lambda = {lam:g} "
+                f"|rho - 1| = {abs(check.value - 1.0):g}")
     return LuxemburgNorm(lam, check.value, iters,
                          res.n_evals + check.node_count)
 

@@ -50,9 +50,10 @@ def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),
                                  max_panels=4000, min_width_frac=1e-13):
     """quadrature.adaptive_integrate as one f call per panel: GL15/GL7
     on each panel, the worst panel (oldest first on ties) halved until
-    the summed error is below rel_tol times the total; returns
-    (value, error, n_evals, n_panels, edges), edges the final panel
-    edges as a tuple."""
+    the summed error is below rel_tol times the total, a panel no wider
+    than min_width_frac times its largest |endpoint| accepted unsplit;
+    returns (value, error, n_evals, n_panels, edges), edges the final
+    panel edges as a tuple."""
     x15, w15 = np.polynomial.legendre.leggauss(15)
     x7, w7 = np.polynomial.legendre.leggauss(7)
     n_evals = 0
@@ -72,14 +73,19 @@ def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),
         heapq.heappush(heap, (-e, len(heap), lo, hi, v))
         total += v
         total_err += e
-    counter = len(heap)
+    counter, accepted_err = len(heap), 0.0
     while len(heap) < max_panels and \
             total_err > rel_tol * max(abs(total), 1e-300):
         neg_e, _, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if hi - lo <= min_width_frac * (b - a) or mid <= lo or mid >= hi:
+        if hi - lo <= min_width_frac * max(abs(lo), abs(hi)) or \
+                mid <= lo or mid >= hi:
+            # accepted unsplit: its error leaves the stop test and is
+            # reported on its own
             heapq.heappush(heap, (0.0, counter, lo, hi, v))
             counter += 1
+            total_err += neg_e
+            accepted_err -= neg_e
             continue
         (v1, e1), (v2, e2) = panel(lo, mid), panel(mid, hi)
         total += (v1 + v2) - v
@@ -89,7 +95,8 @@ def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),
         counter += 2
     panels = sorted(heap, key=lambda t: t[2])
     return (float(np.sum(np.array([t[4] for t in panels]))),
-            float(np.sum(np.array([abs(t[0]) for t in panels]))),
+            float(np.sum(np.array([abs(t[0]) for t in panels])))
+            + accepted_err,
             n_evals, len(panels), tuple(t[2] for t in panels) + (b,))
 
 

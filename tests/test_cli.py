@@ -83,6 +83,20 @@ def test_divergent_norm_exits_3(tmp_path, capsys):
     assert "norm" in capsys.readouterr().err
 
 
+def test_unconverged_norm_exits_3(tmp_path, capsys, monkeypatch):
+    from vexs import spaces
+    monkeypatch.setattr(spaces, "modular", lambda u, p, weight, lam, quad:
+                        spaces.ModularValue(2.0 if lam < 1.3 else 0.5,
+                                            1.0, 1, 0.0))
+    cfg = write_cfg(tmp_path, "tent.json", {
+        "name": "tent",
+        "field": {"family": "tent"},
+        "exponent": {"family": "constant", "value": 2.0},
+    })
+    assert run_cli("norm", "--config", cfg) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_sweep_writes_report_and_plot_data(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sweep.json", {
         "name": "tent_small",

@@ -5,7 +5,8 @@ import pytest
 
 from vexs import (DivergenceError, DomainError, Gaussian, LogSingular,
                   PowerTail, SampledTable, SmoothBump, Tent,
-                  UnsupportedFieldError, constant, truncation_radius)
+                  UnsupportedFieldError, constant, counterexample_exponent,
+                  truncation_radius)
 
 ALL_SMOOTH = [Gaussian(), Gaussian(sigma=0.7, center=1.5, scale=2.0),
               SmoothBump(), PowerTail()]
@@ -108,6 +109,20 @@ def test_truncation_power_tail_depends_on_exponent():
     # with p = 2 everywhere the modular diverges
     with pytest.raises(DivergenceError):
         truncation_radius(u, constant(2.0), 1e-6)
+
+
+@pytest.mark.parametrize("u, p, tol, R", [
+    (Gaussian(), constant(2.0), 1e-8, 3.483124185326476),
+    (Gaussian(), constant(2.0), 1e-10, 3.8171188578171655),
+    (PowerTail(), counterexample_exponent(), 1e-8, 9.111620539526762e+26),
+    (PowerTail(), counterexample_exponent(), 1e-10, 9.11162053952679e+32),
+    (PowerTail(), constant(6.0), 1e-8, 400000000.00000083),
+    (PowerTail(), constant(6.0), 1e-10, 40000000000.00011),
+])
+def test_truncation_radius_pinned(u, p, tol, R):
+    # R recorded before the tail certificate stopped summing past tol:
+    # its terms are nonnegative, so no bisection step can change
+    assert truncation_radius(u, p, tol) == R
 
 
 def test_truncation_unsupported_for_log_singular():

@@ -123,6 +123,58 @@ def test_log_singular_averages_match_closed_form():
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+@pytest.mark.parametrize("u, lo, hi", [
+    (counterexample_field(), [-50.0, -3.0, 0.5, 1.0, -7.0],
+     [-1.0, 2.0, 1.5, 9.0, 40.0]),
+    (Tent(), [-3.0, 1.0, -0.5, 2.0, -1.5], [-1.0, 4.0, 0.25, 2.5, 1.5]),
+])
+def test_interval_average_skips_intervals_off_the_support(u, lo, hi,
+                                                          monkeypatch):
+    lo, hi = np.array(lo), np.array(hi)
+    s_lo, s_hi = u.support_interval()
+    off = (hi <= s_lo) | (lo >= s_hi)
+    assert off.sum() == 3
+    seen, eval_ = [], u.eval
+    monkeypatch.setattr(u, "eval",
+                        lambda x: seen.append(np.ravel(x)) or eval_(x))
+    got = _interval_average(u, lo, hi)
+    assert np.all(got[off] == 0.0)
+    # every node serves an interval that meets the support, and those
+    # that miss it alone take none
+    nodes = np.concatenate(seen)
+    assert np.all(np.any((lo[~off, None] < nodes) & (nodes < hi[~off, None]),
+                         axis=0))
+    seen.clear()
+    assert np.all(_interval_average(u, lo[off], hi[off]) == 0.0)
+    assert sum(x.size for x in seen) == 0
+
+
+def test_interval_average_skip_gives_the_floats_of_the_quadrature(
+        monkeypatch):
+    # the same intervals averaged with the support taken as the whole
+    # line: the skipped ones integrate zeros, the others take the same
+    # panels
+    lo = np.array([-50.0, -3.0, 0.5, 1.0, -7.0, -3.0, 1.0, -0.5, 2.0])
+    hi = np.array([-1.0, 2.0, 1.5, 9.0, 40.0, -1.0, 4.0, 0.25, 2.5])
+    for u in (counterexample_field(), Tent()):
+        got = _interval_average(u, lo, hi)
+        monkeypatch.setattr(u, "support_interval",
+                            lambda: (-np.inf, np.inf))
+        assert list(got) == list(_interval_average(u, lo, hi))
+
+
+def test_counterexample_modular_matches_truncated_closed_form():
+    # the integral of x^(-4/3) over [2, R], R the certified truncation
+    # radius; the certified tail 3 R^(-1/3) beyond it is what is left out
+    res = modular(counterexample_field(), counterexample_exponent())
+    R = res.truncation_radius
+    exact = 3.0 * (2.0 ** (-1.0 / 3.0) - R ** (-1.0 / 3.0))
+    assert res.value == pytest.approx(exact, rel=1e-10)
+    assert res.error_estimate >= abs(res.value - 3.0 * 2.0 ** (-1.0 / 3.0))
+    # a count, not a wall time, pins the cost
+    assert res.node_count < 10 ** 4
+
+
 def test_maximal_rejects_bad_radius_and_points():
     for r_max in (0.0, -2.0, 1e-7, np.inf):
         with pytest.raises(DomainError, match="r_max"):

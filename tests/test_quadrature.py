@@ -254,6 +254,33 @@ def test_adaptive_integrate_one_call_per_split(f, a, b, seeds, kw):
         f, a, b, seeds=seeds, **kw))
 
 
+@pytest.mark.parametrize("kw", [{"min_width_frac": 1e-3, "max_panels": 40},
+                                {"rel_tol": 1e-15},
+                                {"min_width_frac": 1e-3, "rel_tol": 1e-15}])
+def test_adaptive_integrate_reports_error_of_unsplit_panels(kw):
+    # the panel holding the jump stops splitting at the width floor; its
+    # error stays in the reported error and leaves the stop test, so the
+    # loop ends long before max_panels (in the last case every panel with
+    # an error reaches the floor, so only that ends the loop)
+    res = adaptive_integrate(lambda x: np.where(x > 1.0 / 3.0, 2.0, 0.0),
+                             0.0, 1.0, **kw)
+    assert res.error >= abs(res.value - 4.0 / 3.0)
+    assert res.n_panels < 100
+
+
+def test_adaptive_integrate_width_floor_scales_with_the_panel():
+    # x^(-4/3) on [2, inf) seen from a line of half-width 1e27: every
+    # panel of the mass near 2 is far below 1e-13 of the domain, and
+    # still refines, to the closed form
+    res = adaptive_integrate(
+        lambda x: np.where(x >= 2.0, np.abs(x) ** (-4.0 / 3.0), 0.0),
+        -1e27, 1e27, seeds=[0.0, 2.0, *decade_seeds(0.0, -1e27, 1e27)])
+    exact = 3.0 * (2.0 ** (-1.0 / 3.0) - 1e-9)
+    assert res.value == pytest.approx(exact, rel=1e-10)
+    assert res.error >= abs(res.value - exact)
+    assert res.n_panels < 200
+
+
 def test_golden_max_on_parabola():
     x, fx = golden_max(lambda t: 2.0 - (t - 0.3) ** 2, -1.0, 2.0)
     assert x == pytest.approx(0.3, abs=1e-7)

@@ -125,6 +125,18 @@ def test_luxemburg_divergence_for_power_tail_p2():
         luxemburg_norm(PowerTail(), constant(2.0))
 
 
+def test_luxemburg_raises_when_the_fallback_fails(monkeypatch):
+    # a modular that jumps over 1 at lambda = 1.3: the node solve misses,
+    # the fallback bisection closes on the jump, and its check fails
+    from vexs import spaces
+
+    def jumping(u, p, weight=None, lam=1.0, quad=None):
+        return spaces.ModularValue(2.0 if lam < 1.3 else 0.5, 1.0, 1, 0.0)
+    monkeypatch.setattr(spaces, "modular", jumping)
+    with pytest.raises(DivergenceError, match="lambda = 1.3.*rho - 1"):
+        luxemburg_norm(Gaussian(), constant(2.0))
+
+
 def test_sandwich_constant_exponent_collapses():
     u, p = Gaussian(), constant(2.0)
     chk = norm_modular_inequality_check(u, p)
