@@ -450,7 +450,7 @@ def cmd_norm(args) -> int:
         "modular": res.modular_at_value,
         "bracket_iterations": res.iterations,
         "node_count": res.node_count,
-    }, f"value = {res.value:.10g} ({res.iterations} bisection iterations)")
+    }, f"value = {res.value:.10g} ({res.iterations} Newton steps)")
 
 
 def cmd_fracnorm(args) -> int:
@@ -469,7 +469,7 @@ def cmd_fracnorm(args) -> int:
         "value": res.value,
         "bracket_iterations": res.iterations,
         "node_count": res.node_count,
-    }, f"value = {res.value:.10g} ({res.iterations} bisection iterations)")
+    }, f"value = {res.value:.10g} ({res.iterations} Newton steps)")
 
 
 def cmd_maximal(args) -> int:

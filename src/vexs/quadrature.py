@@ -24,11 +24,14 @@ scaling of the integrand.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import DivergenceError
 
 
 @lru_cache(maxsize=32)
@@ -82,6 +85,7 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     whose edges the result returns as a tuple.  A panel no wider than
     min_width_frac times its largest |endpoint| is accepted unsplit, as
     in QUADPACK: its error leaves the stop test and stays in the result's.
+    A running total that is not finite raises DivergenceError.
 
     f sees the nodes of the whole initial partition in one call and the
     nodes of both halves of a split in one call (QUADPACK's paired
@@ -127,6 +131,8 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
 
     accepted_err = 0.0
     while len(heap) < max_panels:
+        if not math.isfinite(total):  # then no split would ever stop
+            raise DivergenceError(f"integral over [{a:g}, {b:g}] is {total}")
         if total_err <= rel_tol * max(abs(total), 1e-300):
             break
         neg_e, _, lo, hi, v = heapq.heappop(heap)

@@ -1,18 +1,17 @@
 """Variable-exponent modulars, Luxemburg norms, and the fractional
 two-exponent seminorm.
 
-The Luxemburg construction inf{lambda > 0 : modular(u / lambda) <= 1}
-is solved by bisection.  Because the lambda dependence factorizes per
-quadrature node (|u(x)/lambda|^{p(x)} = |u(x)|^{p(x)} lambda^{-p(x)}),
-the adaptive modular at lambda = 1 gives coefficient/exponent pairs on
-its own final nodes, and the bisection then iterates over their sum,
-with a fresh adaptive modular at the final lambda as verification.  The
-fractional seminorm's pairs are the per-node terms of the functionals'
-ray kernel; both solve their sum = 1 through one helper.
+Both norms solve sum_i a_i lambda^{-e_i} = 1 on quadrature pairs (the
+lambda dependence factorizes per node: |u/lambda|^p = |u|^p lambda^{-p})
+by Newton's method in log lambda: the Luxemburg norm on the final nodes
+of the adaptive modular at lambda = 1, checked by a fresh adaptive
+modular at the final lambda, and the fractional seminorm on the per-node
+terms of the functionals' ray kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,12 +22,9 @@ from .fields import ScalarField, truncation_radius
 from .functionals import (QuadratureSpec, _outer_integrate, _ray_cutoff,
                           _require_lipschitz_decay, _resolve_rule,
                           ray_t_nodes)
-from .quadrature import bisect_bracket, decade_seeds, panel_nodes
+from .quadrature import decade_seeds, panel_nodes
 
-_LAMBDA_CAP = 1e12
 _RHO_TOL = 1e-8
-_BRACKET_REL = 1e-10
-_MAX_BISECT = 60
 
 
 @dataclass
@@ -45,6 +41,7 @@ class LuxemburgNorm:
     modular_at_value: float
     iterations: int
     node_count: int
+    modular_at_1: float
 
     def __float__(self):
         return self.value
@@ -72,23 +69,23 @@ class FracSeminorm:
 def _weight_values(weight, pts: np.ndarray) -> np.ndarray:
     if weight is None:
         return np.ones(pts.shape[0])
-    if hasattr(weight, "eval"):
-        vals = np.asarray(weight.eval(pts), dtype=float)
-    else:
-        vals = np.asarray(weight(pts[:, 0] if pts.shape[1] == 1 else pts),
-                          dtype=float)
+    vals = np.asarray(weight.eval(pts) if hasattr(weight, "eval") else
+                      weight(pts[:, 0] if pts.shape[1] == 1 else pts),
+                      dtype=float)
     if np.any(vals <= 0.0):
         raise DomainError("weight must be positive where evaluated")
     return vals
 
 
-def _domain_radius(u: ScalarField, p, quad: QuadratureSpec) -> float:
+def _domain_radius(u: ScalarField, p, quad: QuadratureSpec,
+                   lam: float = 1.0) -> float:
     if quad.truncation_radius is not None:
         return float(quad.truncation_radius)
     # 1e-2 rather than finer: slowly decaying tails (the power-tail
-    # family) turn each extra digit into a thousandfold larger radius
-    tol = min(quad.rel_tol, 1e-6) * 1e-2
-    return truncation_radius(u, p, tol)
+    # family) turn each extra digit into a thousandfold larger radius;
+    # the tail of |u/lam|^p is at most lam^{-p+} that of |u|^p, lam < 1
+    tol = min(quad.rel_tol, 1e-6) * 1e-2 * min(lam, 1.0) ** p.p_plus
+    return truncation_radius(u, p, max(tol, np.finfo(float).tiny))
 
 
 def _modular(u, p, weight, lam, quad):
@@ -117,77 +114,67 @@ def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
     return ModularValue(res.value, res.radius, res.n_evals, res.error)
 
 
-def _line_edges(u, R, grid):
-    """Panel edges on [-R, R]: `grid` plus 0, +-R and u's kinks."""
-    kinks = u.kink_points()
-    return np.unique(np.concatenate(
-        [grid, [0.0, -R, R], kinks[(-R < kinks) & (kinks < R)]]))
+def _solve_lambda(ell: np.ndarray, e: np.ndarray) -> tuple[float, int]:
+    """(lam, Newton steps) with sum_i exp(ell_i - e_i tau) = 1, lam =
+    exp(tau).  f(tau) = log sum_i exp(ell_i - e_i tau) is convex and its
+    slope is minus a weighted mean of e, so f >= 0 at tau0 = min(L / e_min,
+    L / e_max), L = f(0), and Newton's iterates rise monotonically to the
+    root from there (with constant e, tau0 is the root)."""
+    t, te = np.empty_like(ell), np.empty_like(ell)  # reused by each step
 
+    def f_and_slope(tau: float) -> tuple[float, float]:
+        np.multiply(e, -tau, out=t)
+        np.add(t, ell, out=t)
+        m = t.max()
+        np.exp(np.subtract(t, m, out=t), out=t)
+        s = float(np.sum(t))
+        np.multiply(t, e, out=te)
+        return m + math.log(s), float(np.sum(te)) / s
 
-def _bisect_lambda(rho, hint: float = 1.0) -> tuple[float, int]:
-    """Solve rho(lam) = 1 for a strictly decreasing positive rho."""
-    hi = hint
-    steps = 0
-    while rho(hi) > 1.0:
-        hi *= 2.0
-        steps += 1
-        if hi > _LAMBDA_CAP:
-            raise DivergenceError(
-                f"modular stays above 1 for lambda up to {_LAMBDA_CAP}")
-    lo = hi
-    while rho(lo) <= 1.0:
-        hi, lo = lo, 0.5 * lo
-        steps += 1
-        if lo < 1e-300:
-            return 0.0, steps
-    _, hi, iters = bisect_bracket(lambda lam: rho(lam) > 1.0, lo, hi,
-                                  _MAX_BISECT, _BRACKET_REL)
-    return hi, iters
-
-
-def _solve_lambda(a: np.ndarray, neg_e: np.ndarray) -> tuple[float, int]:
-    """Solve sum_i a_i lam^{-e_i} = 1, given neg_e = -e."""
-    def rho(lam: float) -> float:
-        t = lam ** neg_e        # in place from here: no second temporary
-        t *= a
-        return float(np.sum(t))
-    return _bisect_lambda(rho)
+    L = f_and_slope(0.0)[0]
+    tau = min(L / e.min(), L / e.max())
+    for steps in range(1, 61):
+        f, slope = f_and_slope(tau)
+        tau += f / slope
+        if f / slope <= 1e-12:  # rounding only from here
+            break
+    return math.exp(tau), steps
 
 
 def luxemburg_norm(u: ScalarField, p: ExponentField, weight=None,
                    quad: QuadratureSpec | None = None) -> LuxemburgNorm:
     """inf{lambda > 0 : modular(u/lambda) <= 1}; 0 for the zero function.
 
-    Bisection runs on the pairs a_i lambda^{-p_i} of the adaptive
-    modular's final nodes at lambda = 1; the result is verified by a
-    fresh adaptive modular at the final lambda (|rho - 1| <= 1e-8).  If
-    that fails, lambda is bisected on the adaptive modular itself, and a
-    second failed check raises DivergenceError."""
+    Newton's method runs on the pairs log(w_i |u_i|^{p_i}), p_i of the
+    adaptive modular's final nodes at lambda = 1.  A fresh adaptive
+    modular at the final lambda, truncated for u/lambda, must give
+    |rho - 1| <= 1e-8 within the radius those nodes cover; else the
+    solve repeats once on its nodes, and a second miss raises
+    DivergenceError."""
     quad = quad or QuadratureSpec()
     res = _modular(u, p, weight, 1.0, quad)
-    pts, w = res.nodes()
-    e = p.eval(pts)
-    a = w * np.abs(u.eval(pts)) ** e * _weight_values(weight, pts)
-    if u.sup_bound == 0.0 or not np.any(a > 0.0):
-        return LuxemburgNorm(0.0, 0.0, 0, res.n_evals)
-
-    quad_fixed = replace(quad, truncation_radius=res.radius)
-    lam, iters = _solve_lambda(a, -e)
-    check = modular(u, p, weight, lam, quad_fixed)
-    if abs(check.value - 1.0) > _RHO_TOL:
-        # the nodes at lambda = 1 did not resolve rho; bisect directly
-        # on the adaptive modular starting from their bracket
-        lam, extra = _bisect_lambda(
-            lambda t: modular(u, p, weight, t, quad_fixed).value,
-            hint=lam)
-        iters += extra
-        check = modular(u, p, weight, lam, quad_fixed)
-        if not abs(check.value - 1.0) <= _RHO_TOL:
-            raise DivergenceError(
-                f"Luxemburg norm did not converge: at lambda = {lam:g} "
-                f"|rho - 1| = {abs(check.value - 1.0):g}")
-    return LuxemburgNorm(lam, check.value, iters,
-                         res.n_evals + check.node_count)
+    rho1, count, iters = res.value, res.n_evals, 0
+    for _ in range(2):
+        pts, w = res.nodes()
+        e = p.eval(pts)
+        with np.errstate(divide="ignore"):
+            ell = (np.log(w * _weight_values(weight, pts))
+                   + e * np.log(np.abs(u.eval(pts))))
+        if ell.max() == -np.inf:  # u vanishes on every node
+            return LuxemburgNorm(0.0, 0.0, 0, count, rho1)
+        lam, steps = _solve_lambda(ell, e)
+        iters += steps
+        R = res.radius if lam >= 1.0 else max(_domain_radius(u, p, quad, lam),
+                                              res.radius)
+        check = _modular(u, p, weight, lam, replace(quad, truncation_radius=R))
+        count += check.n_evals
+        miss = abs(check.value - 1.0)
+        if R <= res.radius and miss <= _RHO_TOL:
+            return LuxemburgNorm(lam, check.value, iters, count, rho1)
+        res = check
+    raise DivergenceError(
+        f"Luxemburg norm did not converge: at lambda = {lam:g} "
+        f"|rho - 1| = {miss:g} (radius {R:g})")
 
 
 def norm_modular_inequality_check(u: ScalarField, p: ExponentField,
@@ -196,9 +183,8 @@ def norm_modular_inequality_check(u: ScalarField, p: ExponentField,
                                   ) -> SandwichCheck:
     """The norm-modular sandwich: min(rho^{1/p-}, rho^{1/p+}) <= ||u||
     <= max(rho^{1/p-}, rho^{1/p+}) with rho the modular at lambda = 1."""
-    quad = quad or QuadratureSpec()
     norm = luxemburg_norm(u, p, weight, quad)
-    rho = modular(u, p, weight, 1.0, quad).value
+    rho = norm.modular_at_1
     lo = min(rho ** (1.0 / p.p_minus), rho ** (1.0 / p.p_plus))
     hi = max(rho ** (1.0 / p.p_minus), rho ** (1.0 / p.p_plus))
     slack = 1e-8 * max(1.0, hi)
@@ -217,7 +203,10 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
 
     The double modular is discretized once through the polar reduction
     (t = h^beta inner substitution, analytic far tails) into
-    coefficient/exponent pairs, then bisected in lambda.
+    coefficient/exponent pairs, whose sum = 1 is solved for lambda.  A
+    radial u and p take one ray direction of the whole rule weight: the
+    pair integrand at (x, omega) is the one at (-x, -omega), and the x
+    nodes are symmetric.
     """
     quad = quad or QuadratureSpec()
     if not 0.0 < s < 1.0:
@@ -230,22 +219,25 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
         raise DomainError("frac_seminorm supports n = 1 (the exact outer "
                           "tail correction is one-dimensional)")
     rule = _resolve_rule(quad, 1)
-
+    directions = zip(rule.weights, rule.nodes)
+    if u.radial and p_pair.base.radial:
+        directions = [(np.sum(rule.weights), rule.nodes[0])]
     far = u.far_radius(1e-7 * max(u.sup_bound, 1.0))
-    R = far + 2.0
-    if quad.truncation_radius is not None:
-        R = float(quad.truncation_radius)
+    R = float(quad.truncation_radius or far + 2.0)
 
-    xnodes, xw = panel_nodes(_line_edges(u, R, np.linspace(-R, R, 49)), 15)
+    kinks = u.kink_points()
+    xnodes, xw = panel_nodes(np.unique(np.concatenate(
+        [np.linspace(-R, R, 49), [0.0], kinks[(-R < kinks) & (kinks < R)]])),
+        15)
     X = xnodes[:, None]
 
-    coeffs, neg_exps = [], []
+    coeffs, exps = [], []
     u_x = u.eval(X)
     p_diag = p_pair.eval_pair(X, X)
     beta = (1.0 - s) * p_diag
     H = _ray_cutoff(X, far, quad)
 
-    for w_om, omega in zip(rule.weights, rule.nodes):
+    for w_om, omega in directions:
         # one outer x panel (15 points) per kernel call bounds the size
         # of the node arrays
         for k in range(0, X.shape[0], 15):
@@ -260,12 +252,12 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
             hfac = np.exp((1.0 - s) * (phat - p_diag[i, None]) * np.log(h))
             coeffs.append((xw[i] * w_om / beta[i])[:, None] * wt
                           * psi ** phat * hfac)
-            neg_exps.append(-phat)
+            exps.append(phat)
         # far h tail: jump is |u(x)| beyond H, exponent frozen at H
         p_far = p_pair.eval_pair(X, X + H[:, None] * omega)
         coeffs.append(xw * w_om * np.abs(u_x) ** p_far
                       * H ** (-s * p_far) / (s * p_far))
-        neg_exps.append(-p_far)
+        exps.append(p_far)
 
     # x outside [-R, R]: u(x) = 0 there up to the far level, so the pair
     # integrand is |u(y)|^p (x - y)^{-1-sp}; its x integral is exact
@@ -274,16 +266,18 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
         dist = np.abs(sign * R - X[:, 0])
         coeffs.append(xw * np.abs(u_x) ** p_far * dist ** (-s * p_far)
                       / (s * p_far))
-        neg_exps.append(-p_far)
+        exps.append(p_far)
 
-    # the largest arrays of a call, so each list is freed once copied
+    # the largest arrays of a call, so each is freed once copied
     a = np.concatenate([c.ravel() for c in coeffs])
     del coeffs
-    neg_e = np.concatenate([c.ravel() for c in neg_exps])
-    del neg_exps
-    if not np.any(a > 0.0):
-        return FracSeminorm(0.0, 0, int(a.size))
-    return FracSeminorm(*_solve_lambda(a, neg_e), int(a.size))
+    keep = a > 0.0
+    ell = np.log(a[keep])
+    del a
+    e = np.concatenate([c.ravel() for c in exps])[keep]
+    del exps
+    return FracSeminorm(*_solve_lambda(ell, e) if ell.size else (0.0, 0),
+                        keep.size)
 
 
 def w_norm(u: ScalarField, s: float, p_pair: PairExponentField,

@@ -84,10 +84,16 @@ def test_divergent_norm_exits_3(tmp_path, capsys):
 
 
 def test_unconverged_norm_exits_3(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
     from vexs import spaces
-    monkeypatch.setattr(spaces, "modular", lambda u, p, weight, lam, quad:
-                        spaces.ModularValue(2.0 if lam < 1.3 else 0.5,
-                                            1.0, 1, 0.0))
+    real = spaces._modular
+
+    def missing(u, p, weight, lam, quad):
+        # every check modular (lam != 1) misses rho = 1 by 1
+        res = real(u, p, weight, lam, quad)
+        return res if lam == 1.0 else replace(res, value=2.0)
+    monkeypatch.setattr(spaces, "_modular", missing)
     cfg = write_cfg(tmp_path, "tent.json", {
         "name": "tent",
         "field": {"family": "tent"},

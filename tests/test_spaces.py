@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -97,12 +98,69 @@ def test_luxemburg_homogeneity(rng):
 
 @pytest.mark.parametrize("c", [1e-3, 1e-10, 1e-12, 1e-20, 1e-50, 1e-100])
 def test_luxemburg_small_norms_converge(c):
-    # a norm below 1 is bracketed in [lo, 2 lo], so the bisection closes
-    # it within its step cap and without the adaptive fallback
+    # the log-space solve sees no scale: one Newton step at constant p
     res = luxemburg_norm(Tent(scale=c), constant(2.0))
     assert res.value == pytest.approx(c * math.sqrt(2.0 / 3.0), rel=1e-9,
                                       abs=0.0)
     assert res.iterations <= 60
+
+
+@pytest.mark.parametrize("c", [1e-290, 1e-200, 1e-155, 1e-12, 1.0, 1e12,
+                               1e100])
+def test_luxemburg_tent_at_any_scale(c):
+    # |u|^p and lambda^-p leave float range here; their logs do not
+    res = luxemburg_norm(Tent(scale=c), constant(2.0))
+    assert res.value == pytest.approx(c * math.sqrt(2.0 / 3.0), rel=1e-12,
+                                      abs=0.0)
+    assert res.iterations == 1
+
+
+def test_luxemburg_tent_beyond_float_range_fails_fast():
+    # |u|^2 overflows at lambda = 1: a named error at once, not a loop
+    # of splits up to the panel cap
+    start = time.perf_counter()
+    try:
+        res = luxemburg_norm(Tent(scale=1e300), constant(2.0))
+        assert res.value == pytest.approx(1e300 * math.sqrt(2.0 / 3.0),
+                                          rel=1e-12)
+    except DivergenceError:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1e-3, 1.0, 1e100])
+def test_luxemburg_gaussian_at_any_scale(c):
+    # the check modular is truncated for u/lambda, so a small Gaussian
+    # keeps the tail that the radius at lambda = 1 cut off
+    res = luxemburg_norm(Gaussian(scale=c), constant(2.0))
+    assert res.value == pytest.approx((math.pi / 2) ** 0.25 * c, rel=1e-9,
+                                      abs=0.0)
+
+
+def test_newton_lambda_solve(monkeypatch):
+    from vexs import spaces
+
+    # constant e: the start of the iteration is the root
+    lam, steps = spaces._solve_lambda(np.log([0.3, 0.5, 0.9]),
+                                      np.full(3, 2.0))
+    assert steps == 1
+    assert lam == pytest.approx(math.sqrt(1.7), rel=1e-14)
+
+    # variable e: the iterates tau = log lambda rise to the root
+    taus, multiply = [], np.multiply
+
+    def spy(a, b, out=None):
+        if isinstance(b, float):  # the -tau of each evaluation
+            taus.append(-b)
+        return multiply(a, b, out=out)
+    monkeypatch.setattr(np, "multiply", spy)
+    ell, e = np.log([1e-8, 2.0, 1e6]), np.array([1.5, 2.0, 6.0])
+    lam, steps = spaces._solve_lambda(ell, e)
+    monkeypatch.undo()
+    assert steps == 3 and taus[0] == 0.0 and len(taus) == steps + 1
+    assert all(a < b for a, b in zip(taus[1:], taus[2:]))
+    assert taus[-1] < math.log(lam)
+    assert np.sum(np.exp(ell) * lam ** -e) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_luxemburg_small_variable_exponent_norm_converges():
@@ -126,15 +184,24 @@ def test_luxemburg_divergence_for_power_tail_p2():
 
 
 def test_luxemburg_raises_when_the_fallback_fails(monkeypatch):
-    # a modular that jumps over 1 at lambda = 1.3: the node solve misses,
-    # the fallback bisection closes on the jump, and its check fails
-    from vexs import spaces
+    # every check modular misses by 1: the solve on the check's own nodes
+    # is tried once, and its check misses again
+    from dataclasses import replace
 
-    def jumping(u, p, weight=None, lam=1.0, quad=None):
-        return spaces.ModularValue(2.0 if lam < 1.3 else 0.5, 1.0, 1, 0.0)
-    monkeypatch.setattr(spaces, "modular", jumping)
-    with pytest.raises(DivergenceError, match="lambda = 1.3.*rho - 1"):
+    from vexs import spaces
+    real, lams = spaces._modular, []
+
+    def missing(u, p, weight, lam, quad):
+        res = real(u, p, weight, lam, quad)
+        if lam == 1.0:
+            return res
+        lams.append(lam)
+        return replace(res, value=2.0)
+    monkeypatch.setattr(spaces, "_modular", missing)
+    with pytest.raises(DivergenceError, match=r"lambda = 1\.1.*rho - 1\| = 1 "):
         luxemburg_norm(Gaussian(), constant(2.0))
+    assert len(lams) == 2
+    assert lams[1] == pytest.approx((math.pi / 2) ** 0.25, rel=1e-9)
 
 
 def test_sandwich_constant_exponent_collapses():
@@ -199,6 +266,19 @@ def test_frac_seminorm_gaussian_exact(s):
     val = frac_seminorm(Gaussian(), s, PairExponentField(constant(2.0))).value
     assert val == pytest.approx(math.sqrt(oracles.gaussian_gagliardo(s)),
                                 rel=1e-9)
+
+
+def test_frac_seminorm_radial_takes_one_direction():
+    # u(x) - u(x + h omega) at (x, omega) is the one at (-x, -omega): one
+    # direction of twice the weight gives the two-direction sum
+    pair = PairExponentField(constant(2.0))
+    res = frac_seminorm(Tent(), 0.5, pair)
+    plain = Tent()
+    plain.radial = False
+    both = frac_seminorm(plain, 0.5, pair)
+    assert res.node_count == 410250
+    assert both.node_count == 819060
+    assert res.value == pytest.approx(both.value, rel=1e-13)
 
 
 def test_frac_seminorm_tent_independent_of_ray_grid():
