@@ -297,37 +297,30 @@ def cmd_constants(args) -> int:
 
 
 def cmd_lemma41(args) -> int:
+    cfg, preset = {}, args.preset
     if args.config:
         cfg = load_config(args.config)
         check_keys(cfg, {"name", "preset", "seed", "quad"}, "lemma41 config")
         preset = cfg.get("preset", "unit-distance")
-        seed = number(cfg, "seed", "lemma41 config", args.seed, integer)
-        name = cfg.get("name", preset)
-        # layer_cake_check reads rel_tol alone
-        quad = parse_quad(cfg.get("quad"), {"rel_tol"}, "lemma41 quad")
-    else:
-        preset, seed, name = args.preset, args.seed, args.preset
-        quad = QuadratureSpec()
+    seed = number(cfg, "seed", "lemma41 config", args.seed, integer)
+    # layer_cake_check reads rel_tol alone
+    quad = parse_quad(cfg.get("quad"), {"rel_tol"}, "lemma41 quad")
     phi, psi, alpha, box, y_seeds = lemma41_preset(preset, seed)
     res = layer_cake_check(phi, psi, alpha, box, quad, y_seeds)
     ok = res.residual <= 1e-6
-    _say(args, f"lemma41 {name}: lhs = {res.lhs:.6f}, rhs = "
-               f"{res.rhs_small + res.rhs_large:.6f} "
-               f"(small {res.rhs_small:.6f}, large {res.rhs_large:.6f}), "
-               f"residual = {res.residual:.3e} "
-               f"{'PASS' if ok else 'FAIL'}")
-    if args.out:
-        write_json_report(_out_path(args, f"{name}.lemma41.json"), {
-            "operation": "lemma41",
-            "preset": preset,
-            "seed": seed,
-            "lhs": res.lhs,
-            "rhs_small": res.rhs_small,
-            "rhs_large": res.rhs_large,
-            "residual": res.residual,
-            "pass": ok,
-        })
-    return 0
+    return _report(args, {"name": cfg.get("name", preset)}, "lemma41", {
+        "operation": "lemma41",
+        "preset": preset,
+        "seed": seed,
+        "lhs": res.lhs,
+        "lhs_delta_error": res.lhs_delta_error,
+        "rhs_small": res.rhs_small,
+        "rhs_large": res.rhs_large,
+        "residual": res.residual,
+        "pass": ok,
+    }, f"lhs = {res.lhs:.6f}, rhs = {res.rhs_small + res.rhs_large:.6f} "
+       f"(small {res.rhs_small:.6f}, large {res.rhs_large:.6f}), "
+       f"residual = {res.residual:.3e} {'PASS' if ok else 'FAIL'}")
 
 
 def _report(args, cfg: dict, kind: str, payload: dict, summary: str) -> int:

@@ -29,10 +29,12 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
 from .fields import ScalarField, _square_norms
-from .quadrature import (adaptive_integrate, panel_nodes, piece_nodes,
-                         row_pieces, sign_pieces)
+from .quadrature import (adaptive_integrate, gauss_nodes, golden_max,
+                         panel_nodes, piece_nodes, row_pieces, sign_pieces)
 from .sphere import SphereRule, default_rule, k_np_values
 
+# the delta panels layer_cake_check may split up to
+_DELTA_PANELS = 2 ** 14
 # far-field headroom: |u| must drop below this fraction of the threshold
 # before a ray's sign pattern is declared stable
 _FAR_ETA_FRAC = 1e-6
@@ -45,6 +47,11 @@ _EPS = np.finfo(float).eps
 # _EVAL_SAMPLES at most (larger node arrays cost more per node than calls)
 _BLOCK_SAMPLES = 2 ** 17
 _EVAL_SAMPLES = 2 ** 15
+# glibc's malloc maps each block above its mmap threshold afresh from the
+# kernel and raises the threshold to the first such block freed; freeing
+# one block's samples here keeps the ray kernels' temporaries on the heap
+# (a `power` pass took 106k more minor page faults and 25% longer without)
+np.empty(_BLOCK_SAMPLES)
 
 
 @dataclass
@@ -617,6 +624,8 @@ class LayerCakeResult:
     lhs: float
     rhs_small: float
     rhs_large: float
+    lhs_delta_error: float  # summed |GL15 - GL7| of lhs's delta panels
+    delta_pieces: int  # the (x row, delta) panels lhs is summed over
 
     @property
     def residual(self) -> float:
@@ -627,63 +636,79 @@ class LayerCakeResult:
 class _PairSection:
     """Shared y-sectioning machinery for the layer-cake identity.
 
-    A fixed tensor layout (x nodes) x (y cells, GL15 within each cell)
-    supports, for any batch of thresholds, splitting every x row's y
-    range into the parts above and below {phi = threshold}.  Cells are
-    classified by the extremes of phi over their sample path: wholly
-    above where cell_min > t, boundary where cell_min <= t < cell_max.  One
-    piece builder, `_boundary_pieces`, resolves the boundary cells of both
-    callers: `quadrature.sign_pieces` solves every sign change of the
-    batch at once, from the sampled values of phi, and cuts each cell
-    into signed (row, lo, hi) pieces, which get fresh GL nodes.
+    A tensor layout (x nodes) x (y cells, GL15 within each cell) splits
+    any x row's y range into the parts above and below {phi = t}.  A
+    row's cells are the y grid cut at the row's interior extrema of phi
+    (where its differences on the grid's samples change sign, refined in
+    one lockstep `golden_max` call), padded at the right end with
+    zero-width cells; phi there and at the box ends are the row's
+    critical values (`crit`, padded with repeats).  A cell is wholly
+    above where the minimum of phi on its samples exceeds t, boundary
+    where cell_min <= t < cell_max.  `_boundary_pieces` cuts a batch's
+    boundary cells at all roots at once (`quadrature.sign_pieces`) into
+    signed (row, lo, hi) pieces, which get fresh GL nodes.
     """
 
     N_XPAN = 16
     N_YCELL = 80
+    PAIR_CELLS = 2 ** 16  # (pair, cell) entries classified at a time
 
     def __init__(self, phi, psi, box, y_seeds=None):
         self.phi, self.psi = phi, psi
         a, b = box
         self.xnodes, self.xweights = panel_nodes(
             np.linspace(a, b, self.N_XPAN + 1))
-
         yedges = np.linspace(a, b, self.N_YCELL + 1)
         if y_seeds is not None:
             extra = [s for s in y_seeds if a < s < b]
             yedges = np.unique(np.concatenate([yedges, np.asarray(extra)]))
-        self.yedges = yedges
-        m, c = self.xnodes.size, yedges.size - 1
-        ynodes, yw = panel_nodes(yedges)
-        YY = np.tile(ynodes, (m, 1))
-        XX = np.repeat(self.xnodes, ynodes.size).reshape(m, -1)
-        ynodes = ynodes.reshape(c, 15)
-        self.cell_w = yw.reshape(1, c, 15)
-        self.PHI_nodes = phi(XX, YY).reshape(m, c, 15)
-        self.PSI_nodes = psi(XX, YY).reshape(m, c, 15)
+
+        edges, self.crit = self._cut_at_extrema(phi, yedges)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        m, c = lo.shape
+        ynodes, yw = piece_nodes(lo.ravel(), hi.ravel())
+        self.cell_w = yw.reshape(m, c, 15)
         # per-cell sample path: left edge, the 15 GL nodes, right edge;
         # sign changes anywhere on it mark a cell as boundary, which also
         # catches dips invisible to the edges alone
-        self.ysamples = np.concatenate(
-            [yedges[:-1, None], ynodes, yedges[1:, None]], axis=1)  # (c, 17)
-        PHI_edges = phi(np.repeat(self.xnodes, yedges.size).reshape(m, -1),
-                        np.tile(yedges, (m, 1)))
-        self.PHI_samples = np.concatenate(
-            [PHI_edges[:, :-1, None], self.PHI_nodes,
-             PHI_edges[:, 1:, None]], axis=2)  # (m, c, 17)
+        self.ysamples = np.concatenate([lo[:, :, None], ynodes.reshape(
+            m, c, 15), hi[:, :, None]], axis=2)  # (m, c, 17)
+        del ynodes
+        XX = np.broadcast_to(self.xnodes[:, None, None], self.ysamples.shape)
+        self.PHI_samples = phi(XX, self.ysamples)
+        self.PHI_nodes = self.PHI_samples[:, :, 1:16]
+        self.PSI_nodes = psi(XX[:, :, 1:16], self.ysamples[:, :, 1:16])
         self.cell_psi = np.sum(self.cell_w * self.PSI_nodes, axis=2)  # (m, c)
         self.cell_min = self.PHI_samples.min(axis=2)
         self.cell_max = self.PHI_samples.max(axis=2)
+
+    def _cut_at_extrema(self, phi, yedges):
+        """Each row's cell edges and critical values."""
+        m, b = self.xnodes.size, yedges[-1]
+        # the grid's samples: each cell's left edge and GL nodes, then b
+        path = np.append(np.column_stack(
+            [yedges[:-1], panel_nodes(yedges)[0].reshape(-1, 15)]), b)
+        vals = phi(*np.broadcast_arrays(self.xnodes[:, None], path))
+        step = np.sign(np.diff(vals, axis=1))
+        rows, j = np.nonzero(step[:, :-1] * step[:, 1:] < 0.0)
+        sgn, xv = step[rows, j], self.xnodes[rows]  # sgn +1 at a maximum
+        ext, _ = golden_max(lambda y: sgn * phi(xv, y), path[j], path[j + 2])
+        n = np.bincount(rows, minlength=m)
+        cuts = np.full((m, n.max(initial=0)), float(b))
+        cuts[rows, np.arange(rows.size) - (np.cumsum(n) - n)[rows]] = ext
+        crit = np.column_stack([vals[:, 0], vals[:, -1], phi(
+            np.broadcast_to(self.xnodes[:, None], cuts.shape), cuts)])
+        return np.sort(np.concatenate([np.broadcast_to(
+            yedges, (m, yedges.size)), cuts], axis=1), axis=1), crit
 
     def _boundary_pieces(self, threshs: np.ndarray, dd, rows, cols):
         """Split the boundary cells (threshold dd[k], x row rows[k], y cell
         cols[k]) at the roots of phi(x, .) = threshs[dd]; each (threshold,
         row) must get its cells in increasing order, in any order across.
-
-        Returns (d, row, lo, hi, is_above) arrays of the non-empty pieces,
-        in boundary-cell order and by y within each cell, so that np.add.at
-        adds each (threshold, row)'s pieces by increasing y (roots do not
-        depend on the batch).
-        """
+        Returns (d, row, lo, hi, is_above) of the non-empty pieces, by
+        boundary cell and by y within a cell, so np.add.at adds each
+        (threshold, row)'s pieces by increasing y (roots do not depend on
+        the batch)."""
         vals = self.PHI_samples[rows, cols, :]  # (k, 17)
         vals -= threshs[dd, None]
 
@@ -691,8 +716,9 @@ class _PairSection:
             xv, th = self.xnodes[rows[brows]], threshs[dd[brows]]
             return lambda y: self.phi(xv, y) - th
 
-        cell, lo, hi, is_above = sign_pieces(residual, self.ysamples, vals,
-                                             cols)
+        cell, lo, hi, is_above = sign_pieces(
+            residual, self.ysamples.reshape(-1, 17), vals,
+            rows * self.cell_min.shape[1] + cols)
         return dd[cell], rows[cell], lo, hi, is_above
 
     def _piece_nodes(self, row, lo, hi):
@@ -702,38 +728,28 @@ class _PairSection:
         xb = np.broadcast_to(self.xnodes[row][:, None], ys.shape)
         return xb, ys, ww
 
-    def psi_integral_above_batch(self, threshs: np.ndarray) -> np.ndarray:
-        """Integral of psi over {y : phi(x, y) > t} for a batch of
-        thresholds at once; returns shape (len(threshs), n_xnodes).
-
-        Sorted thresholds of rank below kmin leave a cell wholly above,
-        ranks in [kmin, kmax) cut it (searchsorted of cell_min, cell_max).
-        Whole cells add their psi integral to bin (kmin, row), summed down
-        the ranks; the batch's boundary cells, cell by cell with thresholds
-        inner, share one root solve and one fresh GL evaluation.
-        """
-        threshs = np.asarray(threshs, dtype=float)
-        order = np.argsort(threshs)
-        kmin, kmax = (np.searchsorted(threshs[order], e).ravel()
-                      for e in (self.cell_min, self.cell_max))
-        m, c = self.cell_min.shape
-        whole = np.bincount(kmin * m + np.arange(m * c) // c,
-                            self.cell_psi.ravel(), (threshs.size + 1) * m)
-        above = np.empty((threshs.size, m))
-        above[order] = np.cumsum(whole.reshape(-1, m)[:0:-1], axis=0)[::-1]
-        n = kmax - kmin
-        cell = np.repeat(np.arange(m * c), n)
-        # a cell's j-th boundary triple has rank kmin + j
-        dd = order[np.arange(cell.size) - np.repeat(np.cumsum(n) - kmax, n)]
-        del kmin, kmax, n, whole  # not held through the root solve
-        if not cell.size:
-            return above
-        dd, row, lo, hi, is_above = self._boundary_pieces(
-            threshs, dd, *np.divmod(cell, c))
-        dd, row = dd[is_above], row[is_above]
-        xb, ys, ww = self._piece_nodes(row, lo[is_above], hi[is_above])
-        ww *= self.psi(xb, ys)
-        np.add.at(above, (dd, row), np.sum(ww, axis=1))
+    def psi_integral_above(self, threshs: np.ndarray,
+                           rows: np.ndarray) -> np.ndarray:
+        """Integral of psi over {y : phi(x, y) > t} for the pairs (t, x
+        row) (threshs[k], rows[k]); returns shape (len(threshs),).  The
+        pairs go PAIR_CELLS (pair, cell) entries at a time; a pair sums
+        its whole cells in cell order and adds its boundary pieces by
+        increasing y, so its value does not depend on its chunk."""
+        above = np.empty(threshs.size)
+        step = max(1, self.PAIR_CELLS // self.cell_min.shape[1])
+        for s in range(0, threshs.size, step):
+            t, r = threshs[s:s + step, None], rows[s:s + step]
+            whole = self.cell_min[r] > t
+            part = np.sum(np.where(whole, self.cell_psi[r], 0.0), axis=1)
+            k, col = np.nonzero(~whole & (self.cell_max[r] > t))
+            if k.size:
+                k, row, lo, hi, is_above = self._boundary_pieces(
+                    t[:, 0], k, r[k], col)
+                xb, ys, ww = self._piece_nodes(row[is_above], lo[is_above],
+                                               hi[is_above])
+                ww *= self.psi(xb, ys)
+                np.add.at(part, k[is_above], np.sum(ww, axis=1))
+            above[s:s + step] = part
         return above
 
     def integral_pair(self, thresh: float, row_data: np.ndarray,
@@ -747,21 +763,21 @@ class _PairSection:
         """
         above_all = self.cell_min > thresh  # (m, c)
         below_all = ~(self.cell_max > thresh)
-        rd = row_data[:, None, None]
-        w_above = np.where(above_all[:, :, None], self.cell_w, 0.0)
-        w_below = np.where(below_all[:, :, None], self.cell_w, 0.0)
-        above = np.sum(w_above * igd_above(rd, self.PHI_nodes,
-                                           self.PSI_nodes), axis=(1, 2))
-        below = np.sum(w_below * igd_below(rd, self.PHI_nodes,
-                                           self.PSI_nodes), axis=(1, 2))
+
+        def whole(igd, mask):
+            cells = np.sum(self.cell_w * igd(row_data[:, None, None],
+                                             self.PHI_nodes, self.PSI_nodes),
+                           axis=2)
+            return np.sum(np.where(mask, cells, 0.0), axis=1)
+
+        above, below = whole(igd_above, above_all), whole(igd_below, below_all)
         boundary = ~(above_all | below_all)
         if boundary.any():
             rows, cols = np.nonzero(boundary)
             _, rows, lo, hi, is_above = self._boundary_pieces(
                 np.array([thresh]), np.zeros_like(rows), rows, cols)
             xb, ys, ww = self._piece_nodes(rows, lo, hi)
-            phis = self.phi(xb, ys)
-            psis = self.psi(xb, ys)
+            phis, psis = self.phi(xb, ys), self.psi(xb, ys)
             rd = row_data[rows][:, None]
             vals_a = np.sum(ww * igd_above(rd, phis, psis), axis=1)
             vals_b = np.sum(ww * igd_below(rd, phis, psis), axis=1)
@@ -785,6 +801,13 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
     delta integration, the indicator sectioning, and the direct
     antiderivative are computed along genuinely different routes, so the
     residual measures the identity rather than a shared shortcut.
+
+    Each x row's delta range is broken at the row's critical values.  A
+    piece runs in t = delta^(alpha+1) / (alpha+1), which takes up
+    delta^alpha, under t = t_lo + (t_hi - t_lo)(3 s^2 - 2 s^3), flat at
+    both ends to absorb square-root ends, with GL15 and GL7 on s panels.
+    While the summed |GL15 - GL7| exceeds rel_tol * 0.01 * |lhs|, the
+    panels over an equal share of it are halved, in batched rounds.
     """
     quad = quad or QuadratureSpec()
     a, b = float(box[0]), float(box[1])
@@ -796,29 +819,51 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
     if np.any(alpha_x <= -1.0):
         raise DomainError("alpha must exceed -1 on the box")
 
-    def D(deltas):
-        above = sec.psi_integral_above_batch(deltas)
-        layers = above * deltas[:, None] ** alpha_x[None, :]
-        # a row-wise sum: a BLAS mat-vec rounds a row differently in
-        # different batches
-        return np.sum(layers * sec.xweights, axis=1)
+    m, nc = sec.crit.shape
+    row, lo, hi = row_pieces(np.repeat(np.arange(m), nc + 2), np.column_stack(
+        [np.zeros(m), np.clip(sec.crit, 0.0, 1.0), np.ones(m)]).ravel())
+    a1 = alpha_x[row] + 1.0
+    (x15, w15), (x7, w7) = gauss_nodes(15), gauss_nodes(7)
+    nodes = 0.5 + 0.5 * np.concatenate([x15, x7])
 
-    lres = adaptive_integrate(D, 0.0, 1.0, rel_tol=quad.rel_tol * 0.01,
-                              max_panels=128)
+    def integrate(row, t0, t1, s0, s1):
+        """x-weighted GL15 values and |GL15 - GL7| on panels [s0, s1]."""
+        ds, dt = (s1 - s0)[:, None], (t1 - t0)[:, None]
+        s = s0[:, None] + ds * nodes
+        a1 = alpha_x[row, None] + 1.0
+        deltas = (a1 * (t0[:, None] + dt * s * s * (3 - 2 * s))) ** (1 / a1)
+        g = sec.psi_integral_above(deltas.ravel(), np.repeat(row, s.shape[1]))
+        g = g.reshape(s.shape) * (6.0 * s * (1.0 - s)) * (
+            0.5 * ds * dt * sec.xweights[row, None])
+        v15 = np.sum(g[:, :15] * w15, axis=1)
+        return v15, np.abs(v15 - np.sum(g[:, 15:] * w7, axis=1))
 
-    def igd_below(al, phis, psis):
-        return phis ** (al + 1.0) * psis / (al + 1.0)
+    panels = (row, lo ** a1 / a1, hi ** a1 / a1, np.zeros(row.size),
+              np.ones(row.size))
+    val, err = integrate(*panels)
+    while True:
+        target = quad.rel_tol * 0.01 * abs(float(np.sum(val)))
+        split = err > target / err.size
+        if np.sum(err) <= target or err.size + split.sum() > _DELTA_PANELS:
+            break
+        r, t0, t1, s0, s1 = (v[split] for v in panels)
+        mid = 0.5 * (s0 + s1)
+        halves = (*(np.repeat(v, 2) for v in (r, t0, t1)),
+                  np.column_stack([s0, mid]).ravel(),
+                  np.column_stack([mid, s1]).ravel())
+        panels = tuple(np.concatenate([v[~split], h])
+                       for v, h in zip(panels, halves))
+        val, err = (np.concatenate([v[~split], h])
+                    for v, h in zip((val, err), integrate(*halves)))
 
-    def igd_above(al, phis, psis):
-        return psis / (al + 1.0)
-
-    above_rows, below_rows = sec.integral_pair(1.0, alpha_x,
-                                               igd_above, igd_below)
-    rhs_large = float(np.sum(sec.xweights * above_rows))
-    rhs_small = float(np.sum(sec.xweights * below_rows))
-
-    return LayerCakeResult(lhs=lres.value, rhs_small=rhs_small,
-                           rhs_large=rhs_large)
+    above_rows, below_rows = sec.integral_pair(
+        1.0, alpha_x, lambda al, phis, psis: psis / (al + 1.0),
+        lambda al, phis, psis: phis ** (al + 1.0) * psis / (al + 1.0))
+    return LayerCakeResult(lhs=float(np.sum(val)),
+                           rhs_small=float(np.sum(sec.xweights * below_rows)),
+                           rhs_large=float(np.sum(sec.xweights * above_rows)),
+                           lhs_delta_error=float(np.sum(err)),
+                           delta_pieces=int(err.size))
 
 
 @dataclass

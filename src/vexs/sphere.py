@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .quadrature import gauss_nodes
+
+# math's log-Gamma, elementwise: importing vexs loads no scipy
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
@@ -153,7 +155,7 @@ def abs_power_sphere_integral(n: int, p, rule: SphereRule | None = None,
         raise DomainError("exponent p must be >= 1")
     if rule is None:
         val = 2.0 * math.pi ** ((n - 1) / 2.0) * np.exp(
-            gammaln((p_arr + 1.0) / 2.0) - gammaln((n + p_arr) / 2.0))
+            _lgamma((p_arr + 1.0) / 2.0) - _lgamma((n + p_arr) / 2.0))
         return float(val) if np.isscalar(p) or p_arr.ndim == 0 else val
     if rule.dimension != n:
         raise DomainError("rule dimension mismatch")
@@ -174,7 +176,7 @@ def k_np_values(n: int, p_values: np.ndarray) -> np.ndarray:
     """Vectorized closed-form K_{n, p(x)} for integrand evaluation."""
     p_values = np.asarray(p_values, dtype=float)
     return (2.0 * math.pi ** ((n - 1) / 2.0) / p_values) * np.exp(
-        gammaln((p_values + 1.0) / 2.0) - gammaln((n + p_values) / 2.0))
+        _lgamma((p_values + 1.0) / 2.0) - _lgamma((n + p_values) / 2.0))
 
 
 @dataclass

@@ -237,26 +237,25 @@ def layer_cake_brute(phi, psi, alpha, box, n_xy=1500, n_delta=200):
     return lhs, float(np.sum(small)) * cell, float(np.sum(large)) * cell
 
 
-def pair_section_above_by_masks(sec, threshs):
-    """_PairSection.psi_integral_above_batch by (threshold, row, cell)
-    masks: a cell is whole where cell_min > t and boundary where
-    cell_min <= t < cell_max.  Whole cells are summed a threshold at a
-    time; the boundary cells, in row-major (threshold, row, cell) order,
-    are cut by sec._boundary_pieces.  Returns (above, (dd, rows, cols)),
-    above of shape (len(threshs), n_xnodes)."""
-    threshs = np.asarray(threshs, dtype=float)
-    t3 = threshs[:, None, None]
-    whole = sec.cell_min > t3
-    above = np.zeros((threshs.size, sec.xnodes.size))
-    for k, w in enumerate(whole):
-        above[k] = np.sum(np.where(w, sec.cell_psi, 0.0), axis=1)
-    cells = np.nonzero(~whole & (sec.cell_max > t3))
-    if cells[0].size:
-        dd, row, lo, hi, is_above = sec._boundary_pieces(threshs, *cells)
-        dd, row = dd[is_above], row[is_above]
-        xb, ys, ww = sec._piece_nodes(row, lo[is_above], hi[is_above])
+def pair_section_above_by_masks(sec, threshs, rows):
+    """_PairSection.psi_integral_above by (pair, cell) masks: for the
+    pair (threshs[k], row rows[k]) a cell is whole where cell_min > t and
+    boundary where cell_min <= t < cell_max.  Whole cells are summed a
+    pair at a time; the boundary cells, in (pair, cell) order, are cut by
+    one sec._boundary_pieces call.  Returns (above, (pairs, rows, cols)),
+    above of shape (len(threshs),)."""
+    t = np.asarray(threshs, dtype=float)
+    whole = sec.cell_min[rows] > t[:, None]
+    above = np.array([np.sum(np.where(w, sec.cell_psi[r], 0.0))
+                      for w, r in zip(whole, rows)])
+    k, cols = np.nonzero(~whole & (sec.cell_max[rows] > t[:, None]))
+    cells = (k, rows[k], cols)
+    if k.size:
+        dd, row, lo, hi, is_above = sec._boundary_pieces(t, *cells)
+        xb, ys, ww = sec._piece_nodes(row[is_above], lo[is_above],
+                                      hi[is_above])
         ww *= sec.psi(xb, ys)
-        np.add.at(above, (dd, row), np.sum(ww, axis=1))
+        np.add.at(above, dd[is_above], np.sum(ww, axis=1))
     return above, cells
 
 

@@ -414,12 +414,27 @@ def test_bbm_rejects_nonconstant_or_bad_s():
 
 
 def test_layer_cake_unit_distance_preset():
-    # int_0^1 (1-d)^2 dd = 1/3 = double integral of |x-y| on the unit box
+    # int_0^1 (1-d)^2 dd = 1/3 = double integral of |x-y| on the unit box;
+    # every delta piece and every y cell is kink-free, so both sides are
+    # exact to rounding (measured: 5.6e-17 off)
     phi, psi, alpha, box, seeds = lemma41_preset("unit-distance")
     res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
-    assert res.lhs == pytest.approx(1.0 / 3.0, rel=5e-7)
-    assert res.rhs_small == pytest.approx(1.0 / 3.0, rel=5e-7)
+    assert res.lhs == pytest.approx(1.0 / 3.0, rel=0, abs=1e-13)
+    assert res.rhs_small == pytest.approx(1.0 / 3.0, rel=0, abs=1e-13)
     assert res.rhs_large == 0.0
+    assert res.residual <= 1e-6
+
+
+@pytest.mark.parametrize("al", [-0.5, 0.5, 1.0, 2.3])
+def test_layer_cake_distance_constant_alpha(al):
+    # the double integral of |x-y|^(al+1) / (al+1) is
+    # 2 / ((al+1)(al+2)(al+3)); al = 0.5, 1 and 2.3 take refinement
+    # rounds (measured: within 2.3e-10)
+    phi, psi, _, box, _ = lemma41_preset("unit-distance")
+    res = layer_cake_check(phi, psi, lambda x: np.full_like(
+        np.asarray(x, float), al), box)
+    exact = 2.0 / ((al + 1.0) * (al + 2.0) * (al + 3.0))
+    assert res.lhs == pytest.approx(exact, rel=1e-8)
     assert res.residual <= 1e-6
 
 
@@ -430,6 +445,25 @@ def test_layer_cake_always_large_preset():
     assert res.rhs_large == pytest.approx(1.0, rel=1e-12)
     assert res.rhs_small == 0.0
     assert res.residual <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layer_cake_random_smooth_residual(seed):
+    # measured: at most 8.5e-15
+    phi, psi, alpha, box, seeds = lemma41_preset("random-smooth", seed)
+    res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    assert res.residual <= 1e-9
+    assert res.lhs_delta_error <= 1e-8 * abs(res.lhs)
+
+
+def test_layer_cake_rel_tol_refines_delta_pieces():
+    phi, psi, alpha, box, seeds = lemma41_preset("random-smooth", seed=4)
+    coarse = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    fine = layer_cake_check(phi, psi, alpha, box,
+                            QuadratureSpec(rel_tol=1e-12), seeds)
+    assert fine.delta_pieces > coarse.delta_pieces
+    assert fine.lhs_delta_error <= 1e-14 * abs(fine.lhs)
+    assert fine.lhs == pytest.approx(coarse.lhs, rel=1e-9)
 
 
 def test_layer_cake_random_smooth_vs_brute_oracle():
@@ -457,6 +491,12 @@ def test_layer_cake_brute_matches_delta_loop():
     assert lhs == pytest.approx(loop * cell / nd, rel=1e-13)
 
 
+def _all_rows(sec, ts):
+    """Every (threshold, row) pair of ts and the x rows, threshold-major."""
+    m = sec.xnodes.size
+    return np.repeat(ts, m), np.tile(np.arange(m), ts.size)
+
+
 def test_pair_section_unit_distance_exact_lengths():
     # phi = |x - y| and psi = 1 on [0, 1]^2: for each x node the y-length
     # of {phi > t} is max(0, x - t) + max(0, 1 - x - t); at t >= 1 no cell
@@ -469,7 +509,8 @@ def test_pair_section_unit_distance_exact_lengths():
         return np.maximum(0.0, x - t) + np.maximum(0.0, 1.0 - x - t)
 
     ts = np.array([0.0, 1e-3, 0.25, 0.5, 0.999, 1.0, 1.5])
-    for t, row in zip(ts, sec.psi_integral_above_batch(ts)):
+    got = sec.psi_integral_above(*_all_rows(sec, ts)).reshape(ts.size, -1)
+    for t, row in zip(ts, got):
         np.testing.assert_allclose(row, length_above(t), rtol=0, atol=1e-12)
 
     def igd(al, phis, psis):
@@ -481,6 +522,21 @@ def test_pair_section_unit_distance_exact_lengths():
                                atol=1e-12)
 
 
+def test_pair_section_cuts_each_row_at_its_extrema():
+    # phi = |x - y| has one interior extremum per row, its kink at y = x:
+    # a cell edge lands there, and the row's critical values are phi at
+    # the kink and at the box ends
+    phi, psi, _, box, seeds = lemma41_preset("unit-distance")
+    sec = _PairSection(phi, psi, box, seeds)
+    x = sec.xnodes
+    edge = np.abs(sec.ysamples[:, :, 0] - x[:, None]).min(axis=1)
+    assert edge.max() <= 4 * np.spacing(1.0)
+    crit = np.sort(sec.crit, axis=1)
+    np.testing.assert_allclose(crit, np.column_stack(
+        [np.zeros_like(x), np.minimum(x, 1 - x), np.maximum(x, 1 - x)]),
+        rtol=0, atol=4 * np.spacing(1.0))
+
+
 def _boundary_pieces_by_loop(sec, threshs, boundary):
     """Reference: cut each boundary cell in a Python loop, walking its
     roots in y order with alternating signs."""
@@ -489,15 +545,17 @@ def _boundary_pieces_by_loop(sec, threshs, boundary):
     pos = vals > 0.0
     brows, bloc = np.nonzero(pos[:, :-1] != pos[:, 1:])
     xv, th = sec.xnodes[rows[brows]], threshs[dd[brows]]
+    ys = sec.ysamples[rows[brows], cols[brows]]
     roots = vector_bisect(lambda i: lambda y: sec.phi(xv[i], y) - th[i],
-                          sec.ysamples[cols[brows], bloc],
-                          sec.ysamples[cols[brows], bloc + 1],
+                          ys[np.arange(bloc.size), bloc],
+                          ys[np.arange(bloc.size), bloc + 1],
                           vals[brows, bloc], vals[brows, bloc + 1])
     starts = np.searchsorted(brows, np.arange(dd.size + 1))
     pieces = []
     for k in range(dd.size):
-        cuts = [sec.ysamples[cols[k], 0], *roots[starts[k]:starts[k + 1]],
-                sec.ysamples[cols[k], -1]]
+        cuts = [sec.ysamples[rows[k], cols[k], 0],
+                *roots[starts[k]:starts[k + 1]],
+                sec.ysamples[rows[k], cols[k], -1]]
         sign = bool(pos[k, 0])
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi > lo:
@@ -523,16 +581,18 @@ def test_boundary_pieces_match_per_cell_loop():
 def test_pair_section_empty_batch_shape():
     phi, psi, _, box, seeds = lemma41_preset("unit-distance")
     sec = _PairSection(phi, psi, box, seeds)
-    got = sec.psi_integral_above_batch(np.array([]))
-    assert got.shape == (0, sec.xnodes.size)
+    got = sec.psi_integral_above(np.array([]), np.array([], dtype=int))
+    assert got.shape == (0,)
 
 
 @pytest.mark.parametrize("preset,seed", [("unit-distance", 0),
                                          ("random-smooth", 4)])
-def test_pair_section_rank_classification_matches_masks(preset, seed):
+def test_pair_section_classification_matches_masks(monkeypatch, preset,
+                                                   seed):
     # unsorted and duplicated thresholds, thresholds equal to sampled cell
     # extremes (a cell is whole iff cell_min > t, boundary iff
-    # cell_min <= t < cell_max), and thresholds below and above every cell
+    # cell_min <= t < cell_max), and thresholds below and above every
+    # cell, each on every row; the pairs span several chunks
     phi, psi, _, box, seeds = lemma41_preset(preset, seed)
     sec = _PairSection(phi, psi, box, seeds)
     rng = np.random.default_rng(7)
@@ -542,25 +602,35 @@ def test_pair_section_rank_classification_matches_masks(preset, seed):
     ts = np.concatenate([picks, picks[::3], rng.uniform(lo, hi, 12),
                          [lo - 1.0, lo, hi, hi + 1.0]])
     rng.shuffle(ts)
+    threshs, rows = _all_rows(sec, ts)
 
     seen = []
     boundary_pieces = sec._boundary_pieces
 
     def spy(threshs, dd, rows, cols):
-        seen.append((dd, rows, cols))
+        seen.extend(zip(threshs[dd].tolist(), rows.tolist(), cols.tolist()))
         return boundary_pieces(threshs, dd, rows, cols)
 
-    sec._boundary_pieces = spy
-    got = sec.psi_integral_above_batch(ts)
-    sec._boundary_pieces = boundary_pieces
-    want, cells = oracles.pair_section_above_by_masks(sec, ts)
+    monkeypatch.setattr(sec, "_boundary_pieces", spy)
+    got = sec.psi_integral_above(threshs, rows)
+    monkeypatch.undo()
+    want, (k, krows, cols) = oracles.pair_section_above_by_masks(
+        sec, threshs, rows)
 
-    assert len(seen) == 1
-    assert set(zip(*(a.tolist() for a in seen[0]))) == \
-        set(zip(*(a.tolist() for a in cells)))
-    assert cells[0].size > 1000
-    # measured: at most 7.4e-16 relative on both presets
+    assert sorted(seen) == sorted(zip(threshs[k].tolist(), krows.tolist(),
+                                      cols.tolist()))
+    assert k.size > 1000
+    # measured: equal on both presets
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_pair_section_pairs_do_not_depend_on_their_chunk(monkeypatch):
+    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box, seeds)
+    threshs, rows = _all_rows(sec, np.linspace(0.0, 1.6, 9))
+    whole = sec.psi_integral_above(threshs, rows)
+    monkeypatch.setattr(sec, "PAIR_CELLS", 1000)
+    assert np.array_equal(sec.psi_integral_above(threshs, rows), whole)
 
 
 def _add_boundary_pieces(sec, threshs, cells):
@@ -772,11 +842,10 @@ BATCH_CASES = {
     lambda: modular(Gaussian(dimension=2), constant(2.0, dimension=2),
                     weight=lambda pts: 1.0 + pts[:, 0] ** 2),
     lambda: nguyen_functional(Gaussian(), inverse_quadratic(2.0, 1.0), 0.1),
-    lambda: layer_cake_check(*lemma41_preset("random-smooth", seed=4)[:4]),
 ])
 def test_outer_integral_matches_one_call_per_panel(monkeypatch, compute):
     # paired panel calls give the floats of one call per panel, 2D
-    # direction sums and layer-cake threshold batches included
+    # direction sums included
     batched = compute()
     monkeypatch.setattr(
         functionals, "adaptive_integrate", lambda *args, **kwargs:

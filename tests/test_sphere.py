@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vexs
 from vexs import (DomainError, abs_power_sphere_integral, default_rule,
                   directional_identity_check, inverse_quadratic, k_np,
                   k_np_values)
@@ -119,3 +123,19 @@ def test_aligned_rule_is_still_a_rule(rng):
     rot.validate()
     assert rot.node_count == rule.node_count
     np.testing.assert_allclose(rot.weights, rule.weights)
+
+
+def test_import_vexs_loads_no_scipy():
+    # scipy is a test-only dependency: the oracles and the benchmark use it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vexs.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, vexs; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_k_np_values_n1_is_two_over_p_exactly():
+    # the log-Gamma ratio is lgamma(x) - lgamma(x) = 0 for n = 1
+    p = np.linspace(1.0, 9.0, 1001)
+    assert np.array_equal(k_np_values(1, p), 2.0 / p)
