@@ -364,8 +364,11 @@ def cmd_eps(args) -> int:
     check_keys(cfg, {"name", "field", "exponent", "epsilon", "mode", "quad"},
                "eps config", ("field", "exponent"))
     u, p = parse_field_exponent(cfg, "eps config")
-    quad = parse_quad(cfg.get("quad"))
     mode = cfg.get("mode", "full")
+    # the full and small-jump integrals read no rel_tol; the large-jump
+    # tail is the threshold functional, which does
+    quad = parse_quad(cfg.get("quad"), QUAD_KEYS - {"rel_tol"}
+                      if mode in ("full", "small_jump") else QUAD_KEYS)
     eps = number(cfg, "epsilon", "eps config", 0.5)
     fv = eps_functional(u, p, eps, mode, quad)
     return _report_functional(args, cfg, "eps",
@@ -379,7 +382,7 @@ def cmd_bbm(args) -> int:
                ("field", "p", "s"))
     p, s = number(cfg, "p", "bbm config"), number(cfg, "s", "bbm config")
     u = parse_field(cfg["field"])
-    quad = parse_quad(cfg.get("quad"))
+    quad = parse_quad(cfg.get("quad"), QUAD_KEYS - {"rel_tol"})
     fv = bbm_functional(u, p, s, quad)
     return _report_functional(args, cfg, "bbm", {"p": p, "s": s}, fv,
                               f"p {cfg['p']}, s {cfg['s']}")

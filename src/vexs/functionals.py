@@ -13,9 +13,14 @@ inner antiderivative; one kernel, `ray_t_nodes`, computes them in the
 substituted variable t = h^beta, which absorbs the h^{beta-1}
 singularity at the origin, for a whole batch of rays at once.
 
-Outer truncation is self-validating: a base radius from the field's
-analytic tail bound is extended by doubling shells until a shell
-contributes less than a fraction of the running total.  Everything is
+Outer truncation of the threshold functional and the local energy is
+self-validating: a base radius from the field's analytic tail bound is
+extended by doubling shells until a shell contributes less than a
+fraction of the running total.  The epsilon and BBM integrals instead
+stop x at R = far + 2, beyond which |u| <= 1e-6 max(sup |u|, 1), and
+add the pairs whose x lies beyond R exactly: at their other point y,
+through the exit distance h_R(y, w) of each ray (their x-tail decays
+only like R^{-sp}, which no shell test sees).  Everything is
 deterministic; repeated runs are bit-identical.
 """
 
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -59,7 +64,9 @@ class QuadratureSpec:
     """All discretization choices for the nonlocal functionals.
 
     truncation_radius: outer domain half-width; None selects the
-        self-validating automatic choice (tail radius plus doubling shells).
+        self-validating automatic choice (tail radius plus doubling
+        shells).  For the epsilon and BBM integrals it is where the exact
+        exterior term starts (None: the tail radius plus 2, no shells).
     sphere_rule: directions for the polar reduction; None selects a
         modest default per dimension (convergence in the rule is the
         caller's concern, reported through error estimates).
@@ -69,8 +76,10 @@ class QuadratureSpec:
         for the epsilon/BBM inner integrals.
     h_max: hard radial cutoff for the inner integrals; None means automatic
         (analytic far tails are added beyond the cutoff either way).
-    rel_tol: global relative tolerance (shell stopping, the layer-cake
-        threshold integral).
+    rel_tol: global relative tolerance (the doubling shells of the
+        threshold functional, local energy and uniform bound, a modular's
+        tail radius, the layer-cake delta integral); the epsilon and BBM
+        integrals do not read it.
     """
 
     truncation_radius: float | None = None
@@ -514,18 +523,32 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     restrict_small limits the pairs to |u(x)-u(y)| <= 1.  Beyond the ray
     cutoff H the jump is |u(x)| up to eta (exactly so for compact
     support), which the far tail coef |u(x)|^q H^{-r} / r adds back.
+
+    x runs over |x| <= R only.  The pairs whose x lies beyond R, where u
+    is 0 up to eta, join the outer integrand at their other point y as
+    the exact exterior term of `_exterior_rays`; with restrict_small only
+    where |u(y)| <= 1, so the outer integral is seeded where |u| crosses 1.
     """
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
     far_small = u.far_radius(_FAR_ETA_FRAC) if restrict_small else None
+    R = float(quad.truncation_radius or far + 2.0)
     # a ray holds about 4.5 h_bracket_grid nodes
     rays = max(1, _EVAL_SAMPLES * 2 // (15 * quad.h_bracket_grid))
+    cap = 1.0 if restrict_small else math.inf
+
+    def exterior(X, part):
+        # the exterior rays' value (part 0) or |GL15 - GL7| (part 1),
+        # summed over the directions; 22 nodes a ray
+        return coef * _direction_sum(
+            X, rule, _EVAL_SAMPLES // 22, lambda rows, omega: _exterior_rays(
+                u, rows, omega, R, exps, cap)[part].reshape(-1, len(X)))
 
     def F(X):
         # equal runs of at most `rays` points, so that no block of rays
         # outgrows the budget when the outer integral batches panels
         runs = np.array_split(X, -(-X.shape[0] // rays))
-        return np.concatenate([F_points(r) for r in runs])
+        return np.concatenate([F_points(r) for r in runs]) + exterior(X, 0)
 
     def F_points(X):
         q, r = exps(X)
@@ -556,9 +579,63 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             return val
         return _direction_sum(X, rule, rays, block)
 
-    res = _outer_integrate(F, u, quad, far + 2.0, seeds=u.kink_points(),
-                           radial=radial)
-    return FunctionalValue(res.value, res.error, res.radius, res.n_evals)
+    seeds = u.kink_points()
+    if restrict_small and (radial or u.dimension == 1):
+        seeds = np.concatenate([seeds, _unit_crossings(u, R, radial)])
+    res = _outer_integrate(F, u, replace(quad, truncation_radius=R), R,
+                           seeds=seeds, radial=radial)
+    pts, w = res.nodes()
+    return FunctionalValue(res.value,
+                           res.error + float(np.sum(w * exterior(pts, 1))),
+                           res.radius, res.n_evals)
+
+
+def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
+                   R: float, exps, cap: float = math.inf):
+    """Per ray y + h w (w omega, or omega[i] when it holds one per row),
+    the integral over h > h_R of |u(y)|^q h^{-1-r}, the part of the ray
+    beyond radius R (exit distance h_R), with (q, r) = exps at the far
+    point y + h w; returns (GL15 value, |GL15 - GL7|), 0 where |y| >= R
+    or |u(y)| > cap.
+
+    It runs in v = (h_R / h)^{r_e} on (0, 1], r_e the r at the exit,
+    where the integrand is |u(y)|^q h_R^{-r} v^{r/r_e - 1} / r_e: the
+    constant 1 / r_e (so h_R^{-r} / r up to rounding) for constant r.
+    """
+    (x15, w15), (x7, w7) = gauss_nodes(15), gauss_nodes(7)
+    v = 0.5 + 0.5 * np.concatenate([x15, x7])
+    au = np.abs(u.eval(Y))
+    yw = np.vecdot(Y, omega)
+    y2 = np.vecdot(Y, Y)
+    within = y2 < R * R
+    inside = within & (au <= cap)
+    c = np.where(within, R * R - y2, 1.0)
+    root = np.sqrt(yw * yw + c)
+    # -yw + root, without cancellation when yw > 0
+    h_R = np.where(yw > 0.0, c / (yw + root), root - yw)
+    n = Y.shape[1]
+    r_e = exps(_ray_points(Y, omega, h_R[:, None])[:, 0])[1]
+    r_e = np.reshape(r_e, (-1, 1)) if np.ndim(r_e) else r_e
+    h = h_R[:, None] * v ** (-1.0 / r_e)
+    q, r = (np.reshape(e, h.shape) if np.ndim(e) else e
+            for e in exps(_ray_points(Y, omega, h).reshape(-1, n)))
+    g = au[:, None] ** q * h_R[:, None] ** (-r) * v ** (r / r_e - 1.0) / r_e
+    g = np.broadcast_to(g, h.shape)
+    v15 = 0.5 * np.sum(g[:, :15] * w15, axis=1)
+    v7 = 0.5 * np.sum(g[:, 15:] * w7, axis=1)
+    return np.where(inside, v15, 0.0), np.where(inside, np.abs(v15 - v7), 0.0)
+
+
+def _unit_crossings(u: ScalarField, R: float, radial: bool) -> np.ndarray:
+    """Where |u| crosses 1 on the line [-R, R] (radially: the radii in
+    [0, R]), from the sign changes of |u| - 1 on 1025 samples."""
+    x = np.linspace(0.0 if radial else -R, R, 1025)
+    axis = np.eye(u.dimension)[0]
+
+    def residual(rows):
+        return lambda t: np.abs(u.eval(t[:, None] * axis)) - 1.0
+    _, lo, _, _ = sign_pieces(residual, x[None], residual(None)(x)[None])
+    return lo[1:]
 
 
 def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",

@@ -5,7 +5,8 @@ reduction, no root bracketing, no exact antiderivatives.  The
 separation variable d = y - x uses a geometrically graded partition so
 the d ~ delta kernel scale is resolved; this is still a plain Riemann
 sum of the untransformed integrand (dx dy = dx dd).  The closed forms
-(`tent_gagliardo`, `gaussian_gagliardo`) are exact.
+(`tent_gagliardo`, `gaussian_gagliardo`) are exact, and
+`gaussian_eps_full` is nested scipy quadrature.
 """
 
 from __future__ import annotations
@@ -38,12 +39,61 @@ def tent_gagliardo(s: float) -> float:
     return 2.0 * (near + middle + far)
 
 
-def gaussian_gagliardo(s: float) -> float:
-    """The same modular for u = exp(-x^2): A(h) = 2 sqrt(pi/2)
-    (1 - exp(-h^2/2)), and v = h^2/2 turns the h integral into
+def gaussian_gagliardo(s: float, n: int = 1) -> float:
+    """The same modular over R^n x R^n, |x - y|^{n + 2s}, for u =
+    exp(-|x|^2): A(h) = 2 (pi/2)^{n/2} (1 - exp(-|h|^2/2)), the h
+    integral runs over the sphere |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)
+    and the radius, and v = rho^2/2 turns the radial integral into
     2^{-1-s} Gamma(1-s) / s."""
-    return 4.0 * math.sqrt(math.pi / 2.0) * 2.0 ** (-1.0 - s) \
-        * math.gamma(1.0 - s) / s
+    sphere = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return 2.0 * (math.pi / 2.0) ** (n / 2.0) * sphere \
+        * 2.0 ** (-1.0 - s) * math.gamma(1.0 - s) / s
+
+
+def gaussian_eps_full(eps: float, a: float, b: float,
+                      tol: float = 1e-11) -> float:
+    """eps times the double integral over R x R of |u(x) - u(y)|^{p+eps}
+    / |x - y|^{1+p}, p = p(x) = a + b / (1 + x^2), u = exp(-x^2), by
+    nested scipy `quad` on the untruncated lines.
+
+    The integrand is even in x, so x runs over [0, inf).  With y = x +- h,
+    the jump u(x +- h) - u(x) = u(x) expm1(-h (+-2x + h)) keeps its digits
+    for small h, and the near-diagonal singularity eps h^{eps-1} of
+    [0, 1] goes away in t = h^eps.  Beyond h = 1 the ray integral breaks
+    where y passes the bump (h = c = -+x, +- 6) and where u(y) = u(x)
+    again (h = 2c)."""
+    from scipy.integrate import quad
+    kw = dict(epsabs=1e-15, epsrel=tol, limit=200)
+
+    def inner(x):
+        p = a + b / (1.0 + x * x)
+        q = p + eps
+        ux = math.exp(-x * x)
+
+        def jump(h, sgn):
+            e = -h * (2.0 * sgn * x + h)
+            if abs(e) < 1.0:
+                return abs(ux * math.expm1(e))
+            return abs(math.exp(-(x + sgn * h) ** 2) - ux)
+
+        def slope(h, sgn):
+            return jump(h, sgn) / h if h > 0.0 else 2.0 * ux * abs(x)
+
+        total = 0.0
+        for sgn in (1.0, -1.0):
+            total += quad(lambda t: slope(t ** (1.0 / eps), sgn) ** q,
+                          0.0, 1.0, **kw)[0]
+            c = -sgn * x
+            br = sorted({1.0} | {v for v in (c - 6.0, c, c + 6.0, 2.0 * c)
+                                 if v > 1.0})
+            for lo, hi in zip(br, br[1:] + [math.inf]):
+                total += quad(lambda h: eps * jump(h, sgn) ** q
+                              * h ** (-1.0 - p), lo, hi, **kw)[0]
+        return total
+
+    edges = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
+    return 2.0 * sum(quad(inner, lo, hi, epsabs=0.0, epsrel=tol,
+                          limit=200)[0] for lo, hi in zip(edges, edges[1:]))
 
 
 def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),

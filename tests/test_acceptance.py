@@ -285,9 +285,9 @@ def test_criterion_13_determinism(tmp_path):
         "eps": {"name": "s", "field": {"family": "gaussian"},
                 "exponent": {"family": "constant", "value": 2.0},
                 "epsilon": 0.3, "mode": "small_jump",
-                "quad": {"rel_tol": 1e-5}},
+                "quad": {"outer_x_tolerance": 1e-5}},
         "bbm": {"name": "s", "field": {"family": "tent"}, "p": 2.0, "s": 0.8,
-                "quad": {"rel_tol": 1e-5}},
+                "quad": {"outer_x_tolerance": 1e-5}},
         "nguyen": {"name": "s", "field": {"family": "gaussian"},
                    "exponent": {"family": "inverse-quadratic", "a": 2.0,
                                 "b": 1.0}, "delta": 0.1,

@@ -272,6 +272,11 @@ UNREAD_QUAD = {
     "fracnorm": ({**GAUSS_P2, "s": 0.5, "quad": {
         "outer_x_tolerance": 1e-9, "rel_tol": 1e-8, "h_bracket_grid": 64}},
         "outer_x_tolerance, rel_tol"),
+    # the eps and BBM integrals stop at a fixed radius: no rel_tol
+    "bbm": ({"field": {"family": "tent"}, "p": 2.0, "s": 0.8, "quad": {
+        "rel_tol": 1e-6, "h_bracket_grid": 64}}, "rel_tol"),
+    "eps": ({**GAUSS_P2, "epsilon": 0.3, "mode": "small_jump", "quad": {
+        "rel_tol": 1e-6, "outer_x_tolerance": 1e-5}}, "rel_tol"),
     # the counterexample's only quadrature is its 1D modular
     "counterexample": ({"r_values": [10.0, 100.0], "quad": {
         "h_bracket_grid": 64, "h_max": 5.0,
@@ -286,6 +291,22 @@ def test_outer_quad_rejects_unread_keys(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, f"{command}.json", payload)
     assert run_cli(command, "--config", cfg) == 2
     assert f"unknown key(s) in quad: {keys}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, code", [
+    ("full", 2), ("small_jump", 2), ("large_jump_tail", 0)])
+def test_eps_reads_rel_tol_only_in_the_threshold_mode(tmp_path, capsys, mode,
+                                                      code):
+    # the large-jump tail is the threshold functional, whose outer
+    # doubling shells stop on rel_tol
+    cfg = write_cfg(tmp_path, "eps.json", {
+        **GAUSS_P2, "field": {"family": "gaussian", "scale": 3.0},
+        "epsilon": 0.3, "mode": mode,
+        "quad": {"rel_tol": 1e-3, "h_bracket_grid": 32,
+                 "outer_x_tolerance": 1e-3}})
+    assert run_cli("eps", "--config", cfg) == code
+    assert ("unknown key(s) in quad: rel_tol" in capsys.readouterr().err) \
+        == (code == 2)
 
 
 GAUSS_FIELD = {"family": "gaussian"}

@@ -399,11 +399,60 @@ def test_bbm_tent_exact(s):
                                      rel=1e-6)
 
 
-@pytest.mark.parametrize("s", [0.8, 0.95])
+def _assert_exact(fv, exact, rel):
+    # the value within rel of the exact one, and its error estimate
+    # bounding the true error
+    assert fv.value == pytest.approx(exact, rel=rel, abs=0.0)
+    assert abs(fv.value - exact) <= fv.error_estimate
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
 def test_bbm_gaussian_exact(s):
+    # the x-tail beyond R decays only like R^(-sp): the exterior term
+    # carries it exactly
     fv = bbm_functional(Gaussian(), 2.0, s)
-    assert fv.value == pytest.approx(
-        (1.0 - s) * oracles.gaussian_gagliardo(s), rel=1e-6)
+    _assert_exact(fv, (1.0 - s) * oracles.gaussian_gagliardo(s), 1e-9)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.8, 0.95])
+def test_bbm_gaussian_2d_exact(s):
+    fv = bbm_functional(Gaussian(dimension=2), 2.0, s)
+    _assert_exact(fv, (1.0 - s) * oracles.gaussian_gagliardo(s, 2), 1e-9)
+
+
+def test_eps_variable_p_matches_scipy_reference():
+    # the exterior exponents vary along each ray beyond R
+    fv = eps_functional(Gaussian(), inverse_quadratic(2.0, 1.0), 0.05, "full")
+    _assert_exact(fv, oracles.gaussian_eps_full(0.05, 2.0, 1.0), 1e-7)
+
+
+def test_eps_small_jump_does_not_depend_on_the_truncation_radius():
+    # F jumps where |u| crosses 1 (the exterior pairs count only where
+    # |u(x)| <= 1), so the outer integral is seeded there
+    u, p = Gaussian(scale=3.0), constant(2.0)
+    vals = [eps_functional(u, p, 0.25, "small_jump",
+                           QuadratureSpec(truncation_radius=R))
+            for R in (None, 8.0, 16.0)]
+    assert vals[0].truncation_radius < 8.0
+    for fv in vals[1:]:
+        assert fv.value == pytest.approx(vals[0].value, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exterior_rays_exact_for_constant_exponents(n):
+    # h_R^(-r) / r with h_R the exit distance, 0 from |y| = R on
+    R, q, r = 3.0, 2.0, 1.6
+    u = Gaussian(dimension=n)
+    Y = np.array([[0.0] * n, [1.0] + [0.5] * (n - 1), [-2.9] + [0.0] * (n - 1),
+                  [3.0] + [0.0] * (n - 1), [4.0] * n])
+    omega = np.eye(n)[0]
+    val, err = functionals._exterior_rays(u, Y, omega, R, lambda X: (q, r))
+    y2 = np.sum(Y * Y, axis=1)
+    h_R = -Y[:, 0] + np.sqrt(np.maximum(Y[:, 0] ** 2 - y2 + R * R, 0.0))
+    expect = np.exp(-y2[:3]) ** q * h_R[:3] ** (-r) / r
+    assert val[:3] == pytest.approx(expect, rel=1e-14)
+    assert np.all(val[3:] == 0.0) and np.all(err[3:] == 0.0)
+    assert np.all(err[:3] <= 1e-15 * val[:3])
 
 
 def test_bbm_rejects_nonconstant_or_bad_s():
@@ -891,7 +940,8 @@ def test_outer_rows_do_not_depend_on_batch(monkeypatch, name):
         per_panel = [F(X[k:k + 22]) for k in range(0, X.shape[0], 22)]
         assert np.array_equal(whole, np.concatenate(per_panel))
         return functionals._OuterResult(float(np.sum(whole)), 0.0,
-                                        base_radius, X.shape[0])
+                                        base_radius, X.shape[0],
+                                        lambda: (X, np.ones(X.shape[0])))
 
     monkeypatch.setattr(functionals, "ray_t_nodes", counted)
     monkeypatch.setattr(functionals, "_outer_integrate", five_panels)
