@@ -159,6 +159,7 @@ class Gaussian(ScalarField):
         if c.shape != (dimension,):
             raise DomainError("center must match the dimension")
         self.center = c
+        self.center_norm = float(np.linalg.norm(c))
         self.scale = float(scale)
         self.sup_bound = abs(self.scale)
         self.osc_bound = abs(self.scale)
@@ -184,11 +185,11 @@ class Gaussian(ScalarField):
         return out
 
     def tail_bound(self, radius):
-        r = max(0.0, radius - float(np.linalg.norm(self.center)))
+        r = max(0.0, radius - self.center_norm)
         return abs(self.scale) * math.exp(-(r / self.sigma) ** 2)
 
     def grad_tail_bound(self, radius):
-        r = max(0.0, radius - float(np.linalg.norm(self.center)))
+        r = max(0.0, radius - self.center_norm)
         peak = self.sigma / math.sqrt(2.0)
         if r <= peak:
             return self.lipschitz_bound

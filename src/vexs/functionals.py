@@ -173,8 +173,10 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
         pts = points(rs)
         vals = F(pts).reshape(rs.size, weights.size)
         count[0] += pts.shape[0]
-        # a row-wise sum: a BLAS mat-vec rounds a row differently
-        # in different batches
+        # a row-wise sum: a BLAS mat-vec rounds a row differently in
+        # different batches; one direction's row sum is its one product
+        if weights.size == 1:
+            return vals[:, 0] * weights[0] * rs ** (n - 1)
         return np.sum(vals * weights, axis=1) * rs ** (n - 1)
 
     def outer_nodes():
@@ -769,7 +771,8 @@ class _PairSection:
         step = np.sign(np.diff(vals, axis=1))
         rows, j = np.nonzero(step[:, :-1] * step[:, 1:] < 0.0)
         sgn, xv = step[rows, j], self.xnodes[rows]  # sgn +1 at a maximum
-        ext, _ = golden_max(lambda y: sgn * phi(xv, y), path[j], path[j + 2])
+        ext, _ = golden_max(lambda i: lambda y: sgn[i] * phi(xv[i], y),
+                            path[j], path[j + 2])
         n = np.bincount(rows, minlength=m)
         cuts = np.full((m, n.max(initial=0)), float(b))
         cuts[rows, np.arange(rows.size) - (np.cumsum(n) - n)[rows]] = ext

@@ -1,13 +1,16 @@
 """Hardy-Littlewood and directional maximal functions, the variable
 exponent divergence experiment, and normalized mean-oscillation integrals.
 
-One radius scan serves every maximal function: the points of a block
-(up to _POINT_BLOCK of them) and all grid radii are averaged in one
-batch, then golden-section refinement steps every point's bracket in
-lockstep.  Averages are GL15 on panels cut at the field's kinks and
-graded by decades about each kink and singular point, so the experiment
-profiles (indicator overlaps, power tails, log singularities) are
-resolved to quadrature accuracy.
+One radius scan serves every maximal function, on a block of points (up
+to _POINT_BLOCK of them) at a time.  For each point and side a table
+holds the integral of |u| outward from the point, one GL15 panel per
+cell, on cells cut at the grid radii, at the field's kinks and graded
+about each kink and singular point, so the experiment profiles
+(indicator overlaps, power tails, log singularities) are resolved to
+quadrature accuracy.  Averages at the grid radii are table entries;
+golden-section refinement then steps every point's bracket in lockstep,
+one GL15 end piece per side and step, until the point's two inner values
+are within 4 ulp.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from . import spaces
 from .sweeps import fit_offset_power
 
 _R_FLOOR = 1e-6
-# points per radius scan; each point's scan holds about 0.5 MB
-_POINT_BLOCK = 64
+# points per radius scan; a point's table, its candidates' averages and
+# its end pieces hold about 0.04 MB (power tail) to 0.25 MB (log)
+_POINT_BLOCK = 128
 
 
 @dataclass
@@ -39,41 +43,97 @@ class MaximalProfile:
     depth: int
 
 
-def _interval_average(u: ScalarField, lo: np.ndarray, hi: np.ndarray,
-                      n_panels: int = 8) -> np.ndarray:
-    """Average of |u| over each 1D interval [lo[i], hi[i]], 0 where it is
-    empty: GL15 on `n_panels` equal panels per interval, cut further at
-    the kinks and decade seeds inside it.  An interval off
-    u.support_interval() takes no nodes: its average is exactly 0.0."""
+def _segment_integrals(u: ScalarField, x, sign, t0, t1) -> np.ndarray:
+    """The integral of |u| over each segment x + sign*[t0, t1], by one GL15
+    panel in t, so that its weights add up to t1 - t0 and not to a width
+    rounded at the scale of x; 0.0, with no nodes, where it is empty or
+    off u.support_interval()."""
     s_lo, s_hi = u.support_interval()
-    ok = (hi > lo) & (hi > s_lo) & (lo < s_hi)
-    rows = np.flatnonzero(ok)
-    a, b = lo[rows], hi[rows]
-    # kinks cut the panels, graded by decades about each kink (for a
-    # power tail's edge) and singular point (down to 1e-8, for a log);
-    # seeds span the hull of all intervals, so an interval's own seeds
-    # do not depend on the rest of the batch
-    hull = np.min(lo, initial=0.0), np.max(hi, initial=0.0)
-    kinks = u.kink_points()
-    seed = np.concatenate([kinks, decade_seeds(kinks, *hull), decade_seeds(
-        u.singular_points, *hull, j0=-8)])
-    sr, sc = np.nonzero((a[:, None] < seed) & (seed < b[:, None]))
-    row, p_lo, p_hi = row_pieces(
-        np.concatenate([np.repeat(rows, n_panels + 1), rows[sr]]),
-        np.concatenate([np.linspace(a, b, n_panels + 1, axis=1).ravel(),
-                        seed[sc]]))
-    nodes, w = piece_nodes(p_lo, p_hi)
-    terms = w * np.abs(u.eval(nodes.ravel())).reshape(nodes.shape)
-    # an interval of k pieces sums its k * 15 terms in one row, pairwise
-    # as np.sum of them alone does
-    count = np.bincount(row, minlength=lo.size)
-    first = np.cumsum(count) - count
-    total = np.zeros(lo.size)
-    for k in np.unique(count[ok]):
-        at = np.flatnonzero(count == k)
-        total[at] = np.sum(terms[first[at, None] + np.arange(k)]
-                           .reshape(at.size, -1), axis=1)
-    return total / np.where(ok, hi - lo, 1.0)
+    a, b = x + sign * t0, x + sign * t1
+    on = np.flatnonzero((t1 > t0) & (np.maximum(a, b) > s_lo) &
+                        (np.minimum(a, b) < s_hi))
+    t, w = piece_nodes(t0[on], t1[on])
+    y = x[on, None] + sign[on, None] * t
+    out = np.zeros(x.size)
+    out[on] = np.sum(w * np.abs(u.eval(y.ravel()).reshape(y.shape)), axis=1)
+    return out
+
+
+class _OutwardTable:
+    """The integral of |u| from each point x[p] outward toward each side,
+    at the edges t of cells on the segment x[p] + side*[0, reach]: one
+    row per side and point, s * m + p.
+
+    A row's cells are cut at 0, at the radii rs[p] (increasing, the last
+    the reach), at the kinks and their decade seeds and at the decade
+    seeds about singular points (down to 1e-8, for a log), then into
+    equal parts so that none is wider than a quarter of the distance
+    from its far end to x[p] or to the nearest kink or singular point.
+    Each cell is one GL15 panel.  The cumulative sums run outward over
+    nonnegative terms along rows padded at their ends, so nothing cancels
+    and a row's floats depend only on x[p], rs[p] and u, whatever block
+    it is built in.
+    """
+
+    def __init__(self, u: ScalarField, x, sides, rs):
+        self.u, self.m, self.n_sides = u, x.size, len(sides)
+        self.sign = np.repeat(np.asarray(sides, dtype=float), x.size)
+        self.x, rs = np.tile(x, len(sides)), np.tile(rs, (len(sides), 1))
+        rows = np.arange(self.x.size)
+        # seeds span the hull of all reaches, so a row's own seeds do not
+        # depend on the rest of the block
+        hull = np.min(self.x - rs[:, -1]), np.max(self.x + rs[:, -1])
+        kinks, sing = u.kink_points(), u.singular_points
+        ts = self.sign[:, None] * (np.concatenate(
+            [kinks, sing, decade_seeds(kinks, *hull),
+             decade_seeds(sing, *hull, j0=-8)]) - self.x[:, None])
+        # t where a row's segment ends at a kink or singular point
+        self.center_t = ts[:, :kinks.size + len(sing)]
+        sr, sc = np.nonzero((0.0 < ts) & (ts < rs[:, -1:]))
+        row, lo, hi = row_pieces(
+            np.concatenate([rows, np.repeat(rows, rs.shape[1]), sr]),
+            np.concatenate([np.zeros(rows.size), rs.ravel(), ts[sr, sc]]))
+        # no cell wider than a quarter of the distance from its far end to
+        # x (t = 0) or to the nearest kink or singular point; its k equal
+        # parts share their edges' floats
+        tc = self.center_t[row]
+        far = np.maximum(np.abs(lo[:, None] - tc), np.abs(hi[:, None] - tc))
+        k = np.ceil(4.0 * (hi - lo) / np.minimum(
+            hi, np.min(far, axis=1, initial=np.inf))).astype(int)
+        cell = np.repeat(np.arange(row.size), k)
+        j = np.arange(cell.size) - np.repeat(np.cumsum(k) - k, k)
+        k, lo, hi = k[cell], lo[cell], hi[cell]
+
+        def part(q):
+            return np.where(q == k, hi, lo + (hi - lo) * (q / k))
+        row, lo, hi = row[cell], part(j), part(j + 1)
+
+        count = np.bincount(row, minlength=rows.size)
+        col = np.arange(row.size) - (np.cumsum(count) - count)[row]
+        self.edge = np.full((rows.size, count.max()), np.inf)
+        self.edge[row, col] = hi
+        parts = np.zeros(self.edge.shape)
+        parts[row, col] = _segment_integrals(u, self.x[row], self.sign[row],
+                                             lo, hi)
+        self.cum = np.cumsum(parts, axis=1)
+
+    def average(self, r, idx=None):
+        """The mean over sides of the average of |u| from x[p] a length
+        r[i, j] toward the side, p = idx[i] (every point when None), r at
+        least the first radius: the entry at the last edge at or below r,
+        plus one GL15 panel from that edge to r (none when r is an edge).
+        """
+        idx = np.arange(self.m) if idx is None else idx
+        row = (np.arange(self.n_sides)[:, None] * self.m + idx).ravel()
+        r = np.tile(r, (self.n_sides, 1))
+        col = np.sum(self.edge[row, :, None] <= r[:, None, :], axis=1) - 1
+        at = np.repeat(row, r.shape[1])
+        piece = _segment_integrals(self.u, self.x[at], self.sign[at],
+                                   self.edge[row[:, None], col].ravel(),
+                                   r.ravel()).reshape(r.shape)
+        avg = (self.cum[row[:, None], col] + piece) / r
+        return np.sum(avg.reshape(self.n_sides, -1, r.shape[1]),
+                      axis=0) / self.n_sides
 
 
 def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
@@ -81,8 +141,10 @@ def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
     """Per point of x, the sup over r in (1e-6, r_max] (r_max a number or
     one per point) of the mean over `sides` (-1, +1) of the average of
     |u| from x a length r toward that side: a grid of n_grid geometric
-    radii, then `depth` passes of 20 golden-section steps about the best
-    one, never below it.  A point's value does not depend on the batch.
+    radii and the radii at which a side reaches a kink or singular
+    point, then golden-section steps about the best one, never below it,
+    until the point's two inner values are within 4 ulp or after
+    20 * depth steps.  A point's value does not depend on the batch.
     """
     if u.dimension != 1:
         raise DomainError("maximal functions are computed in one dimension")
@@ -92,30 +154,29 @@ def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
         raise DomainError("maximal function points must be finite")
     if not np.all(np.isfinite(r_max) & (r_max > _R_FLOOR)):
         raise DomainError(f"r_max must be finite and above {_R_FLOOR:g}")
-    left = np.asarray(sides, dtype=float)[:, None, None] < 0.0
 
     def scan(xs, r_max):
-        def avg(r):
-            # r holds radii per point, shape (m, k); sides stack on axis 0
-            lo = np.where(left, xs - r, xs)
-            hi = np.where(left, xs, xs + r)
-            a = _interval_average(u, lo.ravel(), hi.ravel()).reshape(lo.shape)
-            return np.sum(a, axis=0) / len(sides)
-
         rs = np.geomspace(_R_FLOOR, r_max, n_grid, axis=1)
-        vals = avg(rs)
-        i = np.argmax(vals, axis=1)
+        table = _OutwardTable(u, xs, sides, rs)
+        # the grid, and the radii at which a side's segment ends at a kink
+        # or singular point (where the sup may sit), the reach otherwise
+        tc = np.hstack(np.split(table.center_t, len(sides)))
+        tc = np.where((rs[:, :1] < tc) & (tc < rs[:, -1:]), tc, rs[:, -1:])
+        radii = np.sort(np.concatenate([rs, tc], axis=1), axis=1)
+        vals = table.average(radii)
         at = np.arange(xs.size)
-        _, best = golden_max(lambda r: avg(r[:, None])[:, 0],
-                             rs[at, np.maximum(i - 1, 0)],
-                             rs[at, np.minimum(i + 1, n_grid - 1)],
-                             iters=20 * depth)
-        return np.maximum(vals[at, i], best)
+        top = radii[at, np.argmax(vals, axis=1)][:, None]
+        _, best = golden_max(
+            lambda idx: lambda r: table.average(r[:, None], idx)[:, 0],
+            np.max(np.where(radii < top, radii, radii[:, :1]), axis=1),
+            np.min(np.where(radii > top, radii, radii[:, -1:]), axis=1),
+            iters=20 * depth, flat=True)
+        return np.maximum(np.max(vals, axis=1), best)
 
     # a block of points at a time bounds the scan's memory
-    xs = x.ravel()[:, None]
+    xs = x.ravel()
     out = [scan(xs[k:k + _POINT_BLOCK], r_max[k:k + _POINT_BLOCK])
-           for k in range(0, xs.shape[0], _POINT_BLOCK)]
+           for k in range(0, xs.size, _POINT_BLOCK)]
     return np.concatenate(out or [np.empty(0)]).reshape(x.shape)[()]
 
 

@@ -314,27 +314,52 @@ def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f: Callable, a, b, iters: int = 60):
+def golden_max(f: Callable, a, b, iters: int = 60, flat: bool = False):
     """Golden-section maximization of unimodal-ish functions on [a, b].
 
-    `a` and `b` are numbers or arrays of brackets, which then step in
-    lockstep: f maps an array of abscissae, one per bracket, to their
-    values, and each element performs the float operations of a scalar
-    run on its own bracket.  Returns (argmax, max), scalars for scalar
-    brackets."""
+    For numbers `a` and `b`, f maps an abscissa to its value.  Arrays of
+    brackets step in lockstep, and f(idx) then returns the values of the
+    brackets idx (an index array) as a function of one abscissa each, as
+    in `vector_bisect`.  A bracket stops once it is within 4 ulp, with
+    `flat` also once its two inner values are within 4 ulp of the larger,
+    and after `iters` steps at the latest.  Only unfinished brackets are
+    evaluated, and each performs the float operations of a scalar run on
+    its own bracket, whatever batch it is in.  Returns (argmax, max) of
+    the inner pair, scalars for scalar brackets."""
+    shape = np.broadcast(a, b).shape
+    rows = f if shape else (lambda idx: lambda x: np.atleast_1d(f(x[0])))
+    a, b = (np.array(np.broadcast_to(v, shape), dtype=float).ravel()
+            for v in (a, b))
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
+    act = np.arange(a.size)
+    fc, fd = rows(act)(c), rows(act)(d)
+    arg, top = np.empty(a.size), np.empty(a.size)
+    for it in range(iters + 1):
+        done = b - a <= 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        if flat:
+            done |= np.abs(fc - fd) <= 4.0 * np.spacing(
+                np.abs(np.maximum(fc, fd)))
+        if it == iters:
+            done[:] = True
+        if done.any():
+            left = fc > fd
+            arg[act[done]] = np.where(left, c, d)[done]
+            top[act[done]] = np.where(left, fc, fd)[done]
+            more = ~done
+            act, a, b, c, d, fc, fd = (
+                v[more] for v in (act, a, b, c, d, fc, fd))
+        if not act.size:
+            break
         # keep [a, d] (left) or [c, b]; the kept inner point changes slot
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         new = np.where(left, b - _INV_GOLDEN * (b - a),
                        a + _INV_GOLDEN * (b - a))
-        f_new = f(new)
+        f_new = rows(act)(new)
         c, d, fc, fd = (np.where(left, new, d), np.where(left, c, new),
                         np.where(left, f_new, fd), np.where(left, fc, f_new))
-    return np.where(fc > fd, c, d)[()], np.where(fc > fd, fc, fd)[()]
+    return arg.reshape(shape)[()], top.reshape(shape)[()]
 
 
 def decade_seeds(centers, lo: float, hi: float, j0: int = 0) -> np.ndarray:

@@ -107,6 +107,34 @@ def test_exact_antiderivative_matches_adaptive_quadrature(rng):
         assert res.value == pytest.approx(closed, rel=1e-10)
 
 
+@pytest.mark.parametrize("n, radial", [(1, False), (1, True), (2, True)])
+def test_one_direction_outer_paths_give_the_row_sum_floats(n, radial):
+    # a one-direction path takes its row's one product for the row sum;
+    # the value is that of np.sum over the rows, panel for panel
+    u, R = Gaussian(dimension=n), 4.0
+    quad = QuadratureSpec(truncation_radius=R)
+
+    def F(X):
+        return np.exp(-np.sum(X * X, axis=1)) * (1.0 + np.sum(X * X, axis=1))
+    got = functionals._outer_integrate(F, u, quad, R, seeds=(0.5,),
+                                       radial=radial)
+    if radial:
+        rule = functionals._resolve_rule(quad, n)
+        nodes, weights = rule.nodes[:1], np.array([np.sum(rule.weights)])
+        a, seeds = 0.0, [0.5]
+    else:
+        nodes, weights = np.ones((1, 1)), np.ones(1)
+        a, seeds = -R, [0.0, 0.5]
+
+    def f_line(rs):
+        vals = F((rs[:, None, None] * nodes[None]).reshape(-1, n))
+        return np.sum(vals.reshape(rs.size, 1) * weights,
+                      axis=1) * rs ** (n - 1)
+    want = adaptive_integrate(f_line, a, R, rel_tol=quad.outer_x_tolerance,
+                              seeds=seeds)
+    assert got.value == want.value
+
+
 def test_superlevel_monotone_in_delta():
     u = Gaussian()
     quad = QuadratureSpec()

@@ -6,7 +6,16 @@ from vexs import (DomainError, Gaussian, LogSingular, SampledTable, Tent,
                   bmo_quantity, counterexample_experiment,
                   counterexample_exponent, counterexample_field,
                   directional_maximal, hl_maximal, maximal_profile, modular)
-from vexs.maximal import _interval_average
+from vexs import maximal
+from vexs.maximal import _OutwardTable
+
+
+def _segment_average(u, x, r, rs=None):
+    """Averages of |u| over the segments [x, x + r] through the scan's
+    outward table, whose radii are rs (r alone when None)."""
+    x, r = np.asarray(x, dtype=float), np.asarray(r, dtype=float)
+    table = _OutwardTable(u, x, (1.0,), r[:, None] if rs is None else rs)
+    return table.average(r[:, None])[:, 0]
 
 
 def test_hl_maximal_constant_field():
@@ -89,6 +98,49 @@ def test_batched_maximal_matches_scalar_calls(u, xs):
     assert isinstance(hl_maximal(u, xs[0], 5.0), float)
 
 
+@pytest.mark.parametrize("u, xs", [
+    (Gaussian(), [-3.0, -0.4, 0.0, 0.7, 2.5]),
+    (Tent(scale=2.0), [-1.5, -0.2, 0.0, 0.45, 1.0]),
+    (counterexample_field(), [-700.0, -30.0, -2.0, 1.0, 2.5, 40.0]),
+    (LogSingular((-1.0, 2.0)), [-0.9, -1e-3, 0.2, 0.6, 1.7]),
+])
+def test_default_depth_matches_depth_10(u, xs):
+    # smooth, kinked and singular peaks: a point's golden steps stop once
+    # its two values are within 4 ulp, or the sup sits at a grid radius or
+    # where a segment ends at a kink, so the cap of depth 3 (60 steps)
+    # leaves nothing for more steps to find
+    xs = np.asarray(xs)
+    r_max = 2.0 * np.abs(xs) + 3.0
+    np.testing.assert_allclose(hl_maximal(u, xs, r_max),
+                               hl_maximal(u, xs, r_max, depth=10),
+                               rtol=1e-14, atol=0.0)
+    for omega in (-1.0, 1.0):
+        np.testing.assert_allclose(
+            directional_maximal(u, xs, omega, 5.0),
+            directional_maximal(u, xs, omega, 5.0, depth=10),
+            rtol=1e-14, atol=0.0)
+
+
+def test_counterexample_scan_takes_a_pinned_count_of_field_points(
+        monkeypatch):
+    # the divergence experiment's 555-point scan: one GL15 panel per
+    # table cell on the support and per end piece of a golden step (the
+    # scan took 8,104,305 points when every step rebuilt its intervals'
+    # panels); a count, not a wall time, pins the cost
+    sizes = []
+
+    def counted(u, x, r_max):
+        sizes.append(np.size(x))
+        eval_ = u.eval
+        monkeypatch.setattr(u, "eval",
+                            lambda p: sizes.append(np.size(p)) or eval_(p))
+        return hl_maximal(u, x, r_max)
+    monkeypatch.setattr(maximal, "hl_maximal", counted)
+    counterexample_experiment([10.0, 100.0, 1000.0, 10000.0])
+    assert sizes[0] == 555
+    assert sum(sizes[1:]) == 453_990
+
+
 def test_long_profile_matches_points_alone_in_bounded_memory():
     # 200 points scan in blocks: every value is the point's own scan,
     # and the peak allocation stays far below one unblocked scan's
@@ -105,62 +157,78 @@ def test_long_profile_matches_points_alone_in_bounded_memory():
     assert list(prof.values) == [hl_maximal(Tent(), x, 3.0) for x in pts]
 
 
+def test_scan_memory_is_bounded_by_its_block():
+    # 512 points scan 128 at a time; one unblocked scan of them peaks at
+    # about 55 MB (about 0.11 MB a tent point)
+    import tracemalloc
+    pts = np.linspace(-2.0, 2.0, 512)
+    tracemalloc.start()
+    try:
+        hl_maximal(Tent(), pts, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 @pytest.mark.parametrize("x", [-2.0, -3.0, -10.0, -100.0, -1000.0, -5000.0,
                                -10000.0])
 def test_counterexample_maximal_matches_closed_form(x):
-    # GL15 on decade-graded panels: about 1e-11 relative
+    # GL15 on cells graded about the kink: about 1e-12 relative
     val = hl_maximal(counterexample_field(), x, 4.0 * abs(x) + 40.0)
     assert val == pytest.approx(oracles.counterexample_maximal(x), rel=1e-9)
 
 
 def test_log_singular_averages_match_closed_form():
-    # intervals across, at and next to the singular point 0
-    lo = np.array([-0.3, -1.0, 1e-3, -0.5, -2.0, -0.39, 0.0])
-    hi = np.array([0.6, 0.01, 1.9, 1.5, 3.0, 1.7, 0.8])
-    got = _interval_average(LogSingular((-1.0, 2.0)), lo, hi)
-    want = [oracles.log_abs_integral(a, b, (-1.0, 2.0)) / (b - a)
-            for a, b in zip(lo, hi)]
+    # segments across, at and next to the singular point 0, each ending
+    # inside a cell of a scan's table (a GL15 end piece)
+    x = np.array([-0.3, -1.0, 1e-3, -0.5, -2.0, -0.39, 0.0])
+    r = np.array([0.9, 1.01, 1.899, 2.0, 5.0, 2.09, 0.8])
+    got = _segment_average(LogSingular((-1.0, 2.0)), x, r,
+                           np.geomspace(1e-6, 2.0 * r, 48, axis=1))
+    want = [oracles.log_abs_integral(a, a + b, (-1.0, 2.0)) / b
+            for a, b in zip(x, r)]
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
-@pytest.mark.parametrize("u, lo, hi", [
+@pytest.mark.parametrize("u, x, r", [
     (counterexample_field(), [-50.0, -3.0, 0.5, 1.0, -7.0],
-     [-1.0, 2.0, 1.5, 9.0, 40.0]),
-    (Tent(), [-3.0, 1.0, -0.5, 2.0, -1.5], [-1.0, 4.0, 0.25, 2.5, 1.5]),
+     [49.0, 5.0, 1.0, 8.0, 47.0]),
+    (Tent(), [-3.0, 1.0, -0.5, 2.0, -1.5], [2.0, 3.0, 0.75, 0.5, 3.0]),
 ])
-def test_interval_average_skips_intervals_off_the_support(u, lo, hi,
+def test_interval_average_skips_intervals_off_the_support(u, x, r,
                                                           monkeypatch):
-    lo, hi = np.array(lo), np.array(hi)
+    x, r = np.array(x), np.array(r)
     s_lo, s_hi = u.support_interval()
-    off = (hi <= s_lo) | (lo >= s_hi)
+    off = (x + r <= s_lo) | (x >= s_hi)
     assert off.sum() == 3
     seen, eval_ = [], u.eval
     monkeypatch.setattr(u, "eval",
-                        lambda x: seen.append(np.ravel(x)) or eval_(x))
-    got = _interval_average(u, lo, hi)
+                        lambda p: seen.append(np.ravel(p)) or eval_(p))
+    got = _segment_average(u, x, r)
     assert np.all(got[off] == 0.0)
-    # every node serves an interval that meets the support, and those
-    # that miss it alone take none
+    # every node serves a segment that meets the support, and those that
+    # miss it alone take none
     nodes = np.concatenate(seen)
-    assert np.all(np.any((lo[~off, None] < nodes) & (nodes < hi[~off, None]),
-                         axis=0))
+    assert np.all(np.any((x[~off, None] < nodes) &
+                         (nodes < (x + r)[~off, None]), axis=0))
     seen.clear()
-    assert np.all(_interval_average(u, lo[off], hi[off]) == 0.0)
-    assert sum(x.size for x in seen) == 0
+    assert np.all(_segment_average(u, x[off], r[off]) == 0.0)
+    assert sum(p.size for p in seen) == 0
 
 
 def test_interval_average_skip_gives_the_floats_of_the_quadrature(
         monkeypatch):
-    # the same intervals averaged with the support taken as the whole
+    # the same segments averaged with the support taken as the whole
     # line: the skipped ones integrate zeros, the others take the same
-    # panels
-    lo = np.array([-50.0, -3.0, 0.5, 1.0, -7.0, -3.0, 1.0, -0.5, 2.0])
-    hi = np.array([-1.0, 2.0, 1.5, 9.0, 40.0, -1.0, 4.0, 0.25, 2.5])
+    # cells
+    x = np.array([-50.0, -3.0, 0.5, 1.0, -7.0, -3.0, 1.0, -0.5, 2.0])
+    r = np.array([49.0, 5.0, 1.0, 8.0, 47.0, 2.0, 3.0, 0.75, 0.5])
     for u in (counterexample_field(), Tent()):
-        got = _interval_average(u, lo, hi)
+        got = _segment_average(u, x, r)
         monkeypatch.setattr(u, "support_interval",
                             lambda: (-np.inf, np.inf))
-        assert list(got) == list(_interval_average(u, lo, hi))
+        assert list(got) == list(_segment_average(u, x, r))
 
 
 def test_counterexample_modular_matches_truncated_closed_form():

@@ -192,7 +192,7 @@ def test_golden_max_arrays_match_scalar_runs():
     def f(t, p=peaks):
         return np.exp(-(t - p) ** 2) * (1.0 + 0.1 * np.sin(7.0 * t))
 
-    x, fx = golden_max(f, a, b, iters=40)
+    x, fx = golden_max(lambda i: lambda t: f(t, peaks[i]), a, b, iters=40)
     for k in range(peaks.size):
         xk, fk = golden_max(lambda t: f(t, peaks[k]), a[k], b[k], iters=40)
         assert (x[k], fx[k]) == (xk, fk)
@@ -285,6 +285,43 @@ def test_golden_max_on_parabola():
     x, fx = golden_max(lambda t: 2.0 - (t - 0.3) ** 2, -1.0, 2.0)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert fx == pytest.approx(2.0, abs=1e-14)
+
+
+def test_golden_max_stops_within_4_ulp_of_a_parabola_peak():
+    # a golden step shrinks the bracket by 0.618, so 3 -> 4 ulp of 0.3
+    # takes 77 steps, not the 200 allowed
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -(t - 0.3) ** 2
+    x, fx = golden_max(f, -1.0, 2.0, iters=200)
+    assert len(calls) <= 80
+    assert abs(x - 0.3) <= 4.0 * np.spacing(0.3)
+    assert fx == -(x - 0.3) ** 2
+
+
+def test_golden_max_evaluates_only_unfinished_brackets():
+    # brackets stop at different steps: with `flat`, once their inner
+    # values are within 4 ulp; each is evaluated until then and gives
+    # the floats of its scalar run
+    peaks = np.array([0.3, -0.7, 1.9, 0.3])
+    a, b = np.array([-1.0, -2.0, 1.0, 0.29]), np.array([2.0, 0.0, 5.0, 0.31])
+    sizes = []
+
+    def rows(i):
+        sizes.append(i.size)
+        return lambda t: 2.0 - (t - peaks[i]) ** 2 * (1.0 + 0.1 * np.sin(t))
+    for flat in (False, True):
+        sizes.clear()
+        x, fx = golden_max(rows, a, b, iters=200, flat=flat)
+        assert sizes[0] == 4 and sizes[-1] < 4
+        assert len(sizes) < (60 if flat else 202)
+        for k in range(peaks.size):
+            xk, fk = golden_max(
+                lambda t: 2.0 - (t - peaks[k]) ** 2 * (1.0 + 0.1 * np.sin(t)),
+                a[k], b[k], iters=200, flat=flat)
+            assert (x[k], fx[k]) == (xk, fk)
 
 
 @pytest.mark.parametrize("u", [Tent(), Gaussian()])
