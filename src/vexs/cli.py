@@ -168,7 +168,7 @@ def parse_exponent(cfg: dict) -> exponents.ExponentField:
 
 
 QUAD_KEYS = frozenset({"truncation_radius", "sphere_rule", "outer_x_tolerance",
-                       "h_bracket_grid", "h_max", "rel_tol"})
+                       "h_bracket_grid", "rel_tol"})
 # the keys a modular (and so a norm or the counterexample's) reads in 1D
 MODULAR_KEYS = frozenset({"truncation_radius", "outer_x_tolerance", "rel_tol"})
 
@@ -413,8 +413,8 @@ def cmd_sweep(args) -> int:
 
 def _modular_inputs(args, command: str, extra=()):
     """(cfg, u, p, weight, quad) of `modular` and `norm`.  Their outer
-    integral reads no h_bracket_grid or h_max, and no sphere rule on a
-    1D field, so those quad keys are rejected instead of ignored."""
+    integral reads no h_bracket_grid, and no sphere rule on a 1D field,
+    so those quad keys are rejected instead of ignored."""
     cfg = load_config(args.config)
     check_keys(cfg, {"name", "field", "exponent", "weight", "quad", *extra},
                f"{command} config", ("field", "exponent"))

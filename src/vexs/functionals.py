@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
 from .fields import ScalarField, _square_norms
-from .quadrature import (adaptive_integrate, gauss_nodes, golden_max,
-                         panel_nodes, piece_nodes, row_pieces, sign_pieces)
+from .quadrature import (adaptive_integrate, gl15_gl7, gl15_gl7_nodes,
+                         golden_max, panel_nodes, piece_nodes, row_pieces,
+                         sign_pieces)
 from .sphere import SphereRule, default_rule, k_np_values
 
 # the delta panels layer_cake_check may split up to
@@ -54,9 +55,12 @@ _BLOCK_SAMPLES = 2 ** 17
 _EVAL_SAMPLES = 2 ** 15
 # glibc's malloc maps each block above its mmap threshold afresh from the
 # kernel and raises the threshold to the first such block freed; freeing
-# one block's samples here keeps the ray kernels' temporaries on the heap
-# (a `power` pass took 106k more minor page faults and 25% longer without)
-np.empty(_BLOCK_SAMPLES)
+# one block of _HEAP_FLOATS here keeps every temporary up to that size on
+# the heap, whatever else the process allocated first (a `power` pass took
+# 106k more minor page faults and 25% longer without; a 1 MiB block left
+# `threshold` at about 21,700 faults a pass when vexs was compiled at start)
+_HEAP_FLOATS = 2 ** 20
+np.empty(_HEAP_FLOATS)
 
 
 @dataclass
@@ -74,8 +78,6 @@ class QuadratureSpec:
     h_bracket_grid: resolution of the initial geometric h grid used for
         superlevel bracketing; also sets the inner panel count (half of it)
         for the epsilon/BBM inner integrals.
-    h_max: hard radial cutoff for the inner integrals; None means automatic
-        (analytic far tails are added beyond the cutoff either way).
     rel_tol: global relative tolerance (the doubling shells of the
         threshold functional, local energy and uniform bound, a modular's
         tail radius, the layer-cake delta integral); the epsilon and BBM
@@ -86,7 +88,6 @@ class QuadratureSpec:
     sphere_rule: SphereRule | None = None
     outer_x_tolerance: float = 1e-7
     h_bracket_grid: int = 128
-    h_max: float | None = None
     rel_tol: float = 1e-6
 
     def __post_init__(self):
@@ -94,8 +95,6 @@ class QuadratureSpec:
             raise DomainError("tolerances must be positive")
         if self.h_bracket_grid < 8:
             raise DomainError("h_bracket_grid must be at least 8")
-        if self.h_max is not None and self.h_max <= 0:
-            raise DomainError("h_max must be positive")
         if self.truncation_radius is not None and self.truncation_radius <= 0:
             raise DomainError("truncation_radius must be positive")
 
@@ -234,12 +233,9 @@ def _require_lipschitz_decay(u: ScalarField, op: str) -> float:
     return u.lipschitz_bound
 
 
-def _ray_cutoff(X: np.ndarray, far: float, quad) -> np.ndarray:
+def _ray_cutoff(X: np.ndarray, far: float) -> np.ndarray:
     """Per point, the h beyond which its rays stay outside radius far."""
-    H = np.sqrt(_square_norms(X)) + far + 1.0
-    if quad.h_max is not None:
-        H = np.minimum(H, quad.h_max)
-    return H
+    return np.sqrt(_square_norms(X)) + far + 1.0
 
 
 def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
@@ -300,7 +296,7 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     L = _require_lipschitz_decay(u, "superlevel bracketing")
     u_x = u.eval(X)
     eta = threshold * _FAR_ETA_FRAC
-    H = _ray_cutoff(X, far, quad)
+    H = _ray_cutoff(X, far)
     h_lo = max(0.999 * threshold / L, 1e-12)
 
     N = quad.h_bracket_grid
@@ -555,7 +551,7 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     def F_points(X):
         q, r = exps(X)
         m = X.shape[0]
-        H = _ray_cutoff(X, far, quad)
+        H = _ray_cutoff(X, far)
         far_tail = coef * np.abs(u.eval(X)) ** q * H ** (-r) / r
 
         def block(rows, omega):
@@ -604,8 +600,7 @@ def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
     where the integrand is |u(y)|^q h_R^{-r} v^{r/r_e - 1} / r_e: the
     constant 1 / r_e (so h_R^{-r} / r up to rounding) for constant r.
     """
-    (x15, w15), (x7, w7) = gauss_nodes(15), gauss_nodes(7)
-    v = 0.5 + 0.5 * np.concatenate([x15, x7])
+    v = 0.5 + 0.5 * gl15_gl7_nodes()[0]
     au = np.abs(u.eval(Y))
     yw = np.vecdot(Y, omega)
     y2 = np.vecdot(Y, Y)
@@ -622,10 +617,8 @@ def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
     q, r = (np.reshape(e, h.shape) if np.ndim(e) else e
             for e in exps(_ray_points(Y, omega, h).reshape(-1, n)))
     g = au[:, None] ** q * h_R[:, None] ** (-r) * v ** (r / r_e - 1.0) / r_e
-    g = np.broadcast_to(g, h.shape)
-    v15 = 0.5 * np.sum(g[:, :15] * w15, axis=1)
-    v7 = 0.5 * np.sum(g[:, 15:] * w7, axis=1)
-    return np.where(inside, v15, 0.0), np.where(inside, np.abs(v15 - v7), 0.0)
+    v15, err = gl15_gl7(np.broadcast_to(g, h.shape), 0.5)
+    return np.where(inside, v15, 0.0), np.where(inside, err, 0.0)
 
 
 def _unit_crossings(u: ScalarField, R: float, radial: bool) -> np.ndarray:
@@ -725,7 +718,9 @@ class _PairSection:
     above where the minimum of phi on its samples exceeds t, boundary
     where cell_min <= t < cell_max.  `_boundary_pieces` cuts a batch's
     boundary cells at all roots at once (`quadrature.sign_pieces`) into
-    signed (row, lo, hi) pieces, which get fresh GL nodes.
+    signed (row, lo, hi) pieces, which get fresh GL nodes.  One method,
+    `integral`, sums either side of {phi = t}: the lhs takes psi above
+    each delta, the rhs one integrand per side at t = 1.
     """
 
     N_XPAN = 16
@@ -801,69 +796,40 @@ class _PairSection:
             rows * self.cell_min.shape[1] + cols)
         return dd[cell], rows[cell], lo, hi, is_above
 
-    def _piece_nodes(self, row, lo, hi):
-        """GL15 abscissae (x, y) and weights on each piece [lo, hi] of
-        x row `row`; each of shape (n_pieces, 15)."""
-        ys, ww = piece_nodes(lo, hi)
-        xb = np.broadcast_to(self.xnodes[row][:, None], ys.shape)
-        return xb, ys, ww
-
-    def psi_integral_above(self, threshs: np.ndarray,
-                           rows: np.ndarray) -> np.ndarray:
-        """Integral of psi over {y : phi(x, y) > t} for the pairs (t, x
-        row) (threshs[k], rows[k]); returns shape (len(threshs),).  The
-        pairs go PAIR_CELLS (pair, cell) entries at a time; a pair sums
-        its whole cells in cell order and adds its boundary pieces by
-        increasing y, so its value does not depend on its chunk."""
-        above = np.empty(threshs.size)
+    def integral(self, threshs: np.ndarray, rows: np.ndarray,
+                 above: bool = True, g=None) -> np.ndarray:
+        """Integral of psi, or of g(row, phi, psi), over {y : phi(x, y) > t}
+        (above) or {y : phi(x, y) <= t} for the pairs (t, x row)
+        (threshs[k], rows[k]); returns shape (len(threshs),).  g gets the
+        pairs' x rows broadcast against the phi and psi values.  The pairs
+        go PAIR_CELLS (pair, cell) entries at a time; a pair sums its
+        whole cells in cell order and adds its boundary pieces by
+        increasing y, so its value does not depend on its chunk.  A g is
+        summed over every row's cells once per call."""
+        cells = self.cell_psi if g is None else np.sum(self.cell_w * g(
+            np.arange(self.xnodes.size)[:, None, None], self.PHI_nodes,
+            self.PSI_nodes), axis=2)
+        out = np.empty(threshs.size)
         step = max(1, self.PAIR_CELLS // self.cell_min.shape[1])
         for s in range(0, threshs.size, step):
             t, r = threshs[s:s + step, None], rows[s:s + step]
-            whole = self.cell_min[r] > t
-            part = np.sum(np.where(whole, self.cell_psi[r], 0.0), axis=1)
-            k, col = np.nonzero(~whole & (self.cell_max[r] > t))
+            over_min, over_max = self.cell_min[r] > t, self.cell_max[r] > t
+            part = np.sum(np.where(over_min if above else ~over_max,
+                                   cells[r], 0.0), axis=1)
+            k, col = np.nonzero(over_max & ~over_min)
             if k.size:
                 k, row, lo, hi, is_above = self._boundary_pieces(
                     t[:, 0], k, r[k], col)
-                xb, ys, ww = self._piece_nodes(row[is_above], lo[is_above],
-                                               hi[is_above])
-                ww *= self.psi(xb, ys)
-                np.add.at(part, k[is_above], np.sum(ww, axis=1))
-            above[s:s + step] = part
-        return above
-
-    def integral_pair(self, thresh: float, row_data: np.ndarray,
-                      igd_above, igd_below) -> tuple:
-        """Row-wise integrals over the two sides of {phi = thresh}.
-
-        `row_data` holds one scalar per x node (here: alpha(x)); each
-        integrand receives it broadcast against the node layout, as
-        igd(row, PHI, PSI).  Returns (above_rows, below_rows), each of
-        shape (n_xnodes,).
-        """
-        above_all = self.cell_min > thresh  # (m, c)
-        below_all = ~(self.cell_max > thresh)
-
-        def whole(igd, mask):
-            cells = np.sum(self.cell_w * igd(row_data[:, None, None],
-                                             self.PHI_nodes, self.PSI_nodes),
-                           axis=2)
-            return np.sum(np.where(mask, cells, 0.0), axis=1)
-
-        above, below = whole(igd_above, above_all), whole(igd_below, below_all)
-        boundary = ~(above_all | below_all)
-        if boundary.any():
-            rows, cols = np.nonzero(boundary)
-            _, rows, lo, hi, is_above = self._boundary_pieces(
-                np.array([thresh]), np.zeros_like(rows), rows, cols)
-            xb, ys, ww = self._piece_nodes(rows, lo, hi)
-            phis, psis = self.phi(xb, ys), self.psi(xb, ys)
-            rd = row_data[rows][:, None]
-            vals_a = np.sum(ww * igd_above(rd, phis, psis), axis=1)
-            vals_b = np.sum(ww * igd_below(rd, phis, psis), axis=1)
-            np.add.at(above, rows, np.where(is_above, vals_a, 0.0))
-            np.add.at(below, rows, np.where(is_above, 0.0, vals_b))
-        return above, below
+                side = is_above == above
+                k, row = k[side], row[side]
+                ys, ww = piece_nodes(lo[side], hi[side])
+                xb = np.broadcast_to(self.xnodes[row][:, None], ys.shape)
+                vals = self.psi(xb, ys)
+                if g is not None:
+                    vals = g(row[:, None], self.phi(xb, ys), vals)
+                np.add.at(part, k, np.sum(ww * vals, axis=1))
+            out[s:s + step] = part
+        return out
 
 
 def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
@@ -903,8 +869,7 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
     row, lo, hi = row_pieces(np.repeat(np.arange(m), nc + 2), np.column_stack(
         [np.zeros(m), np.clip(sec.crit, 0.0, 1.0), np.ones(m)]).ravel())
     a1 = alpha_x[row] + 1.0
-    (x15, w15), (x7, w7) = gauss_nodes(15), gauss_nodes(7)
-    nodes = 0.5 + 0.5 * np.concatenate([x15, x7])
+    nodes = 0.5 + 0.5 * gl15_gl7_nodes()[0]
 
     def integrate(row, t0, t1, s0, s1):
         """x-weighted GL15 values and |GL15 - GL7| on panels [s0, s1]."""
@@ -912,11 +877,10 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
         s = s0[:, None] + ds * nodes
         a1 = alpha_x[row, None] + 1.0
         deltas = (a1 * (t0[:, None] + dt * s * s * (3 - 2 * s))) ** (1 / a1)
-        g = sec.psi_integral_above(deltas.ravel(), np.repeat(row, s.shape[1]))
-        g = g.reshape(s.shape) * (6.0 * s * (1.0 - s)) * (
-            0.5 * ds * dt * sec.xweights[row, None])
-        v15 = np.sum(g[:, :15] * w15, axis=1)
-        return v15, np.abs(v15 - np.sum(g[:, 15:] * w7, axis=1))
+        g = sec.integral(deltas.ravel(), np.repeat(row, s.shape[1]))
+        # the half-width is in g already
+        return gl15_gl7(g.reshape(s.shape) * (6.0 * s * (1.0 - s)) * (
+            0.5 * ds * dt * sec.xweights[row, None]), 1.0)
 
     panels = (row, lo ** a1 / a1, hi ** a1 / a1, np.zeros(row.size),
               np.ones(row.size))
@@ -936,12 +900,14 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
         val, err = (np.concatenate([v[~split], h])
                     for v, h in zip((val, err), integrate(*halves)))
 
-    above_rows, below_rows = sec.integral_pair(
-        1.0, alpha_x, lambda al, phis, psis: psis / (al + 1.0),
-        lambda al, phis, psis: phis ** (al + 1.0) * psis / (al + 1.0))
+    ones, rows = np.ones(m), np.arange(m)
+    large = sec.integral(ones, rows, True,
+                         lambda r, phis, psis: psis / (alpha_x[r] + 1.0))
+    small = sec.integral(ones, rows, False, lambda r, phis, psis: phis ** (
+        alpha_x[r] + 1.0) * psis / (alpha_x[r] + 1.0))
     return LayerCakeResult(lhs=float(np.sum(val)),
-                           rhs_small=float(np.sum(sec.xweights * below_rows)),
-                           rhs_large=float(np.sum(sec.xweights * above_rows)),
+                           rhs_small=float(np.sum(sec.xweights * small)),
+                           rhs_large=float(np.sum(sec.xweights * large)),
                            lhs_delta_error=float(np.sum(err)),
                            delta_pieces=int(err.size))
 

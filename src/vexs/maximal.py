@@ -24,8 +24,8 @@ from .errors import DomainError
 from . import exponents
 from . import fields as field_mod
 from .fields import ScalarField
-from .quadrature import (decade_seeds, gauss_nodes, golden_max, panel_nodes,
-                         piece_nodes, row_pieces, sign_pieces)
+from .quadrature import (decade_seeds, golden_max, panel_nodes, piece_nodes,
+                         row_pieces, sign_pieces)
 from . import spaces
 from .sweeps import fit_offset_power
 
@@ -263,15 +263,12 @@ def counterexample_experiment(r_values,
             4, int(10 * math.log10(R / edges[-1]) + 0.5)))
         edges.extend(seg[1:].tolist())
     edges = np.unique(np.asarray(edges))
-    xs15, ws15 = gauss_nodes(15)
 
     # one maximal scan over the GL15 nodes of every panel (a point's
     # value does not depend on its batch), then each panel's own sum
-    lo, hi = edges[:-1], edges[1:]
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    xv = mid[:, None] + half[:, None] * xs15
+    xv, wv = (v.reshape(-1, 15) for v in panel_nodes(edges))
     mv = hl_maximal(u, -xv, r_max=4.0 * xv + 40.0)
-    parts = [h * float(np.sum(ws15 * m * m)) for h, m in zip(half, mv)]
+    parts = np.sum(wv * mv * mv, axis=1)
     # geomspace ends each segment exactly on its R, so the running total
     # at R is the one through the panel ending at edges[i] == R
     cum_at_R = np.cumsum(parts)[np.searchsorted(edges, rs) - 1].tolist()

@@ -2,7 +2,9 @@
 
 Everything here is plumbing shared by the heavier modules: fixed
 Gauss-Legendre rules on arbitrary pieces (`piece_nodes`) and on
-contiguous panels (`panel_nodes`), an adaptive panel-splitting
+contiguous panels (`panel_nodes`), the GL15/GL7 pair that every panel
+error estimate uses (`gl15_gl7_nodes` for its 22 nodes, `gl15_gl7` for
+each panel's value and error), an adaptive panel-splitting
 integrator with a reproducible refinement order, a vectorized
 safeguarded Illinois root step for batches of sign-change brackets
 (`vector_bisect`), the sign-change sectioning of
@@ -59,6 +61,24 @@ def panel_nodes(edges: np.ndarray, n: int = 15) -> tuple[np.ndarray, np.ndarray]
     return nodes.ravel(), weights.ravel()
 
 
+@lru_cache(maxsize=1)
+def gl15_gl7_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 22 nodes on [-1, 1] of the GL15/GL7 pair, GL15's then GL7's,
+    and their weights in the same order."""
+    (x15, w15), (x7, w7) = gauss_nodes(15), gauss_nodes(7)
+    return np.concatenate([x15, x7]), np.concatenate([w15, w7])
+
+
+def gl15_gl7(vals: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `vals` (shape (k, 22), the integrand at a panel's
+    `gl15_gl7_nodes`): half * the GL15 sum, the panel's value, and
+    |half * GL15 sum - half * GL7 sum|, its error; `half` is the panel's
+    half-width (or any factor already taken into `vals`: then 1.0)."""
+    w = gl15_gl7_nodes()[1]
+    v15 = half * np.sum(vals[:, :15] * w[:15], axis=1)
+    return v15, np.abs(v15 - half * np.sum(vals[:, 15:] * w[15:], axis=1))
+
+
 @dataclass
 class AdaptiveResult:
     value: float
@@ -96,26 +116,18 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
     """
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"bad integration interval [{a}, {b}]")
-    x15, w15 = gauss_nodes(15)
-    x7, w7 = gauss_nodes(7)
-    xall = np.concatenate([x15, x7])
-
+    xall = gl15_gl7_nodes()[0]
     n_evals = 0
 
     def eval_panels(los, his) -> list[tuple[float, float]]:
         nonlocal n_evals
-        mids = [0.5 * (lo + hi) for lo, hi in zip(los, his)]
-        halves = [0.5 * (hi - lo) for lo, hi in zip(los, his)]
-        vals = f(np.concatenate([mid + half * xall for mid, half
-                                 in zip(mids, halves)]))
-        vals = vals.reshape(len(mids), xall.size)
+        los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+        mids, halves = 0.5 * (los + his), 0.5 * (his - los)
+        vals = f((mids[:, None] + halves[:, None] * xall).ravel())
+        vals = vals.reshape(mids.size, xall.size)
         n_evals += vals.size
-        out = []
-        for half, v in zip(halves, vals):
-            i15 = half * float(np.sum(w15 * v[:15]))
-            i7 = half * float(np.sum(w7 * v[15:]))
-            out.append((i15, abs(i15 - i7)))
-        return out
+        v15, err = gl15_gl7(vals, halves)
+        return list(zip(v15.tolist(), err.tolist()))
 
     pts = [a, b] + [float(s) for s in seeds if a < s < b]
     pts = sorted(set(pts))
@@ -291,15 +303,13 @@ def row_pieces(row: np.ndarray, x: np.ndarray, mark=None):
 
 
 def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
-                   iters: int, rel_width: float = 0.0
-                   ) -> tuple[float, float, int]:
+                   iters: int) -> tuple[float, float, int]:
     """Bisect one scalar bracket: lo moves to the midpoint where
-    below(mid) holds, hi otherwise.  Stops after `iters` steps, once
-    hi - lo <= rel_width * hi, or after a step that moved neither end
-    (adjacent floats: the bracket is then a fixed point, so stopping
-    changes no result); returns (lo, hi, steps)."""
+    below(mid) holds, hi otherwise.  Stops after `iters` steps or after
+    a step that moved neither end (adjacent floats: the bracket is then a
+    fixed point, so stopping changes no result); returns (lo, hi, steps)."""
     steps = 0
-    while steps < iters and hi - lo > rel_width * hi:
+    while steps < iters:
         mid = 0.5 * (lo + hi)
         steps += 1
         if below(mid):

@@ -235,7 +235,7 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
     u_x = u.eval(X)
     p_diag = p_pair.eval_pair(X, X)
     beta = (1.0 - s) * p_diag
-    H = _ray_cutoff(X, far, quad)
+    H = _ray_cutoff(X, far)
 
     for w_om, omega in directions:
         # one outer x panel (15 points) per kernel call bounds the size

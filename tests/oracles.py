@@ -288,7 +288,7 @@ def layer_cake_brute(phi, psi, alpha, box, n_xy=1500, n_delta=200):
 
 
 def pair_section_above_by_masks(sec, threshs, rows):
-    """_PairSection.psi_integral_above by (pair, cell) masks: for the
+    """_PairSection.integral (psi above) by (pair, cell) masks: for the
     pair (threshs[k], row rows[k]) a cell is whole where cell_min > t and
     boundary where cell_min <= t < cell_max.  Whole cells are summed a
     pair at a time; the boundary cells, in (pair, cell) order, are cut by
@@ -302,9 +302,12 @@ def pair_section_above_by_masks(sec, threshs, rows):
     cells = (k, rows[k], cols)
     if k.size:
         dd, row, lo, hi, is_above = sec._boundary_pieces(t, *cells)
-        xb, ys, ww = sec._piece_nodes(row[is_above], lo[is_above],
-                                      hi[is_above])
-        ww *= sec.psi(xb, ys)
+        # GL15 on each above-piece
+        x15, w15 = np.polynomial.legendre.leggauss(15)
+        half = 0.5 * (hi[is_above] - lo[is_above])
+        ys = (lo[is_above] + half)[:, None] + half[:, None] * x15
+        ww = half[:, None] * w15 * sec.psi(np.broadcast_to(
+            sec.xnodes[row[is_above], None], ys.shape), ys)
         np.add.at(above, dd[is_above], np.sum(ww, axis=1))
     return above, cells
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from vexs.cli import main
+from vexs.cli import QUAD_KEYS, main
+from vexs.functionals import QuadratureSpec
 
 
 def run_cli(*argv):
@@ -228,6 +230,11 @@ def test_lemma41_rejects_unused_quad_keys(tmp_path, capsys):
     assert "unknown key(s) in lemma41 quad: h_max, seed" in err
 
 
+def test_quad_keys_are_the_quadrature_spec_fields():
+    assert set(QUAD_KEYS) == {f.name for f in
+                              dataclasses.fields(QuadratureSpec)}
+
+
 def test_quad_seed_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mod.json", {
         "field": {"family": "tent"},
@@ -265,7 +272,8 @@ MODULAR_UNREAD = ({**GAUSS_P2, "quad": {
 # and the message naming them
 UNREAD_QUAD = {
     # the outer integral of a 1D field reads no sphere rule, and neither
-    # computation reads h_bracket_grid or h_max
+    # computation reads h_bracket_grid (h_max is no key at all, and is
+    # named the same way)
     "modular": MODULAR_UNREAD,
     "norm": MODULAR_UNREAD,
     # the ray kernel reads no outer tolerance and no rel_tol
@@ -348,7 +356,8 @@ def test_non_numeric_list_value_exits_2(tmp_path, capsys, command, cfg, key):
     ("nguyen", {**NGUYEN_CFG, "quad": {"rel_tol": "1e-3"}}, "rel_tol"),
     ("nguyen", {**NGUYEN_CFG, "quad": {"rel_tol": "nan"}}, "rel_tol"),
     ("nguyen", {**NGUYEN_CFG, "delta": math.nan}, "delta"),
-    ("nguyen", {**NGUYEN_CFG, "quad": {"h_max": math.inf}}, "h_max"),
+    ("nguyen", {**NGUYEN_CFG, "quad": {"truncation_radius": math.inf}},
+     "truncation_radius"),
     ("maximal", {**MAXIMAL_CFG, "points": [True, 2]}, "points"),
     ("bmo", {"field": GAUSS_FIELD, "interior": [True, 2],
              "balls": [[0.0, 0.5]]}, "interior"),

@@ -12,7 +12,7 @@ from vexs import functionals, quadrature
 from vexs.cli import lemma41_preset
 from vexs.exponents import ExponentField
 from vexs.functionals import _PairSection, superlevel_intervals
-from vexs.quadrature import adaptive_integrate, vector_bisect
+from vexs.quadrature import adaptive_integrate, piece_nodes, vector_bisect
 
 
 def tent_np(x):
@@ -58,14 +58,6 @@ def test_empty_superlevel_iff_delta_reaches_oscillation():
     at = nguyen_functional(Tent(), constant(2.0), 1.0)
     assert not below.empty_superlevel and below.value > 0.0
     assert at.empty_superlevel and at.value == 0.0
-
-
-def test_h_max_override_consistent():
-    u, p = Tent(), constant(2.0)
-    base = nguyen_functional(u, p, 0.05)
-    capped = nguyen_functional(u, p, 0.05,
-                               quad=QuadratureSpec(h_max=1e4))
-    assert capped.value == pytest.approx(base.value, rel=1e-9)
 
 
 def test_local_energy_tent_p2():
@@ -586,14 +578,15 @@ def test_pair_section_unit_distance_exact_lengths():
         return np.maximum(0.0, x - t) + np.maximum(0.0, 1.0 - x - t)
 
     ts = np.array([0.0, 1e-3, 0.25, 0.5, 0.999, 1.0, 1.5])
-    got = sec.psi_integral_above(*_all_rows(sec, ts)).reshape(ts.size, -1)
+    got = sec.integral(*_all_rows(sec, ts)).reshape(ts.size, -1)
     for t, row in zip(ts, got):
         np.testing.assert_allclose(row, length_above(t), rtol=0, atol=1e-12)
 
-    def igd(al, phis, psis):
+    def igd(row, phis, psis):
         return psis
 
-    above, below = sec.integral_pair(0.5, np.zeros_like(x), igd, igd)
+    half = _all_rows(sec, np.array([0.5]))
+    above, below = (sec.integral(*half, side, igd) for side in (True, False))
     np.testing.assert_allclose(above, length_above(0.5), rtol=0, atol=1e-12)
     np.testing.assert_allclose(below, 1.0 - length_above(0.5), rtol=0,
                                atol=1e-12)
@@ -658,7 +651,7 @@ def test_boundary_pieces_match_per_cell_loop():
 def test_pair_section_empty_batch_shape():
     phi, psi, _, box, seeds = lemma41_preset("unit-distance")
     sec = _PairSection(phi, psi, box, seeds)
-    got = sec.psi_integral_above(np.array([]), np.array([], dtype=int))
+    got = sec.integral(np.array([]), np.array([], dtype=int))
     assert got.shape == (0,)
 
 
@@ -689,7 +682,7 @@ def test_pair_section_classification_matches_masks(monkeypatch, preset,
         return boundary_pieces(threshs, dd, rows, cols)
 
     monkeypatch.setattr(sec, "_boundary_pieces", spy)
-    got = sec.psi_integral_above(threshs, rows)
+    got = sec.integral(threshs, rows)
     monkeypatch.undo()
     want, (k, krows, cols) = oracles.pair_section_above_by_masks(
         sec, threshs, rows)
@@ -705,17 +698,46 @@ def test_pair_section_pairs_do_not_depend_on_their_chunk(monkeypatch):
     phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
     sec = _PairSection(phi, psi, box, seeds)
     threshs, rows = _all_rows(sec, np.linspace(0.0, 1.6, 9))
-    whole = sec.psi_integral_above(threshs, rows)
+    whole = sec.integral(threshs, rows)
     monkeypatch.setattr(sec, "PAIR_CELLS", 1000)
-    assert np.array_equal(sec.psi_integral_above(threshs, rows), whole)
+    assert np.array_equal(sec.integral(threshs, rows), whole)
+
+
+@pytest.mark.parametrize("pair_cells", [_PairSection.PAIR_CELLS, 1000])
+def test_pair_section_sides_add_up_to_the_row_integral(monkeypatch,
+                                                       pair_cells):
+    # at thresholds spanning each row's phi range, psi above plus psi
+    # below is the row's whole psi integral, at either chunk size
+    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box, seeds)
+    monkeypatch.setattr(sec, "PAIR_CELLS", pair_cells)
+    q = np.linspace(0.0, 1.0, 9)
+    lo, hi = sec.cell_min.min(axis=1), sec.cell_max.max(axis=1)
+    threshs = (lo[None] + q[:, None] * (hi - lo)[None]).ravel()
+    rows = np.tile(np.arange(sec.xnodes.size), q.size)
+    above = sec.integral(threshs, rows)
+    below = sec.integral(threshs, rows, above=False)
+    assert np.count_nonzero(above * below) > 1000
+    np.testing.assert_allclose(above + below, sec.cell_psi.sum(axis=1)[rows],
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_pair_section_explicit_psi_matches_default(above):
+    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box, seeds)
+    threshs, rows = _all_rows(sec, np.linspace(0.0, 1.6, 9))
+    got = sec.integral(threshs, rows, above, lambda row, phis, psis: psis)
+    assert np.array_equal(got, sec.integral(threshs, rows, above))
 
 
 def _add_boundary_pieces(sec, threshs, cells):
     """np.add.at of the above-pieces' psi integrals, as the batch does."""
     above = np.zeros((threshs.size, sec.xnodes.size))
     dd, row, lo, hi, is_above = sec._boundary_pieces(threshs, *cells)
-    xb, ys, ww = sec._piece_nodes(row[is_above], lo[is_above], hi[is_above])
-    ww *= sec.psi(xb, ys)
+    ys, ww = piece_nodes(lo[is_above], hi[is_above])
+    ww *= sec.psi(np.broadcast_to(sec.xnodes[row[is_above], None], ys.shape),
+                  ys)
     np.add.at(above, (dd[is_above], row[is_above]), np.sum(ww, axis=1))
     return above
 

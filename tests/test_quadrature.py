@@ -19,14 +19,6 @@ def test_bisect_bracket_runs_iters_steps():
     assert lo < 0.3 <= hi
 
 
-def test_bisect_bracket_stops_at_rel_width():
-    lo, hi, steps = bisect_bracket(lambda m: m < 0.3, 0.0, 1.0, 200,
-                                   rel_width=1e-3)
-    # 2^-11 > 1e-3 * hi >= 2^-12 for hi just above 0.3
-    assert steps == 12
-    assert hi - lo <= 1e-3 * hi < 2.0 * (hi - lo)
-
-
 def test_bisect_bracket_stops_when_no_end_moves():
     lo, hi, steps = bisect_bracket(lambda m: m < 0.3, 0.0, 1.0, 200)
     # adjacent floats: the next midpoint rounds onto an end
@@ -61,6 +53,20 @@ def test_piece_nodes_rows_match_panel_nodes():
     flat = panel_nodes(edges)
     assert np.array_equal(nodes.ravel(), flat[0])
     assert np.array_equal(weights.ravel(), flat[1])
+
+
+def test_gl15_gl7_values_and_errors_per_panel():
+    # GL7 is exact to degree 13 and GL15 to degree 29: on x^13 both sums
+    # agree to rounding, on x^20 only GL15 is exact
+    lo, hi = np.array([0.0, 0.5, 1.0]), np.array([0.5, 1.0, 2.0])
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    x = mid[:, None] + half[:, None] * quadrature.gl15_gl7_nodes()[0]
+    for k, exact_gl7 in ((13, True), (20, False)):
+        v, err = quadrature.gl15_gl7(x ** k, half)
+        np.testing.assert_allclose(v, (hi ** (k + 1) - lo ** (k + 1))
+                                   / (k + 1), rtol=1e-14)
+        assert np.all(err <= 1e-14 * v) == exact_gl7
+        assert np.all(err > 0.0) or exact_gl7
 
 
 def _solve(f, lo, hi):
