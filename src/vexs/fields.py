@@ -24,13 +24,20 @@ _FD_STEP = 1e-5
 def _square_norms(pts: np.ndarray, center=None) -> np.ndarray:
     """The squared norms of the rows of pts - center (of pts when center
     is None): the floats of np.sum(d * d, axis=1), added column by column
-    in the same order.  numpy's broadcasts and reductions over a short
-    row axis are about four to ten times slower."""
-    cols = [pts[:, j] if center is None else pts[:, j] - center[j]
-            for j in range(pts.shape[1])]
-    out = cols[0] * cols[0]
-    for d in cols[1:]:
-        out += d * d
+    in the same order, with one column's square alive beside the sum.
+    numpy's broadcasts and reductions over a short row axis are about
+    four to ten times slower."""
+    out = None
+    for j in range(pts.shape[1]):
+        if center is None:
+            d = pts[:, j] * pts[:, j]
+        else:
+            d = pts[:, j] - center[j]
+            d *= d
+        if out is None:
+            out = d
+        else:
+            out += d
     return out
 
 
@@ -171,8 +178,13 @@ class Gaussian(ScalarField):
         return not np.any(self.center)
 
     def _eval(self, pts):
-        return self.scale * np.exp(-_square_norms(pts, self.center)
-                                   / self.sigma ** 2)
+        # the floats of scale * exp(-|x - c|^2 / sigma^2), in one array
+        out = _square_norms(pts, self.center)
+        np.negative(out, out=out)
+        out /= self.sigma ** 2
+        np.exp(out, out=out)
+        out *= self.scale
+        return out
 
     def _grad(self, pts):
         # the floats of (-2 / sigma^2) * (pts - center) * u[:, None], a
@@ -218,8 +230,13 @@ class Tent(ScalarField):
         self.support_radius = 1.0
 
     def _eval(self, pts):
-        r = np.sqrt(_square_norms(pts))
-        return self.scale * np.maximum(0.0, 1.0 - r)
+        # the floats of scale * max(0, 1 - |x|), in one array
+        out = _square_norms(pts)
+        np.sqrt(out, out=out)
+        np.subtract(1.0, out, out=out)
+        np.maximum(0.0, out, out=out)
+        out *= self.scale
+        return out
 
     def _grad(self, pts):
         r = np.sqrt(_square_norms(pts))

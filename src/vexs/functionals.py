@@ -35,8 +35,8 @@ import numpy as np
 from .errors import BracketingError, DomainError, UnsupportedFieldError
 from .fields import ScalarField, _square_norms
 from .quadrature import (adaptive_integrate, gl15_gl7, gl15_gl7_nodes,
-                         golden_max, panel_nodes, piece_nodes, row_pieces,
-                         sign_pieces)
+                         golden_max, panel_nodes, piece_abscissae,
+                         piece_nodes, piece_weights, row_pieces, sign_pieces)
 from .sphere import SphereRule, default_rule, k_np_values
 
 # the delta panels layer_cake_check may split up to
@@ -49,10 +49,17 @@ _FAR_ETA_FRAC = 1e-6
 _H_SAFE = 1e-7
 _EPS = np.finfo(float).eps
 # grid samples in a block of ray directions, whose flips share one root
-# solve; u.eval takes a grid, and a power block its GL nodes, in
-# _EVAL_SAMPLES at most (larger node arrays cost more per node than calls)
+# solve; u.eval takes a grid in slices of _EVAL_SAMPLES at most, which
+# bounds the memory of the field's temporaries
 _BLOCK_SAMPLES = 2 ** 17
 _EVAL_SAMPLES = 2 ** 15
+# GL nodes in one power block (one ray_t_nodes call), at the about 4.5
+# h_bracket_grid nodes a ray holds: 113 rays at the default grid, so one
+# paired outer split (44 points in both 1D directions, 88 rays of about
+# 50,000 nodes) is one kernel call; a call's time grows no faster than
+# its node count, so fewer, larger calls save their fixed cost, and at
+# about 32 bytes a node its peak memory stays near 2 MB
+_POWER_NODES = 2 ** 16
 # glibc's malloc maps each block above its mmap threshold afresh from the
 # kernel and raises the threshold to the first such block freed; freeing
 # one block of _HEAP_FLOATS here keeps every temporary up to that size on
@@ -221,6 +228,14 @@ def _integrate_segments_radial(f_line, r_lo, r_hi, quad, seeds):
                                seeds=sorted(set(seeds)))]
 
 
+def _require_same_dimension(u: ScalarField, p, op: str) -> None:
+    """DomainError unless the field and the exponent (for a pair exponent,
+    its base) live in the same dimension."""
+    if u.dimension != p.dimension:
+        raise DomainError(f"{op}: the field is {u.dimension}D but the "
+                          f"exponent is {p.dimension}D")
+
+
 def _require_lipschitz_decay(u: ScalarField, op: str) -> float:
     if u.lipschitz_bound is None or u.lipschitz_bound <= 0:
         raise UnsupportedFieldError(
@@ -349,6 +364,7 @@ def nguyen_functional(u: ScalarField, p, delta: float,
                       quad: QuadratureSpec | None = None) -> FunctionalValue:
     """Threshold functional over {|u(x) - u(y)| > delta} of
     delta^{p(x)} / |x-y|^{n + p(x)} (times p(x) in p_of_x mode)."""
+    _require_same_dimension(u, p, "nguyen_functional")
     quad = quad or QuadratureSpec()
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -403,6 +419,7 @@ def local_energy(u: ScalarField, p, weight_mode: str = "unit",
                  quad: QuadratureSpec | None = None) -> FunctionalValue:
     """The local anisotropic energy: integral of K_{n,p(x)} |grad u|^{p(x)}
     (times p(x) in p_of_x mode).  This is the limit target of the sweeps."""
+    _require_same_dimension(u, p, "local_energy")
     quad = quad or QuadratureSpec()
     weighted = _weight_flag(weight_mode)
     n = u.dimension
@@ -447,13 +464,15 @@ def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
     parameters on the ray from x[k] in direction w (omega, or omega[k]
     when it holds one per row), where u is u_x[k] and grad u . w is
     grad_dir[k].  Below the cancellation floor the quotient loses all
-    significant digits and is replaced by |grad_dir|."""
-    out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
-    big = h >= _slope_floor(x)[:, None]
-    k = np.nonzero(big)[0]
-    hb = h[big]
-    pts = _ray_points(x[k], _at(omega, k), hb[:, None])[:, 0]
-    out[big] = np.abs(u.eval(pts) - u_x[k]) / hb
+    significant digits and is replaced by |grad_dir|.  u is evaluated at
+    every node in one call, those below the floor included, so that the
+    quotient is formed in place with no gather or scatter of nodes."""
+    out = u.eval(_ray_points(x, omega, h))
+    out -= u_x[:, None]
+    np.abs(out, out=out)
+    out /= h
+    np.copyto(out, np.abs(grad_dir)[:, None],
+              where=h < _slope_floor(x)[:, None])
     return out
 
 
@@ -477,11 +496,11 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
     # keep 0, H and each grid point whose successor reaches the floor;
     # h0 < floor strictly, and GL15's top node lies 0.6% inside its panel
     # in t, so no node of [0, h0] rounds up to the floor
-    low = geo[:, 1:] < _slope_floor(X)[:, None]
-    keep = np.pad(~low, ((0, 0), (1, 1)), constant_values=True)
-    edges = np.hstack([np.zeros((m, 1)), geo])[keep]
-    rows = np.repeat(np.arange(m), keep.sum(axis=1))
-    parts = [(rows, edges, np.zeros_like(rows))]
+    keep = np.ones(geo.shape, dtype=bool)
+    keep[:, :-1] = geo[:, 1:] >= _slope_floor(X)[:, None]
+    rows = np.nonzero(keep)[0]
+    parts = [(np.arange(m), np.zeros(m), np.zeros(m, dtype=int)),
+             (rows, geo[keep], np.zeros_like(rows))]
     radii = np.unique(np.abs(u.kink_points()))
     if radii.size:
         # np.vecdot rounds as the dot product of a single point does
@@ -502,13 +521,23 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
         ends = np.concatenate([erow, erow])
         parts.append((ends, np.minimum(np.concatenate([a, b]), H[ends]),
                       np.repeat([1, -1], erow.size)))
-    row, lo, hi = row_pieces(*map(np.concatenate, zip(*parts)))
-    beta = beta[row] if np.ndim(beta) else beta
-    t, w_t = piece_nodes(lo ** beta, hi ** beta)
-    h = t ** np.reshape(1.0 / beta, (-1, 1))
+    # each break is raised to beta once, as the end of two pieces
+    row, lo, hi = row_pieces(
+        *map(np.concatenate, zip(*parts)),
+        ends=lambda r, x: x ** (beta[r] if np.ndim(beta) else beta))
+    h = piece_abscissae(lo, hi)
+    h **= np.reshape(1.0 / (beta[row] if np.ndim(beta) else beta), (-1, 1))
     psi = ray_slope(u, X[row], _at(omega, row), h,
                     np.vecdot(u.grad(X), omega)[row], u.eval(X)[row])
-    return row, h, w_t, psi
+    # the t weights are made once u is evaluated, so that they hold no
+    # memory while the field's temporaries do
+    return row, h, piece_weights(lo, hi), psi
+
+
+def _power_rays(quad: QuadratureSpec) -> int:
+    """The rays of one power block: _POWER_NODES GL nodes at the about
+    4.5 h_bracket_grid nodes a ray holds."""
+    return max(1, 2 * _POWER_NODES // (9 * quad.h_bracket_grid))
 
 
 def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
@@ -531,8 +560,7 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
     far_small = u.far_radius(_FAR_ETA_FRAC) if restrict_small else None
     R = float(quad.truncation_radius or far + 2.0)
-    # a ray holds about 4.5 h_bracket_grid nodes
-    rays = max(1, _EVAL_SAMPLES * 2 // (15 * quad.h_bracket_grid))
+    rays = _power_rays(quad)
     cap = 1.0 if restrict_small else math.inf
 
     def exterior(X, part):
@@ -566,12 +594,12 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             row, _, w_t, psi = ray_t_nodes(u, rows, omega, beta,
                                            np.tile(H, len(tail)), quad,
                                            exclude)
-            qn = q[row % m, None] if np.ndim(q) else q
-            # every ray keeps its first panel, so each row owns a
-            # non-empty run of 15 nodes per panel
+            # w_t psi^q in place; every ray keeps its first panel, so
+            # each row owns a non-empty run of 15 nodes per panel
+            psi **= q[row % m, None] if np.ndim(q) else q
+            psi *= w_t
             starts = 15 * np.searchsorted(row, np.arange(rows.shape[0]))
-            val = coef * (np.add.reduceat((w_t * psi ** qn).ravel(), starts)
-                          / beta)
+            val = coef * (np.add.reduceat(psi.ravel(), starts) / beta)
             val = val.reshape(tail.shape)
             val[tail] += np.broadcast_to(far_tail, tail.shape)[tail]
             return val
@@ -642,6 +670,7 @@ def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",
     integral of 1 / |x-y|^{n+p(x)} over |u(x)-u(y)| > 1, which is the
     threshold functional at delta = 1 (it carries no eps factor).
     """
+    _require_same_dimension(u, p, "eps_functional")
     quad = quad or QuadratureSpec()
     if mode not in ("full", "small_jump", "large_jump_tail"):
         raise DomainError(f"unknown eps mode {mode!r}")
@@ -928,6 +957,7 @@ def uniform_bound_check(u: ScalarField, p, delta_grid,
     The constant relating them is existential; only finiteness and
     stability of the ratio are meaningful, which downstream tests assert.
     """
+    _require_same_dimension(u, p, "uniform_bound_check")
     quad = quad or QuadratureSpec()
     grid = [float(d) for d in delta_grid]
     if not grid or any(d <= 0 for d in grid):

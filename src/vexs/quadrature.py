@@ -1,10 +1,11 @@
 """Deterministic 1D quadrature and root-isolation utilities.
 
 Everything here is plumbing shared by the heavier modules: fixed
-Gauss-Legendre rules on arbitrary pieces (`piece_nodes`) and on
-contiguous panels (`panel_nodes`), the GL15/GL7 pair that every panel
-error estimate uses (`gl15_gl7_nodes` for its 22 nodes, `gl15_gl7` for
-each panel's value and error), an adaptive panel-splitting
+Gauss-Legendre rules on arbitrary pieces (`piece_nodes`, or its nodes
+and weights apart) and on contiguous panels (`panel_nodes`), the
+GL15/GL7 pair that every panel error estimate uses (`gl15_gl7_nodes`
+for its 22 nodes, `gl15_gl7` for each panel's value and error), an
+adaptive panel-splitting
 integrator with a reproducible refinement order, a vectorized
 safeguarded Illinois root step for batches of sign-change brackets
 (`vector_bisect`), the sign-change sectioning of
@@ -47,10 +48,23 @@ def piece_nodes(lo: np.ndarray, hi: np.ndarray, n: int = 15
                 ) -> tuple[np.ndarray, np.ndarray]:
     """GL nodes/weights on each piece [lo[i], hi[i]]; both of shape
     (k, n), one row per piece."""
-    x, w = gauss_nodes(n)
+    return piece_abscissae(lo, hi, n), piece_weights(lo, hi, n)
+
+
+def piece_abscissae(lo: np.ndarray, hi: np.ndarray, n: int = 15
+                    ) -> np.ndarray:
+    """The nodes of piece_nodes alone, for a caller that makes the
+    weights later: the floats of mid + half * x, in one (k, n) array."""
     half = 0.5 * (hi - lo)
-    mid = lo + half
-    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+    nodes = half[:, None] * gauss_nodes(n)[0]
+    nodes += (lo + half)[:, None]
+    return nodes
+
+
+def piece_weights(lo: np.ndarray, hi: np.ndarray, n: int = 15
+                  ) -> np.ndarray:
+    """The weights of piece_nodes alone."""
+    return (0.5 * (hi - lo))[:, None] * gauss_nodes(n)[1]
 
 
 def panel_nodes(edges: np.ndarray, n: int = 15) -> tuple[np.ndarray, np.ndarray]:
@@ -288,17 +302,21 @@ def sign_pieces(residual: Callable[[np.ndarray], Callable],
     return row[keep], lo[keep], hi[keep], is_pos[keep]
 
 
-def row_pieces(row: np.ndarray, x: np.ndarray, mark=None):
+def row_pieces(row: np.ndarray, x: np.ndarray, mark=None, ends=None):
     """Cut rows at their breaks: (row[i], x[i]) are the breaks, in any
     order, and a piece runs from one break of a row to the next larger
     one.  With `mark`, a break opens (+1) or closes (-1) an excluded
     stretch, and pieces starting while one is open are dropped.  Returns
-    (row, lo, hi) of the pieces, by row and by abscissa within a row."""
+    (row, lo, hi) of the pieces, by row and by abscissa within a row;
+    with `ends`, lo and hi are ends(row, x) of the sorted breaks, mapped
+    once a break although a piece's hi is the next one's lo."""
     order = np.lexsort((x, row))
     row, x = row[order], x[order]
     keep = (row[1:] == row[:-1]) & (x[1:] > x[:-1])
     if mark is not None:
         keep &= np.cumsum(mark[order])[:-1] == 0
+    if ends is not None:
+        x = ends(row, x)
     return row[:-1][keep], x[:-1][keep], x[1:][keep]
 
 

@@ -20,8 +20,8 @@ from .errors import DivergenceError, DomainError
 from .exponents import ExponentField, PairExponentField
 from .fields import ScalarField, truncation_radius
 from .functionals import (QuadratureSpec, _outer_integrate, _ray_cutoff,
-                          _require_lipschitz_decay, _resolve_rule,
-                          ray_t_nodes)
+                          _require_lipschitz_decay, _require_same_dimension,
+                          _resolve_rule, ray_t_nodes)
 from .quadrature import decade_seeds, panel_nodes
 
 _RHO_TOL = 1e-8
@@ -108,6 +108,7 @@ def modular(u: ScalarField, p: ExponentField, weight=None, lam: float = 1.0,
     """The modular: integral of |u(x)/lam|^{p(x)} w(x) over the truncated
     domain, by the functionals' outer integrator (polar for n >= 2) with
     panel edges seeded at kinks and decades."""
+    _require_same_dimension(u, p, "modular")
     if lam <= 0:
         raise DomainError("lam must be positive")
     res = _modular(u, p, weight, lam, quad or QuadratureSpec())
@@ -151,6 +152,7 @@ def luxemburg_norm(u: ScalarField, p: ExponentField, weight=None,
     |rho - 1| <= 1e-8 within the radius those nodes cover; else the
     solve repeats once on its nodes, and a second miss raises
     DivergenceError."""
+    _require_same_dimension(u, p, "luxemburg_norm")
     quad = quad or QuadratureSpec()
     res = _modular(u, p, weight, 1.0, quad)
     rho1, count, iters = res.value, res.n_evals, 0
@@ -208,6 +210,7 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
     pair integrand at (x, omega) is the one at (-x, -omega), and the x
     nodes are symmetric.
     """
+    _require_same_dimension(u, p_pair, "frac_seminorm")
     quad = quad or QuadratureSpec()
     if not 0.0 < s < 1.0:
         raise DomainError("s must lie in (0, 1)")

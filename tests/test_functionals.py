@@ -997,8 +997,7 @@ def test_outer_rows_do_not_depend_on_batch(monkeypatch, name):
     monkeypatch.setattr(functionals, "_outer_integrate", five_panels)
     quad = QuadratureSpec(h_bracket_grid=64)
     assert BATCH_CASES[name](quad).node_count == 110
-    budget = functionals._EVAL_SAMPLES * 2 // (15 * quad.h_bracket_grid)
-    assert max(rays, default=0) <= budget
+    assert max(rays, default=0) <= functionals._power_rays(quad)
     assert bool(rays) == (name in ("eps_small_jump", "bbm"))
 
 
@@ -1013,3 +1012,19 @@ def test_uniform_bound_tent_rhs():
     chk = uniform_bound_check(Tent(), constant(2.0), [0.2, 0.1])
     assert chk.rhs_bound == pytest.approx(4.0, rel=1e-9)
     assert chk.sup_value > 0.0
+
+
+@pytest.mark.parametrize("n_u, n_p", [(2, 1), (3, 1), (1, 2)])
+@pytest.mark.parametrize("call", [
+    lambda u, p: nguyen_functional(u, p, 0.5),
+    lambda u, p: local_energy(u, p),
+    lambda u, p: eps_functional(u, p, 0.1),
+    lambda u, p: uniform_bound_check(u, p, [0.5]),
+], ids=["nguyen_functional", "local_energy", "eps_functional",
+        "uniform_bound_check"])
+def test_mismatched_dimensions_are_a_domain_error(call, n_u, n_p):
+    # a field and an exponent of different dimensions are refused by name
+    # before any node is built, not by a broadcast or a TypeError inside
+    with pytest.raises(DomainError, match=f"the field is {n_u}D but the "
+                                          f"exponent is {n_p}D"):
+        call(Gaussian(dimension=n_u), constant(2.0, dimension=n_p))

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from vexs import Gaussian, QuadratureSpec, Tent, quadrature
-from vexs.functionals import ray_t_nodes
+from vexs import Gaussian, QuadratureSpec, Tent, functionals, quadrature
+from vexs.functionals import ray_slope, ray_t_nodes
 from vexs.quadrature import (AdaptiveResult, adaptive_integrate,
                              bisect_bracket, decade_seeds, gauss_nodes,
                              golden_max, panel_nodes, piece_nodes, row_pieces,
@@ -466,3 +467,65 @@ def test_merged_floor_panel_keeps_ray_integrals(u, omega, beta):
         for q in (1.0, 2.0, 2.5):
             assert np.sum(w_t[mine] * psi[mine] ** q) == pytest.approx(
                 np.sum(grid[1] * grid[2] ** q), rel=1e-14, abs=0.0)
+
+
+def _ray_slope_by_gather(u, x, omega, h, grad_dir, u_x):
+    """Reference: the quotient at the gathered nodes on or above the
+    slope floor, scattered into rows of |grad_dir|."""
+    out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
+    big = h >= functionals._slope_floor(x)[:, None]
+    k = np.nonzero(big)[0]
+    w = omega if omega.ndim == 1 else omega[k]
+    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * w) - u_x[k]) / h[big]
+    return out
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("u", [Tent(), Gaussian(center=0.4, scale=1.5),
+                               Tent(dimension=2),
+                               Gaussian(center=[0.4, -0.7], dimension=2)])
+def test_ray_slope_matches_gather_route(u, per_row):
+    # rows 0-3 straddle the slope floor (1e-7 max(1, |x|)), the rest lie
+    # above it; omega is one direction for every ray or one per row
+    n = u.dimension
+    lo = np.array([0.0, 5e-8, 0.0, 2e-8, 1e-3, 0.5, 2.0])
+    hi = np.array([2e-7, 3e-7, 5e-7, 1e-6, 0.2, 2.0, 6.0])
+    h = piece_nodes(lo, hi)[0]
+    x = np.linspace(-2.5, 1.9, lo.size * n).reshape(lo.size, n)
+    x[0] = 0.0
+    if per_row:
+        ang = np.linspace(0.3, 5.9, lo.size)
+        omega = (np.sign(np.cos(ang))[:, None] if n == 1 else
+                 np.column_stack([np.cos(ang), np.sin(ang)]))
+    else:
+        omega = np.ones(1) if n == 1 else np.array([0.6, -0.8])
+    rows = omega if per_row else np.broadcast_to(omega, x.shape)
+    grad_dir, u_x = np.vecdot(u.grad(x), rows), u.eval(x)
+    got = ray_slope(u, x, omega, h, grad_dir, u_x)
+    assert np.array_equal(
+        got, _ray_slope_by_gather(u, x, omega, h, grad_dir, u_x))
+    below = h < functionals._slope_floor(x)[:, None]
+    assert np.any(below[:4], axis=1).all() and not below.all(axis=1).any()
+    assert np.array_equal(
+        got[below], np.broadcast_to(np.abs(grad_dir)[:, None], h.shape)[below])
+
+
+@pytest.mark.parametrize("u", [Tent(), Gaussian(center=0.3)])
+def test_ray_t_nodes_memory_per_node(u):
+    # one paired outer split (44 points, both 1D directions, 88 rays) at
+    # the default grid: the call's traced peak stays within 40 bytes a
+    # returned node (32 measured: h, the ray points, one field temporary
+    # and the per-piece arrays, with the weights made after u is
+    # evaluated), so no gather, scatter or pad copy comes back
+    X = np.linspace(-1.3, 0.9, 44)[:, None]
+    H = np.tile(np.abs(X[:, 0]) + u.far_radius(1e-6) + 1.0, 2)
+    omega = np.repeat(np.array([[1.0], [-1.0]]), 44, axis=0)
+    args = (u, np.tile(X, (2, 1)), omega, 0.4, H, QuadratureSpec())
+    ray_t_nodes(*args)
+    tracemalloc.start()
+    try:
+        h = ray_t_nodes(*args)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * h.size

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from vexs import (DivergenceError, Gaussian, PairExponentField, PowerTail,
-                  QuadratureSpec, SampledTable, SmoothBump, Tent, constant,
-                  frac_seminorm, inverse_quadratic, luxemburg_norm, modular,
-                  norm_modular_inequality_check, w_norm)
+from vexs import (DivergenceError, DomainError, Gaussian, PairExponentField,
+                  PowerTail, QuadratureSpec, SampledTable, SmoothBump, Tent,
+                  constant, frac_seminorm, inverse_quadratic, luxemburg_norm,
+                  modular, norm_modular_inequality_check, w_norm)
 
 
 def table_const(value, lo=0.0, hi=1.0):
@@ -333,3 +333,20 @@ def test_weighted_gradient_norm_below_eps_functional_bound():
     F = eps_functional(u, p, eps, "full").value
     rhs = max(F ** (1.0 / p.p_minus), F ** (1.0 / p.p_plus))
     assert lhs <= rhs * (1.0 + 0.05)  # eps is small, not zero: 5% headroom
+
+
+@pytest.mark.parametrize("n_u, n_p", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("call", [
+    lambda u, p: modular(u, p),
+    lambda u, p: luxemburg_norm(u, p),
+    lambda u, p: norm_modular_inequality_check(u, p),
+    lambda u, p: frac_seminorm(u, 0.5, PairExponentField(p)),
+    lambda u, p: w_norm(u, 0.5, PairExponentField(p), p),
+], ids=["modular", "luxemburg_norm", "norm_modular_inequality_check",
+        "frac_seminorm", "w_norm"])
+def test_mismatched_dimensions_are_a_domain_error(call, n_u, n_p):
+    # the exponent's dimension (a pair exponent's base's) must be the
+    # field's; a mismatch is refused by name, not by a failed broadcast
+    with pytest.raises(DomainError, match=f"the field is {n_u}D but the "
+                                          f"exponent is {n_p}D"):
+        call(Gaussian(dimension=n_u), constant(2.0, dimension=n_p))
