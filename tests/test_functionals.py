@@ -291,14 +291,15 @@ def test_superlevel_per_row_directions_match_stacked_calls(u):
 @pytest.fixture
 def one_direction_blocks(monkeypatch):
     """Run the direction blocks once with a single direction each (and
-    the ray grids one ray per field evaluation) and once with every
-    direction in one block."""
+    the ray grids and power blocks one ray per field evaluation) and once
+    with every direction in one block."""
     import vexs.functionals as fn
 
     def both(compute):
         for budget in (1, 2 ** 40):
             monkeypatch.setattr(fn, "_BLOCK_SAMPLES", budget)
             monkeypatch.setattr(fn, "_EVAL_SAMPLES", budget)
+            monkeypatch.setattr(fn, "_POWER_NODES", budget)
             yield compute()
     return lambda compute: tuple(both(compute))
 
@@ -338,6 +339,16 @@ def test_superlevel_memory_is_bounded_on_many_rows():
         tracemalloc.stop()
     assert row.size > 10000
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.filterwarnings("error")
+def test_eps_tiny_exponent_runs_without_floating_point_warnings():
+    # at eps = 0.005 the lowest GL nodes of [0, h0] underflow to h = 0 in
+    # h = t^(1/eps); their quotient 0/0 is overwritten by the directional
+    # derivative and must not surface as a RuntimeWarning
+    fv = eps_functional(Tent(), constant(2.0), 0.005, "full",
+                        QuadratureSpec(outer_x_tolerance=1e-4))
+    assert math.isfinite(fv.value) and fv.value > 0.0
 
 
 def test_eps_zero_field_all_modes():
