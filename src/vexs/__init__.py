@@ -11,16 +11,15 @@ from .fields import (Gaussian, GradientMagnitude, LogSingular, PowerTail,
                      SampledTable, ScalarField, SmoothBump, Tent,
                      truncation_radius)
 from .functionals import (FunctionalValue, LayerCakeResult, QuadratureSpec,
-                          UniformBoundCheck, bbm_functional, eps_functional,
-                          layer_cake_check, local_energy, nguyen_functional,
-                          uniform_bound_check)
+                          bbm_functional, eps_functional, layer_cake_check,
+                          local_energy, nguyen_functional)
 from .maximal import (BmoResult, CounterexampleTable, MaximalProfile,
                       bmo_quantity, counterexample_experiment,
                       counterexample_exponent, counterexample_field,
                       directional_maximal, hl_maximal, maximal_profile)
 from .spaces import (FracSeminorm, LuxemburgNorm, ModularValue, SandwichCheck,
                      frac_seminorm, luxemburg_norm, modular,
-                     norm_modular_inequality_check, w_norm)
+                     norm_modular_inequality_check)
 from .sphere import (IdentityCheck, SphereRule, abs_power_sphere_integral,
                      default_rule, directional_identity_check, k_np,
                      k_np_values)

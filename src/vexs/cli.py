@@ -455,9 +455,9 @@ def cmd_fracnorm(args) -> int:
                "fracnorm config", ("field", "exponent", "s"))
     u, base = parse_field_exponent(cfg, "fracnorm config")
     pair = exponents.PairExponentField(base)
-    # the ray kernel reads no outer tolerance and no rel_tol
-    quad = parse_quad(cfg.get("quad"), QUAD_KEYS - {"outer_x_tolerance",
-                                                   "rel_tol"})
+    # the power functionals' outer path stops at a fixed radius with an
+    # exact exterior term: no rel_tol
+    quad = parse_quad(cfg.get("quad"), QUAD_KEYS - {"rel_tol"})
     res = spaces.frac_seminorm(u, number(cfg, "s", "fracnorm config"),
                                pair, quad)
     return _report(args, cfg, "fracnorm", {

@@ -16,12 +16,12 @@ singularity at the origin, for a whole batch of rays at once.
 Outer truncation of the threshold functional and the local energy is
 self-validating: a base radius from the field's analytic tail bound is
 extended by doubling shells until a shell contributes less than a
-fraction of the running total.  The epsilon and BBM integrals instead
-stop x at R = far + 2, beyond which |u| <= 1e-6 max(sup |u|, 1), and
-add the pairs whose x lies beyond R exactly: at their other point y,
-through the exit distance h_R(y, w) of each ray (their x-tail decays
-only like R^{-sp}, which no shell test sees).  Everything is
-deterministic; repeated runs are bit-identical.
+fraction of the running total.  The epsilon, BBM and fractional
+integrals instead stop x at R = far + 2, beyond which |u| <= 1e-6
+max(sup |u|, 1), and add the pairs whose x lies beyond R exactly: at
+their other point y, through the exit distance h_R(y, w) of each ray
+(their x-tail decays only like R^{-sp}, which no shell test sees).
+Everything is deterministic; repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -76,18 +76,19 @@ class QuadratureSpec:
 
     truncation_radius: outer domain half-width; None selects the
         self-validating automatic choice (tail radius plus doubling
-        shells).  For the epsilon and BBM integrals it is where the exact
-        exterior term starts (None: the tail radius plus 2, no shells).
+        shells).  For the epsilon, BBM and fractional integrals it is
+        where the exact exterior term starts (None: the tail radius plus
+        2, no shells).
     sphere_rule: directions for the polar reduction; None selects a
         modest default per dimension (convergence in the rule is the
         caller's concern, reported through error estimates).
     outer_x_tolerance: relative tolerance of the adaptive outer integral.
     h_bracket_grid: resolution of the initial geometric h grid used for
         superlevel bracketing; also sets the inner panel count (half of it)
-        for the epsilon/BBM inner integrals.
+        for the epsilon, BBM and fractional inner integrals.
     rel_tol: global relative tolerance (the doubling shells of the
-        threshold functional, local energy and uniform bound, a modular's
-        tail radius, the layer-cake delta integral); the epsilon and BBM
+        threshold functional and local energy, a modular's tail radius,
+        the layer-cake delta integral); the epsilon, BBM and fractional
         integrals do not read it.
     """
 
@@ -253,20 +254,26 @@ def _ray_cutoff(X: np.ndarray, far: float) -> np.ndarray:
     return np.sqrt(_square_norms(X)) + far + 1.0
 
 
-def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
-    """The weighted sum, in rule order, of the values (shape (d, m))
-    that block(rows, omega) returns for the rays of the points X (m, n)
-    in d >= 1 of the rule's directions at a time, d * m <= rays where it
-    can: row k*m + i of rows is point i, in the direction omega[k*m + i]
-    (direction-major), or omega itself when d = 1."""
+def _direction_blocks(X: np.ndarray, rule: SphereRule, rays: int):
+    """The rays of the points X (m, n) in d >= 1 of the rule's directions
+    at a time, d * m <= rays where it can, in rule order: (rows, omega,
+    weights), row k*m + i of rows point i in the direction omega[k*m + i]
+    (direction-major), or omega itself when d = 1, and the d directions'
+    weights."""
     m = X.shape[0]
     step = max(1, rays // m)
-    acc = np.zeros(m)
     for k in range(0, rule.node_count, step):
         nodes = rule.nodes[k:k + step]
-        vals = block(np.tile(X, (len(nodes), 1)), nodes[0] if len(nodes) == 1
-                     else np.repeat(nodes, m, axis=0))
-        for w, v in zip(rule.weights[k:k + step], vals):
+        yield (np.tile(X, (len(nodes), 1)), nodes[0] if len(nodes) == 1
+               else np.repeat(nodes, m, axis=0), rule.weights[k:k + step])
+
+
+def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
+    """The weighted sum, in rule order, of the values (shape (d, m))
+    that block(rows, omega) returns for the rays of `_direction_blocks`."""
+    acc = np.zeros(X.shape[0])
+    for rows, omega, weights in _direction_blocks(X, rule, rays):
+        for w, v in zip(weights, block(rows, omega)):
             acc += w * v
     return acc
 
@@ -544,11 +551,18 @@ def _power_rays(quad: QuadratureSpec) -> int:
 
 
 def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
-                      beta: float, exps, restrict_small: bool, radial: bool
-                      ) -> FunctionalValue:
-    """coef times the double integral of |u(x)-u(y)|^q / |x-y|^{n+r},
-    with (q, r) = exps(X) per outer point and r = q - beta, so the ray
-    integral runs in t = h^beta; radial when u and exps are.
+                      exps, restrict_small: bool, radial: bool,
+                      along_ray: bool = False, terms: bool = False):
+    """coef times the double integral of |u(x)-u(y)|^q / |x-y|^{n+r}, with
+    (q, r, beta) = exps(X, Y) at the pairs (X, Y) (Y = X when None), X the
+    points x of the outer integral and beta = q - r; radial when u and exps
+    are.  The ray integral from x runs in t = h^beta, beta at (x, x).
+
+    along_ray says that the exponents depend on y too.  They are then
+    taken at every ray node, which carries the factor h^{beta(x, y) -
+    beta(x, x)} that t leaves, and at the pair (x, x + H w) for the far
+    tail; the exterior term takes them at the pair (far point, inner
+    point) in any case.
 
     restrict_small limits the pairs to |u(x)-u(y)| <= 1.  Beyond the ray
     cutoff H the jump is |u(x)| up to eta (exactly so for compact
@@ -558,6 +572,13 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     is 0 up to eta, join the outer integrand at their other point y as
     the exact exterior term of `_exterior_rays`; with restrict_small only
     where |u(y)| <= 1, so the outer integral is seeded where |u| crosses 1.
+
+    With terms, the result is (ell, e, node_count) in place of the value:
+    the log weights and exponents of the integral's terms on the final
+    outer nodes, whose sum over exp(ell - e tau) is the integral for u
+    divided by e^tau.  With one exponent for every term they are the
+    value's one term; else a second pass over those nodes gives one term
+    per ray node, far tail and exterior node.
     """
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
@@ -565,48 +586,84 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     R = float(quad.truncation_radius or far + 2.0)
     rays = _power_rays(quad)
     cap = 1.0 if restrict_small else math.inf
+    # exponents that vary along the far rays leave a weak endpoint power
+    grade = 3 if along_ray else 1
 
     def exterior(X, part):
         # the exterior rays' value (part 0) or |GL15 - GL7| (part 1),
         # summed over the directions; 22 nodes a ray
         return coef * _direction_sum(
             X, rule, _EVAL_SAMPLES // 22, lambda rows, omega: _exterior_rays(
-                u, rows, omega, R, exps, cap)[part].reshape(-1, len(X)))
+                u, rows, omega, R, exps, cap, grade=grade)[part].reshape(
+                    -1, len(X)))
 
-    def F(X):
+    def runs(n_points):
         # equal runs of at most `rays` points, so that no block of rays
         # outgrows the budget when the outer integral batches panels
-        runs = np.array_split(X, -(-X.shape[0] // rays))
-        return np.concatenate([F_points(r) for r in runs]) + exterior(X, 0)
+        return np.array_split(np.arange(n_points), -(-n_points // rays))
 
-    def F_points(X):
-        q, r = exps(X)
+    def F(X):
+        return np.concatenate([F_points(X[r]) for r in runs(X.shape[0])]
+                              ) + exterior(X, 0)
+
+    def F_points(X, wx=None):
+        # the rays' values; with outer weights wx, their terms instead
+        q, r, beta = exps(X)
         m = X.shape[0]
         H = _ray_cutoff(X, far)
-        far_tail = coef * np.abs(u.eval(X)) ** q * H ** (-r) / r
+        au = np.abs(u.eval(X))
+        far_tail = coef * au ** q * H ** (-r) / r
 
-        def block(rows, omega):
+        def block(rows, omega, wr=None):
+            # terms take every exponent at its node
+            along = along_ray or wr is not None
+            d = rows.shape[0] // m
+            bt = np.tile(beta, d) if np.ndim(beta) else beta
             exclude = None
-            tail = np.ones((rows.shape[0] // m, m), dtype=bool)
+            tail = np.ones((d, m), dtype=bool)
             if restrict_small:
                 erow, a, b, _ = superlevel_intervals(u, rows, omega, 1.0,
                                                      quad, far_small)
                 exclude = (erow, a, b)
                 # a large jump that reaches infinity leaves no far tail
                 tail.flat[erow[np.isinf(b)]] = False
-            row, _, w_t, psi = ray_t_nodes(u, rows, omega, beta,
-                                           np.tile(H, len(tail)), quad,
+            Ht = np.tile(H, d)
+            row, h, w_t, psi = ray_t_nodes(u, rows, omega, bt, Ht, quad,
                                            exclude)
             # w_t psi^q in place; every ray keeps its first panel, so
             # each row owns a non-empty run of 15 nodes per panel
-            psi **= q[row % m, None] if np.ndim(q) else q
+            if along:
+                qr, _, br = exps(rows[row, None], _ray_points(
+                    rows[row], _at(omega, row), h))
+                psi **= qr
+                psi *= h ** (br - (bt[row, None] if np.ndim(bt) else bt))
+                # the far tail's exponents vary beyond H as well
+                tails = _ray_tails(np.tile(au, d), rows, omega, Ht,
+                                   lambda Y: exps(rows[:, None], Y),
+                                   wr is not None, grade)
+            else:
+                psi **= q[row % m, None] if np.ndim(q) else q
             psi *= w_t
+            if wr is not None:
+                psi *= (coef * wr / bt)[row, None]
+                ext, q_ext = _exterior_rays(u, rows, omega, R, exps, cap,
+                                            True, grade)
+                keep = tail.ravel()
+                return [(psi, np.broadcast_to(qr, psi.shape)),
+                        (coef * wr[keep, None] * tails[0][keep],
+                         tails[1][keep]),
+                        (coef * wr[:, None] * ext, q_ext)]
             starts = 15 * np.searchsorted(row, np.arange(rows.shape[0]))
-            val = coef * (np.add.reduceat(psi.ravel(), starts) / beta)
+            val = coef * (np.add.reduceat(psi.ravel(), starts) / bt)
             val = val.reshape(tail.shape)
-            val[tail] += np.broadcast_to(far_tail, tail.shape)[tail]
+            val[tail] += (coef * tails[0].reshape(tail.shape) if along else
+                          np.broadcast_to(far_tail, tail.shape))[tail]
             return val
-        return _direction_sum(X, rule, rays, block)
+
+        if wx is None:
+            return _direction_sum(X, rule, rays, block)
+        return [t for rows, omega, wd in _direction_blocks(X, rule, rays)
+                for t in block(rows, omega, np.outer(wd, wx).ravel())]
 
     seeds = u.kink_points()
     if restrict_small and (radial or u.dimension == 1):
@@ -614,42 +671,69 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     res = _outer_integrate(F, u, replace(quad, truncation_radius=R), R,
                            seeds=seeds, radial=radial)
     pts, w = res.nodes()
-    return FunctionalValue(res.value,
-                           res.error + float(np.sum(w * exterior(pts, 1))),
-                           res.radius, res.n_evals)
+    if not terms:
+        return FunctionalValue(
+            res.value, res.error + float(np.sum(w * exterior(pts, 1))),
+            res.radius, res.n_evals)
+    q = exps(pts[:1])[0]
+    if along_ray or np.ndim(q):
+        a, e = (np.concatenate([v.ravel() for v in part]) for part in zip(
+            *(t for k in runs(len(pts)) for t in F_points(pts[k], w[k]))))
+    else:
+        a, e = np.array([res.value]), np.array([q])
+    keep = a > 0.0
+    return np.log(a[keep]), e[keep], res.n_evals
 
 
 def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
-                   R: float, exps, cap: float = math.inf):
+                   R: float, exps, cap: float = math.inf, terms=False,
+                   grade: int = 1):
     """Per ray y + h w (w omega, or omega[i] when it holds one per row),
     the integral over h > h_R of |u(y)|^q h^{-1-r}, the part of the ray
-    beyond radius R (exit distance h_R), with (q, r) = exps at the far
-    point y + h w; returns (GL15 value, |GL15 - GL7|), 0 where |y| >= R
-    or |u(y)| > cap.
-
-    It runs in v = (h_R / h)^{r_e} on (0, 1], r_e the r at the exit,
-    where the integrand is |u(y)|^q h_R^{-r} v^{r/r_e - 1} / r_e: the
-    constant 1 / r_e (so h_R^{-r} / r up to rounding) for constant r.
-    """
-    v = 0.5 + 0.5 * gl15_gl7_nodes()[0]
+    beyond radius R (exit distance h_R), with (q, r, _) = exps at the pair
+    (far point y + h w, y), by `_ray_tails` (terms and grade are its);
+    0 where |y| >= R or |u(y)| > cap."""
     au = np.abs(u.eval(Y))
     yw = np.vecdot(Y, omega)
     y2 = np.vecdot(Y, Y)
     within = y2 < R * R
-    inside = within & (au <= cap)
     c = np.where(within, R * R - y2, 1.0)
     root = np.sqrt(yw * yw + c)
     # -yw + root, without cancellation when yw > 0
     h_R = np.where(yw > 0.0, c / (yw + root), root - yw)
-    n = Y.shape[1]
-    r_e = exps(_ray_points(Y, omega, h_R[:, None])[:, 0])[1]
-    r_e = np.reshape(r_e, (-1, 1)) if np.ndim(r_e) else r_e
-    h = h_R[:, None] * v ** (-1.0 / r_e)
-    q, r = (np.reshape(e, h.shape) if np.ndim(e) else e
-            for e in exps(_ray_points(Y, omega, h).reshape(-1, n)))
-    g = au[:, None] ** q * h_R[:, None] ** (-r) * v ** (r / r_e - 1.0) / r_e
-    v15, err = gl15_gl7(np.broadcast_to(g, h.shape), 0.5)
-    return np.where(inside, v15, 0.0), np.where(inside, err, 0.0)
+    # a ray from beyond R or above the cap adds exactly 0
+    au = np.where(within & (au <= cap), au, 0.0)
+    return _ray_tails(au, Y, omega, h_R, lambda F: exps(F, Y[:, None]),
+                      terms, grade)
+
+
+def _ray_tails(au: np.ndarray, Y: np.ndarray, omega: np.ndarray,
+               h0: np.ndarray, exps_at, terms=False, grade: int = 1):
+    """Per ray y + h w (w omega, or omega[i] when it holds one per row),
+    the integral over h > h0 of au^q h^{-1-r}, with (q, r, _) =
+    exps_at(the points y + h w, shape (k, j, n)); returns (GL15 value,
+    |GL15 - GL7|), or with terms each ray's 15 GL15 terms and their q,
+    one (k, 15) row per ray.
+
+    It runs in v = (h0 / h)^{r_e} on (0, 1], r_e the r at h0, where the
+    integrand is au^q h0^{-r} v^{r/r_e - 1} / r_e: the constant 1 / r_e
+    (so h0^{-r} / r up to rounding) for constant r.  Where r varies along
+    the ray, v^{r/r_e - 1} keeps a weak power at v = 0 (r tends to its
+    value at infinity); grade > 1 runs in s, v = s^grade, which smooths it.
+    """
+    x, w = gl15_gl7_nodes()
+    s = 0.5 + 0.5 * x
+    v = s ** grade
+    r_e = exps_at(_ray_points(Y, omega, h0[:, None]))[1]
+    h = h0[:, None] * v ** (-1.0 / r_e)
+    q, r, _ = exps_at(_ray_points(Y, omega, h))
+    g = au[:, None] ** q * h0[:, None] ** (-r) * v ** (r / r_e - 1.0) / r_e
+    if grade != 1:
+        g = g * (grade * s ** (grade - 1))
+    g = np.broadcast_to(g, h.shape)
+    if terms:
+        return g[:, :15] * (0.5 * w[:15]), np.broadcast_to(q, h.shape)[:, :15]
+    return gl15_gl7(g, 0.5)
 
 
 def _unit_crossings(u: ScalarField, R: float, radial: bool) -> np.ndarray:
@@ -688,11 +772,11 @@ def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",
             return FunctionalValue(0.0, 0.0, 0.0, 0, empty_superlevel=True)
         return nguyen_functional(u, p, 1.0, "unit", quad)
 
-    def exps(X):
+    def exps(X, Y=None):
         px = p.eval(X)
-        return px + eps, px
+        return px + eps, px, eps
 
-    return _power_functional(u, quad, eps, eps, exps,
+    return _power_functional(u, quad, eps, exps,
                              mode == "small_jump" and 2.0 * u.sup_bound > 1.0,
                              u.radial and p.radial)
 
@@ -711,16 +795,15 @@ def bbm_functional(u: ScalarField, p_const: float, s: float,
         return FunctionalValue(0.0, 0.0, 0.0, 0, empty_superlevel=True)
     _require_lipschitz_decay(u, "bbm_functional")
 
-    def exps(X):
+    def exps(X, Y=None):
         # Python floats keep `psi ** 2.0` on numpy's exact-square path
-        return p_const, s * p_const
+        return p_const, s * p_const, (1.0 - s) * p_const
 
-    return _power_functional(u, quad, 1.0 - s, (1.0 - s) * p_const, exps,
-                             False, u.radial)
+    return _power_functional(u, quad, 1.0 - s, exps, False, u.radial)
 
 
 # ----------------------------------------------------------------------
-# layer-cake identity and the uniform bound
+# layer-cake identity
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -943,39 +1026,3 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
                            lhs_delta_error=float(np.sum(err)),
                            delta_pieces=int(err.size))
 
-
-@dataclass
-class UniformBoundCheck:
-    sup_value: float
-    rhs_bound: float
-    values: tuple = dc_field(default_factory=tuple)
-
-
-def uniform_bound_check(u: ScalarField, p, delta_grid,
-                        quad: QuadratureSpec | None = None
-                        ) -> UniformBoundCheck:
-    """sup over the delta grid of the threshold functional against the
-    classical gradient-norm bound |grad u|_{p+}^{p+} + |grad u|_{p-}^{p-}.
-
-    The constant relating them is existential; only finiteness and
-    stability of the ratio are meaningful, which downstream tests assert.
-    """
-    quad = quad or QuadratureSpec()
-    grid = [float(d) for d in delta_grid]
-    if not grid or any(d <= 0 for d in grid):
-        raise DomainError("delta grid must be finite positive values")
-    vals = tuple(nguyen_functional(u, p, d, "unit", quad).value for d in grid)
-
-    if u.sup_bound == 0.0:
-        return UniformBoundCheck(0.0, 0.0, vals)
-
-    def igd(X, q):
-        return np.sqrt(_square_norms(u.grad(X))) ** q
-
-    base = u.far_radius(1e-10 * max(u.sup_bound, 1.0)) + 2.0
-    rhs = 0.0
-    for q in (p.p_plus, p.p_minus):
-        res = _outer_integrate(lambda X, q=q: igd(X, q), u, quad, base,
-                               seeds=u.kink_points(), radial=u.radial)
-        rhs += res.value
-    return UniformBoundCheck(max(vals), rhs, vals)

@@ -5,8 +5,12 @@ Both norms solve sum_i a_i lambda^{-e_i} = 1 on quadrature pairs (the
 lambda dependence factorizes per node: |u/lambda|^p = |u|^p lambda^{-p})
 by Newton's method in log lambda: the Luxemburg norm on the final nodes
 of the adaptive modular at lambda = 1, checked by a fresh adaptive
-modular at the final lambda, and the fractional seminorm on the per-node
-terms of the functionals' ray kernel.
+modular at the final lambda, and the fractional seminorm on the terms of
+the power functionals' double integral at lambda = 1 (the eps and BBM
+path: adaptive outer x, t = h^beta rays, far tails and the exact
+exterior term, in any dimension), which reads the sphere rule,
+`outer_x_tolerance`, `h_bracket_grid` and `truncation_radius` but no
+`rel_tol`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ import numpy as np
 from .errors import DivergenceError, DomainError
 from .exponents import ExponentField, PairExponentField
 from .fields import ScalarField, truncation_radius
-from .functionals import (QuadratureSpec, _outer_integrate, _ray_cutoff,
-                          _require_lipschitz_decay, _require_same_dimension,
-                          _resolve_rule, ray_t_nodes)
-from .quadrature import decade_seeds, panel_nodes
+from .functionals import (QuadratureSpec, _outer_integrate,
+                          _power_functional, _require_lipschitz_decay,
+                          _require_same_dimension)
+from .quadrature import decade_seeds
 
 _RHO_TOL = 1e-8
 
@@ -59,8 +63,8 @@ class SandwichCheck:
 @dataclass
 class FracSeminorm:
     value: float
-    iterations: int
-    node_count: int
+    iterations: int  # Newton steps of the lambda solve
+    node_count: int  # outer x nodes of the adaptive modular at lambda = 1
 
     def __float__(self):
         return self.value
@@ -203,12 +207,10 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
     """Luxemburg-style seminorm of the two-exponent Gagliardo modular
     |u(x)-u(y)|^{p(x,y)} / (lam^{p(x,y)} |x-y|^{n + s p(x,y)}).
 
-    The double modular is discretized once through the polar reduction
-    (t = h^beta inner substitution, analytic far tails) into
-    coefficient/exponent pairs, whose sum = 1 is solved for lambda.  A
-    radial u and p take one ray direction of the whole rule weight: the
-    pair integrand at (x, omega) is the one at (-x, -omega), and the x
-    nodes are symmetric.
+    The modular at lambda = 1 is the power functionals' double integral
+    with t = h^beta rays, beta = (1 - s) p(x, x); its terms on the final
+    outer nodes, each scaling as lam^{-p(x, y)}, give lambda.  A variable
+    p(x, y) is taken at every ray node.
     """
     _require_same_dimension(u, p_pair, "frac_seminorm")
     quad = quad or QuadratureSpec()
@@ -218,74 +220,13 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
         return FracSeminorm(0.0, 0, 0)
     _require_lipschitz_decay(u, "frac_seminorm")
 
-    if u.dimension != 1:
-        raise DomainError("frac_seminorm supports n = 1 (the exact outer "
-                          "tail correction is one-dimensional)")
-    rule = _resolve_rule(quad, 1)
-    directions = zip(rule.weights, rule.nodes)
-    if u.radial and p_pair.base.radial:
-        directions = [(np.sum(rule.weights), rule.nodes[0])]
-    far = u.far_radius(1e-7 * max(u.sup_bound, 1.0))
-    R = float(quad.truncation_radius or far + 2.0)
+    def exps(X, Y=None):
+        P = (p_pair.p_plus if p_pair.is_constant
+             else p_pair.eval_pair(X, X if Y is None else Y))
+        return P, s * P, (1.0 - s) * P
 
-    kinks = u.kink_points()
-    xnodes, xw = panel_nodes(np.unique(np.concatenate(
-        [np.linspace(-R, R, 49), [0.0], kinks[(-R < kinks) & (kinks < R)]])),
-        15)
-    X = xnodes[:, None]
-
-    coeffs, exps = [], []
-    u_x = u.eval(X)
-    p_diag = p_pair.eval_pair(X, X)
-    beta = (1.0 - s) * p_diag
-    H = _ray_cutoff(X, far)
-
-    for w_om, omega in directions:
-        # one outer x panel (15 points) per kernel call bounds the size
-        # of the node arrays
-        for k in range(0, X.shape[0], 15):
-            row, h, wt, psi = ray_t_nodes(u, X[k:k + 15], omega,
-                                          beta[k:k + 15], H[k:k + 15], quad)
-            i = row + k
-            y = X[i, None, :] + h[..., None] * omega
-            phat = p_pair.eval_pair(np.broadcast_to(X[i, None, :], y.shape),
-                                    y)
-            # phi^p h^{-sp-1} dh = psi^p h^{(1-s)(p - p0)} dt / beta,
-            # with p0 = p(x, x) and beta = (1 - s) p0
-            hfac = np.exp((1.0 - s) * (phat - p_diag[i, None]) * np.log(h))
-            coeffs.append((xw[i] * w_om / beta[i])[:, None] * wt
-                          * psi ** phat * hfac)
-            exps.append(phat)
-        # far h tail: jump is |u(x)| beyond H, exponent frozen at H
-        p_far = p_pair.eval_pair(X, X + H[:, None] * omega)
-        coeffs.append(xw * w_om * np.abs(u_x) ** p_far
-                      * H ** (-s * p_far) / (s * p_far))
-        exps.append(p_far)
-
-    # x outside [-R, R]: u(x) = 0 there up to the far level, so the pair
-    # integrand is |u(y)|^p (x - y)^{-1-sp}; its x integral is exact
-    for sign in (1.0, -1.0):
-        p_far = p_pair.eval_pair(X, np.full_like(X, sign * R))
-        dist = np.abs(sign * R - X[:, 0])
-        coeffs.append(xw * np.abs(u_x) ** p_far * dist ** (-s * p_far)
-                      / (s * p_far))
-        exps.append(p_far)
-
-    # the largest arrays of a call, so each is freed once copied
-    a = np.concatenate([c.ravel() for c in coeffs])
-    del coeffs
-    keep = a > 0.0
-    ell = np.log(a[keep])
-    del a
-    e = np.concatenate([c.ravel() for c in exps])[keep]
-    del exps
+    ell, e, count = _power_functional(
+        u, quad, 1.0, exps, False, u.radial and p_pair.base.radial,
+        along_ray=not p_pair.is_constant, terms=True)
     return FracSeminorm(*_solve_lambda(ell, e) if ell.size else (0.0, 0),
-                        keep.size)
-
-
-def w_norm(u: ScalarField, s: float, p_pair: PairExponentField,
-           q: ExponentField, quad: QuadratureSpec | None = None) -> float:
-    """Norm of the mixed space: Luxemburg norm in L^{q(.)} plus the
-    fractional seminorm (exposed only as the sum of the two pieces)."""
-    return luxemburg_norm(u, q, quad=quad).value + \
-        frac_seminorm(u, s, p_pair, quad=quad).value
+                        count)

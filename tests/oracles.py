@@ -6,7 +6,8 @@ separation variable d = y - x uses a geometrically graded partition so
 the d ~ delta kernel scale is resolved; this is still a plain Riemann
 sum of the untransformed integrand (dx dy = dx dd).  The closed forms
 (`tent_gagliardo`, `gaussian_gagliardo`) are exact, and
-`gaussian_eps_full` is nested scipy quadrature.
+`gaussian_eps_full` and `gaussian_pair_modular` are nested scipy
+quadrature.
 """
 
 from __future__ import annotations
@@ -50,50 +51,87 @@ def gaussian_gagliardo(s: float, n: int = 1) -> float:
         * 2.0 ** (-1.0 - s) * math.gamma(1.0 - s) / s
 
 
-def gaussian_eps_full(eps: float, a: float, b: float,
-                      tol: float = 1e-11) -> float:
-    """eps times the double integral over R x R of |u(x) - u(y)|^{p+eps}
-    / |x - y|^{1+p}, p = p(x) = a + b / (1 + x^2), u = exp(-x^2), by
-    nested scipy `quad` on the untruncated lines.
-
-    The integrand is even in x, so x runs over [0, inf).  With y = x +- h,
-    the jump u(x +- h) - u(x) = u(x) expm1(-h (+-2x + h)) keeps its digits
-    for small h, and the near-diagonal singularity eps h^{eps-1} of
-    [0, 1] goes away in t = h^eps.  Beyond h = 1 the ray integral breaks
-    where y passes the bump (h = c = -+x, +- 6) and where u(y) = u(x)
-    again (h = 2c)."""
+def _gaussian_pairs(near, far, beta, tol: float) -> float:
+    """The double integral over R x R of a pair integrand for u =
+    exp(-x^2) whose x dependence is even, by nested scipy `quad` on the
+    untruncated lines: 2 * the integral over x >= 0 of the rays y = x +- h
+    (sgn = +-1), near(x, h, sgn) dt on [0, 1] in t = h^beta(x), and
+    far(x, h, sgn) dh beyond h = 1.  The ray integral breaks where y
+    passes the bump (h = c = -+x, +- 6) and where u(y) = u(x) again
+    (h = 2c)."""
     from scipy.integrate import quad
     kw = dict(epsabs=1e-15, epsrel=tol, limit=200)
 
     def inner(x):
-        p = a + b / (1.0 + x * x)
-        q = p + eps
-        ux = math.exp(-x * x)
-
-        def jump(h, sgn):
-            e = -h * (2.0 * sgn * x + h)
-            if abs(e) < 1.0:
-                return abs(ux * math.expm1(e))
-            return abs(math.exp(-(x + sgn * h) ** 2) - ux)
-
-        def slope(h, sgn):
-            return jump(h, sgn) / h if h > 0.0 else 2.0 * ux * abs(x)
-
         total = 0.0
+        b = beta(x)
         for sgn in (1.0, -1.0):
-            total += quad(lambda t: slope(t ** (1.0 / eps), sgn) ** q,
+            total += quad(lambda t: near(x, t ** (1.0 / b), sgn),
                           0.0, 1.0, **kw)[0]
             c = -sgn * x
             br = sorted({1.0} | {v for v in (c - 6.0, c, c + 6.0, 2.0 * c)
                                  if v > 1.0})
             for lo, hi in zip(br, br[1:] + [math.inf]):
-                total += quad(lambda h: eps * jump(h, sgn) ** q
-                              * h ** (-1.0 - p), lo, hi, **kw)[0]
+                total += quad(lambda h: far(x, h, sgn), lo, hi, **kw)[0]
         return total
 
     edges = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, math.inf)
     return 2.0 * sum(quad(inner, lo, hi, epsabs=0.0, epsrel=tol,
                           limit=200)[0] for lo, hi in zip(edges, edges[1:]))
+
+
+def _gaussian_jump(x: float, h: float, sgn: float) -> float:
+    """|u(x + sgn h) - u(x)| for u = exp(-x^2); as u(x) expm1(-h (2 sgn x
+    + h)) it keeps its digits for small h."""
+    ux = math.exp(-x * x)
+    e = -h * (2.0 * sgn * x + h)
+    if abs(e) < 1.0:
+        return abs(ux * math.expm1(e))
+    return abs(math.exp(-(x + sgn * h) ** 2) - ux)
+
+
+def _gaussian_slope(x: float, h: float, sgn: float) -> float:
+    """The jump over h, |u'(x)| at h = 0."""
+    if h > 0.0:
+        return _gaussian_jump(x, h, sgn) / h
+    return 2.0 * math.exp(-x * x) * abs(x)
+
+
+def gaussian_eps_full(eps: float, a: float, b: float,
+                      tol: float = 1e-11) -> float:
+    """eps times the double integral over R x R of |u(x) - u(y)|^{p+eps}
+    / |x - y|^{1+p}, p = p(x) = a + b / (1 + x^2), u = exp(-x^2), by
+    `_gaussian_pairs`; the near-diagonal singularity eps h^{eps-1} of
+    [0, 1] goes away in t = h^eps."""
+    def p(x):
+        return a + b / (1.0 + x * x)
+
+    return _gaussian_pairs(
+        lambda x, h, sgn: _gaussian_slope(x, h, sgn) ** (p(x) + eps),
+        lambda x, h, sgn: eps * _gaussian_jump(x, h, sgn) ** (p(x) + eps)
+        * h ** (-1.0 - p(x)), lambda x: eps, tol)
+
+
+def gaussian_pair_modular(lam: float, s: float, a: float, b: float,
+                          tol: float = 1e-11) -> float:
+    """The two-exponent Gagliardo modular of u / lam over R x R,
+    |u(x) - u(y)|^P / (lam^P |x - y|^{1 + sP}), P = (q(x) + q(y)) / 2,
+    q(x) = a + b / (1 + x^2), u = exp(-x^2), by `_gaussian_pairs`.  In t
+    = h^beta, beta = (1 - s) q(x), the near integrand is (slope /
+    lam)^P h^{(1 - s)(P - q(x))} / beta."""
+    def q(x):
+        return a + b / (1.0 + x * x)
+
+    def near(x, h, sgn):
+        P = 0.5 * (q(x) + q(x + sgn * h))
+        return ((_gaussian_slope(x, h, sgn) / lam) ** P
+                * h ** ((1.0 - s) * (P - q(x))) / ((1.0 - s) * q(x)))
+
+    def far(x, h, sgn):
+        P = 0.5 * (q(x) + q(x + sgn * h))
+        return (_gaussian_jump(x, h, sgn) / lam) ** P * h ** (-1.0 - s * P)
+
+    return _gaussian_pairs(near, far, lambda x: (1.0 - s) * q(x), tol)
 
 
 def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),

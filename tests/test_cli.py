@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import oracles
 from vexs.cli import QUAD_KEYS, main
 from vexs.functionals import QuadratureSpec
 
@@ -276,11 +277,11 @@ UNREAD_QUAD = {
     # named the same way)
     "modular": MODULAR_UNREAD,
     "norm": MODULAR_UNREAD,
-    # the ray kernel reads no outer tolerance and no rel_tol
+    # the fractional, eps and BBM integrals stop at a fixed radius: no
+    # rel_tol
     "fracnorm": ({**GAUSS_P2, "s": 0.5, "quad": {
         "outer_x_tolerance": 1e-9, "rel_tol": 1e-8, "h_bracket_grid": 64}},
-        "outer_x_tolerance, rel_tol"),
-    # the eps and BBM integrals stop at a fixed radius: no rel_tol
+        "rel_tol"),
     "bbm": ({"field": {"family": "tent"}, "p": 2.0, "s": 0.8, "quad": {
         "rel_tol": 1e-6, "h_bracket_grid": 64}}, "rel_tol"),
     "eps": ({**GAUSS_P2, "epsilon": 0.3, "mode": "small_jump", "quad": {
@@ -315,6 +316,20 @@ def test_eps_reads_rel_tol_only_in_the_threshold_mode(tmp_path, capsys, mode,
     assert run_cli("eps", "--config", cfg) == code
     assert ("unknown key(s) in quad: rel_tol" in capsys.readouterr().err) \
         == (code == 2)
+
+
+def test_fracnorm_2d_config_runs(tmp_path, capsys):
+    # the seminorm takes the power functionals' outer path in any
+    # dimension, with its sphere rule and outer tolerance
+    cfg = write_cfg(tmp_path, "fracnorm.json", {
+        "name": "g2", "field": {"family": "gaussian", "dimension": 2},
+        "exponent": {"family": "constant", "value": 2.0, "dimension": 2},
+        "s": 0.5, "quad": {"sphere_rule": {"dimension": 2, "node_count": 64},
+                           "outer_x_tolerance": 1e-6}})
+    assert run_cli("fracnorm", "--config", cfg, "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "g2.fracnorm.json").read_text())
+    assert report["value"] == pytest.approx(
+        math.sqrt(oracles.gaussian_gagliardo(0.5, 2)), rel=1e-8)
 
 
 GAUSS_FIELD = {"family": "gaussian"}
