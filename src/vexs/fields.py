@@ -113,14 +113,12 @@ class ScalarField:
         """Smallest radius R (up to slack) with tail_bound(R) <= eta."""
         if self.support_radius is not None:
             return self.support_radius
-        hi = 2.0
-        while self.tail_bound(hi) > eta:
-            hi *= 2.0
-            if hi > 1e30:
-                raise DivergenceError(
-                    f"{self.family} tail never drops below {eta}")
-        return bisect_bracket(lambda r: self.tail_bound(r) > eta,
-                              1.0, hi, 80)[1]
+        bracket = bisect_bracket(lambda r: self.tail_bound(r) > eta,
+                                 1.0, 2.0, 80, grow_to=1e30)
+        if bracket is None:
+            raise DivergenceError(
+                f"{self.family} tail never drops below {eta}")
+        return bracket[1]
 
     def grad_sup_bound(self) -> float:
         """sup |grad u| (equals the Lipschitz constant when declared)."""
@@ -495,7 +493,7 @@ def truncation_radius(u: ScalarField, p, tol: float) -> float:
         raise DomainError("tol must be positive")
     if u.support_radius is not None:
         return u.support_radius
-    if u.family == "log-singular" or not _has_tail(u):
+    if not _has_tail(u):
         raise UnsupportedFieldError(
             f"{u.family} field does not support domain truncation")
 
@@ -549,19 +547,13 @@ def truncation_radius(u: ScalarField, p, tol: float) -> float:
         return total if prev_term <= 1e-12 * max(total, tol) else math.inf
 
     lo = u.far_radius(1.0)
-    hi = max(2.0 * lo, 4.0)
-    for _ in range(200):
-        if tail_integral_bound(hi) <= tol:
-            break
-        hi *= 2.0
-        if hi > 1e60:
-            raise DivergenceError(
-                f"tail of |{u.family}|^p(x) does not integrate below {tol}")
-    else:
-        raise DivergenceError("tail bound failed to converge")
     # NaN-safe: a bound that is not <= tol moves lo
-    return bisect_bracket(lambda r: not tail_integral_bound(r) <= tol,
-                          lo, hi, 60)[1]
+    bracket = bisect_bracket(lambda r: not tail_integral_bound(r) <= tol,
+                             lo, max(2.0 * lo, 4.0), 60, grow_to=1e60)
+    if bracket is None:
+        raise DivergenceError(
+            f"tail of |{u.family}|^p(x) does not integrate below {tol}")
+    return bracket[1]
 
 
 def _has_tail(u: ScalarField) -> bool:

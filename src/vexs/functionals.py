@@ -26,14 +26,13 @@ Everything is deterministic; repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
-from .fields import ScalarField, _square_norms
+from .fields import ScalarField, _has_tail, _square_norms
 from .quadrature import (adaptive_integrate, gl15_gl7, gl15_gl7_nodes,
                          golden_max, panel_nodes, piece_abscissae,
                          piece_nodes, piece_weights, row_pieces, sign_pieces)
@@ -181,9 +180,7 @@ def _outer_integrate(F, u: ScalarField, quad: QuadratureSpec,
         vals = F(pts).reshape(rs.size, weights.size)
         count[0] += pts.shape[0]
         # a row-wise sum: a BLAS mat-vec rounds a row differently in
-        # different batches; one direction's row sum is its one product
-        if weights.size == 1:
-            return vals[:, 0] * weights[0] * rs ** (n - 1)
+        # different batches (one direction's sum is its one product)
         return np.sum(vals * weights, axis=1) * rs ** (n - 1)
 
     def outer_nodes():
@@ -241,9 +238,7 @@ def _require_lipschitz_decay(u: ScalarField, op: str) -> float:
     if u.lipschitz_bound is None or u.lipschitz_bound <= 0:
         raise UnsupportedFieldError(
             f"{op} needs a Lipschitz field; {u.family} declares no bound")
-    try:
-        u.tail_bound(4.0)
-    except UnsupportedFieldError:
+    if not _has_tail(u):
         raise UnsupportedFieldError(
             f"{op} needs a decaying field; {u.family} has no tail bound")
     return u.lipschitz_bound
@@ -387,25 +382,20 @@ def nguyen_functional(u: ScalarField, p, delta: float,
     def F(X):
         m = X.shape[0]
         px = p.eval(X)
-        # libm powers of Python floats; numpy's SIMD pow rounds otherwise
-        delta_p = np.array([delta ** q for q in px.tolist()])
+        delta_p = delta ** px
 
         def block(rows, omega):
             # closed-form inner integral: over each superlevel interval
             # (a, b), delta^p (a^-p - b^-p) / p, without the 1/p when weighted
             row, a, b, ambiguous = superlevel_intervals(u, rows, omega, delta,
                                                         quad, far)
-            P = px[row % m].tolist()
+            P = px[row % m]
             vals = np.zeros(rows.shape[0])
-            np.add.at(vals, row, [ai ** -q - bi ** -q for ai, bi, q
-                                  in zip(a.tolist(), b.tolist(), P)])
+            np.add.at(vals, row, a ** -P - b ** -P)
             state["found"] = state["found"] or row.size > 0
-            # possible unclassified mass beyond H on ambiguous rays, summed
-            # per direction
-            amb = [(r // m, delta ** q * bi ** -q / q) for r, q, bi, flag
-                   in zip(row.tolist(), P, b.tolist(), ambiguous) if flag]
-            for _, terms in itertools.groupby(amb, key=lambda t: t[0]):
-                state["amb"] += sum(t for _, t in terms)
+            # possible unclassified mass beyond H on ambiguous rays
+            q = P[ambiguous]
+            state["amb"] += float(np.sum(delta ** q * b[ambiguous] ** -q / q))
             vals = vals.reshape(-1, m) * delta_p
             return vals if weighted else vals / px
         return _direction_sum(X, rule, _BLOCK_SAMPLES // quad.h_bracket_grid,
@@ -552,16 +542,12 @@ def _power_rays(quad: QuadratureSpec) -> int:
 
 def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
                       exps, restrict_small: bool, radial: bool,
-                      along_ray: bool = False, terms: bool = False):
+                      pair_terms: bool = False):
     """coef times the double integral of |u(x)-u(y)|^q / |x-y|^{n+r}, with
     (q, r, beta) = exps(X, Y) at the pairs (X, Y) (Y = X when None), X the
     points x of the outer integral and beta = q - r; radial when u and exps
-    are.  The ray integral from x runs in t = h^beta, beta at (x, x).
-
-    along_ray says that the exponents depend on y too.  They are then
-    taken at every ray node, which carries the factor h^{beta(x, y) -
-    beta(x, x)} that t leaves, and at the pair (x, x + H w) for the far
-    tail; the exterior term takes them at the pair (far point, inner
+    are.  The ray integral from x runs in t = h^beta, beta at (x, x).  The
+    exterior term takes the exponents at the pair (far point, inner
     point) in any case.
 
     restrict_small limits the pairs to |u(x)-u(y)| <= 1.  Beyond the ray
@@ -573,12 +559,14 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     the exact exterior term of `_exterior_rays`; with restrict_small only
     where |u(y)| <= 1, so the outer integral is seeded where |u| crosses 1.
 
-    With terms, the result is (ell, e, node_count) in place of the value:
-    the log weights and exponents of the integral's terms on the final
-    outer nodes, whose sum over exp(ell - e tau) is the integral for u
-    divided by e^tau.  With one exponent for every term they are the
-    value's one term; else a second pass over those nodes gives one term
-    per ray node, far tail and exterior node.
+    pair_terms says that the exponents depend on y too, and asks for the
+    integral's terms in place of its value.  The exponents are then taken
+    at every ray node, which carries the factor h^{beta(x, y) - beta(x,
+    x)} that t leaves, and at every node of the far tail beyond H.  A
+    second pass over the final outer nodes gives one term per ray node,
+    far-tail node and exterior node, and the result is (a, e, node_count):
+    the terms' weights and exponents, whose sum over a e^{-e tau} is the
+    integral for u divided by e^tau.
     """
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
@@ -586,16 +574,13 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     R = float(quad.truncation_radius or far + 2.0)
     rays = _power_rays(quad)
     cap = 1.0 if restrict_small else math.inf
-    # exponents that vary along the far rays leave a weak endpoint power
-    grade = 3 if along_ray else 1
 
     def exterior(X, part):
         # the exterior rays' value (part 0) or |GL15 - GL7| (part 1),
         # summed over the directions; 22 nodes a ray
         return coef * _direction_sum(
             X, rule, _EVAL_SAMPLES // 22, lambda rows, omega: _exterior_rays(
-                u, rows, omega, R, exps, cap, grade=grade)[part].reshape(
-                    -1, len(X)))
+                u, rows, omega, R, exps, cap)[part].reshape(-1, len(X)))
 
     def runs(n_points):
         # equal runs of at most `rays` points, so that no block of rays
@@ -615,8 +600,6 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
         far_tail = coef * au ** q * H ** (-r) / r
 
         def block(rows, omega, wr=None):
-            # terms take every exponent at its node
-            along = along_ray or wr is not None
             d = rows.shape[0] // m
             bt = np.tile(beta, d) if np.ndim(beta) else beta
             exclude = None
@@ -632,7 +615,7 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
                                            exclude)
             # w_t psi^q in place; every ray keeps its first panel, so
             # each row owns a non-empty run of 15 nodes per panel
-            if along:
+            if pair_terms:
                 qr, _, br = exps(rows[row, None], _ray_points(
                     rows[row], _at(omega, row), h))
                 psi **= qr
@@ -640,14 +623,14 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
                 # the far tail's exponents vary beyond H as well
                 tails = _ray_tails(np.tile(au, d), rows, omega, Ht,
                                    lambda Y: exps(rows[:, None], Y),
-                                   wr is not None, grade)
+                                   wr is not None)
             else:
                 psi **= q[row % m, None] if np.ndim(q) else q
             psi *= w_t
             if wr is not None:
                 psi *= (coef * wr / bt)[row, None]
                 ext, q_ext = _exterior_rays(u, rows, omega, R, exps, cap,
-                                            True, grade)
+                                            terms=True)
                 keep = tail.ravel()
                 return [(psi, np.broadcast_to(qr, psi.shape)),
                         (coef * wr[keep, None] * tails[0][keep],
@@ -656,8 +639,8 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             starts = 15 * np.searchsorted(row, np.arange(rows.shape[0]))
             val = coef * (np.add.reduceat(psi.ravel(), starts) / bt)
             val = val.reshape(tail.shape)
-            val[tail] += (coef * tails[0].reshape(tail.shape) if along else
-                          np.broadcast_to(far_tail, tail.shape))[tail]
+            val[tail] += (coef * tails[0].reshape(tail.shape) if pair_terms
+                          else np.broadcast_to(far_tail, tail.shape))[tail]
             return val
 
         if wx is None:
@@ -671,28 +654,22 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     res = _outer_integrate(F, u, replace(quad, truncation_radius=R), R,
                            seeds=seeds, radial=radial)
     pts, w = res.nodes()
-    if not terms:
+    if not pair_terms:
         return FunctionalValue(
             res.value, res.error + float(np.sum(w * exterior(pts, 1))),
             res.radius, res.n_evals)
-    q = exps(pts[:1])[0]
-    if along_ray or np.ndim(q):
-        a, e = (np.concatenate([v.ravel() for v in part]) for part in zip(
-            *(t for k in runs(len(pts)) for t in F_points(pts[k], w[k]))))
-    else:
-        a, e = np.array([res.value]), np.array([q])
-    keep = a > 0.0
-    return np.log(a[keep]), e[keep], res.n_evals
+    a, e = (np.concatenate([v.ravel() for v in part]) for part in zip(
+        *(t for k in runs(len(pts)) for t in F_points(pts[k], w[k]))))
+    return a, e, res.n_evals
 
 
 def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
-                   R: float, exps, cap: float = math.inf, terms=False,
-                   grade: int = 1):
+                   R: float, exps, cap: float = math.inf, terms=False):
     """Per ray y + h w (w omega, or omega[i] when it holds one per row),
     the integral over h > h_R of |u(y)|^q h^{-1-r}, the part of the ray
     beyond radius R (exit distance h_R), with (q, r, _) = exps at the pair
-    (far point y + h w, y), by `_ray_tails` (terms and grade are its);
-    0 where |y| >= R or |u(y)| > cap."""
+    (far point y + h w, y), by `_ray_tails` (terms is its); 0 where
+    |y| >= R or |u(y)| > cap."""
     au = np.abs(u.eval(Y))
     yw = np.vecdot(Y, omega)
     y2 = np.vecdot(Y, Y)
@@ -704,11 +681,11 @@ def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
     # a ray from beyond R or above the cap adds exactly 0
     au = np.where(within & (au <= cap), au, 0.0)
     return _ray_tails(au, Y, omega, h_R, lambda F: exps(F, Y[:, None]),
-                      terms, grade)
+                      terms)
 
 
 def _ray_tails(au: np.ndarray, Y: np.ndarray, omega: np.ndarray,
-               h0: np.ndarray, exps_at, terms=False, grade: int = 1):
+               h0: np.ndarray, exps_at, terms=False):
     """Per ray y + h w (w omega, or omega[i] when it holds one per row),
     the integral over h > h0 of au^q h^{-1-r}, with (q, r, _) =
     exps_at(the points y + h w, shape (k, j, n)); returns (GL15 value,
@@ -719,18 +696,16 @@ def _ray_tails(au: np.ndarray, Y: np.ndarray, omega: np.ndarray,
     integrand is au^q h0^{-r} v^{r/r_e - 1} / r_e: the constant 1 / r_e
     (so h0^{-r} / r up to rounding) for constant r.  Where r varies along
     the ray, v^{r/r_e - 1} keeps a weak power at v = 0 (r tends to its
-    value at infinity); grade > 1 runs in s, v = s^grade, which smooths it.
+    value at infinity), so every tail runs in s, v = s^3, which smooths it.
     """
     x, w = gl15_gl7_nodes()
     s = 0.5 + 0.5 * x
-    v = s ** grade
+    v = s ** 3
     r_e = exps_at(_ray_points(Y, omega, h0[:, None]))[1]
     h = h0[:, None] * v ** (-1.0 / r_e)
     q, r, _ = exps_at(_ray_points(Y, omega, h))
-    g = au[:, None] ** q * h0[:, None] ** (-r) * v ** (r / r_e - 1.0) / r_e
-    if grade != 1:
-        g = g * (grade * s ** (grade - 1))
-    g = np.broadcast_to(g, h.shape)
+    g = np.broadcast_to(au[:, None] ** q * h0[:, None] ** (-r) * v ** (
+        r / r_e - 1.0) / r_e * (3.0 * s * s), h.shape)
     if terms:
         return g[:, :15] * (0.5 * w[:15]), np.broadcast_to(q, h.shape)[:, :15]
     return gl15_gl7(g, 0.5)

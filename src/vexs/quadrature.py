@@ -321,11 +321,19 @@ def row_pieces(row: np.ndarray, x: np.ndarray, mark=None, ends=None):
 
 
 def bisect_bracket(below: Callable[[float], bool], lo: float, hi: float,
-                   iters: int) -> tuple[float, float, int]:
+                   iters: int, grow_to: float | None = None
+                   ) -> tuple[float, float, int] | None:
     """Bisect one scalar bracket: lo moves to the midpoint where
     below(mid) holds, hi otherwise.  Stops after `iters` steps or after
     a step that moved neither end (adjacent floats: the bracket is then a
-    fixed point, so stopping changes no result); returns (lo, hi, steps)."""
+    fixed point, so stopping changes no result); returns (lo, hi, steps).
+
+    With grow_to, hi first doubles while below(hi) holds, and the result
+    is None once hi passes grow_to."""
+    while grow_to is not None and below(hi):
+        hi *= 2.0
+        if hi > grow_to:
+            return None
     steps = 0
     while steps < iters:
         mid = 0.5 * (lo + hi)

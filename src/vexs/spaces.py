@@ -210,7 +210,8 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
     The modular at lambda = 1 is the power functionals' double integral
     with t = h^beta rays, beta = (1 - s) p(x, x); its terms on the final
     outer nodes, each scaling as lam^{-p(x, y)}, give lambda.  A variable
-    p(x, y) is taken at every ray node.
+    p(x, y) is taken at every ray node; a constant pair's one term is the
+    value.
     """
     _require_same_dimension(u, p_pair, "frac_seminorm")
     quad = quad or QuadratureSpec()
@@ -225,8 +226,15 @@ def frac_seminorm(u: ScalarField, s: float, p_pair: PairExponentField,
              else p_pair.eval_pair(X, X if Y is None else Y))
         return P, s * P, (1.0 - s) * P
 
-    ell, e, count = _power_functional(
-        u, quad, 1.0, exps, False, u.radial and p_pair.base.radial,
-        along_ray=not p_pair.is_constant, terms=True)
-    return FracSeminorm(*_solve_lambda(ell, e) if ell.size else (0.0, 0),
-                        count)
+    radial = u.radial and p_pair.base.radial
+    if p_pair.is_constant:
+        # every term scales as lambda^{-p}: the value is the one term
+        fv = _power_functional(u, quad, 1.0, exps, False, radial)
+        a, e, count = (np.array([fv.value]), np.array([p_pair.p_plus]),
+                       fv.node_count)
+    else:
+        a, e, count = _power_functional(u, quad, 1.0, exps, False, radial,
+                                        pair_terms=True)
+    keep = a > 0.0
+    return FracSeminorm(*_solve_lambda(np.log(a[keep]), e[keep])
+                        if keep.any() else (0.0, 0), count)

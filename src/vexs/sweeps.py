@@ -150,12 +150,10 @@ def fit_power_limit(ts, vs) -> tuple[float, float, bool]:
     def q(b: float) -> float:
         return (t1 ** b - t2 ** b) / (t2 ** b - t3 ** b)
 
-    lo, hi = 1e-6, 1.0
-    while q(hi) < r:
-        hi *= 2.0
-        if hi > 64.0:
-            return v3, math.nan, True
-    lo, hi, _ = bisect_bracket(lambda b: q(b) < r, lo, hi, 200)
+    bracket = bisect_bracket(lambda b: q(b) < r, 1e-6, 1.0, 200, grow_to=64.0)
+    if bracket is None:
+        return v3, math.nan, True
+    lo, hi, _ = bracket
     beta = 0.5 * (lo + hi)
     c = d2 / (t2 ** beta - t3 ** beta)
     v0 = v3 - c * t3 ** beta
