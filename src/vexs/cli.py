@@ -131,6 +131,9 @@ def parse_field(cfg: dict) -> fields.ScalarField:
         check_keys(cfg, {"family", "csv", "xs", "us"}, "field",
                    () if "csv" in cfg else ("xs", "us"))
         if "csv" in cfg:
+            if not isinstance(cfg["csv"], str):
+                raise ConfigError(f"field: 'csv' must be a file path, got "
+                                  f"{cfg['csv']!r}")
             return fields.SampledTable.from_csv(cfg["csv"])
         return fields.SampledTable(number(cfg, "xs", "field", kind=floats),
                                    number(cfg, "us", "field", kind=floats))
@@ -219,6 +222,13 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"invalid JSON in {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    # every output file name starts with the config's name
+    if "name" in cfg:
+        name = cfg["name"]
+        if not isinstance(name, str) or name in ("", ".", "..") or any(
+                c in name for c in (os.sep, os.altsep, "\0") if c):
+            raise ConfigError(f"'name' must be a file name without a path "
+                              f"separator or NUL, got {name!r}")
     return cfg
 
 
@@ -227,17 +237,17 @@ def load_config(path: str) -> dict:
 # ----------------------------------------------------------------------
 
 def lemma41_preset(name: str, seed: int = 0):
-    """A (phi, psi, alpha, box, y_seeds) instance for the exchange check."""
+    """A (phi, psi, alpha, box) instance for the exchange check."""
     if name == "unit-distance":
         return (lambda x, y: np.abs(x - y),
                 lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
                 lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                (0.0, 1.0), None)
+                (0.0, 1.0))
     if name == "always-large":
         return (lambda x, y: np.full_like(np.asarray(x, dtype=float), 2.0),
                 lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
                 lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                (0.0, 1.0), None)
+                (0.0, 1.0))
     if name == "random-smooth":
         rng = np.random.default_rng(seed)
         a0 = 0.65 + 0.5 * rng.random()
@@ -260,7 +270,7 @@ def lemma41_preset(name: str, seed: int = 0):
         def alpha(x):
             return pexp.eval(np.asarray(x, dtype=float)) + eps - 1.0
 
-        return phi, psi, alpha, (0.0, 1.0), None
+        return phi, psi, alpha, (0.0, 1.0)
     raise ConfigError(f"unknown lemma41 preset {name!r}")
 
 
@@ -305,8 +315,8 @@ def cmd_lemma41(args) -> int:
     seed = number(cfg, "seed", "lemma41 config", args.seed, integer)
     # layer_cake_check reads rel_tol alone
     quad = parse_quad(cfg.get("quad"), {"rel_tol"}, "lemma41 quad")
-    phi, psi, alpha, box, y_seeds = lemma41_preset(preset, seed)
-    res = layer_cake_check(phi, psi, alpha, box, quad, y_seeds)
+    phi, psi, alpha, box = lemma41_preset(preset, seed)
+    res = layer_cake_check(phi, psi, alpha, box, quad)
     ok = res.residual <= 1e-6
     return _report(args, {"name": cfg.get("name", preset)}, "lemma41", {
         "operation": "lemma41",

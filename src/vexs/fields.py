@@ -10,15 +10,19 @@ central finite differences with a step that scales with |x|.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, DivergenceError, UnsupportedFieldError
 from .exponents import as_points
-from .quadrature import bisect_bracket, golden_max
+from .quadrature import bisect_bracket
 
 _FD_STEP = 1e-5
+# sup over (0, 1) of |d/dr exp(-1/(1 - r^2))| = 2r e^{-1/q} / q^2 with
+# q = 1 - r^2: its log-derivative vanishes where 3q^2 - 6q + 2 = 0, at
+# q = 1 - 3^{-1/2}, r = 3^{-1/4}
+_BUMP_Q = 1.0 - 3.0 ** -0.5
+_BUMP_GRAD_MAX = 2.0 * 3.0 ** -0.25 * math.exp(-1.0 / _BUMP_Q) / _BUMP_Q ** 2
 
 
 def _square_norms(pts: np.ndarray, center=None) -> np.ndarray:
@@ -48,7 +52,6 @@ class ScalarField:
     ----------
     dimension : int
     family : str
-    gradient_kind : "analytic" or "finite-difference"
     sup_bound : sup |u| (exact for every family)
     osc_bound : sup u - inf u
     lipschitz_bound : global Lipschitz constant, or None
@@ -59,7 +62,6 @@ class ScalarField:
 
     dimension: int = 1
     family: str = "abstract"
-    gradient_kind: str = "analytic"
     sup_bound: float = 0.0
     osc_bound: float = 0.0
     lipschitz_bound: float | None = None
@@ -88,11 +90,8 @@ class ScalarField:
         raise NotImplementedError
 
     def _grad(self, pts: np.ndarray) -> np.ndarray:
-        if self.gradient_kind == "analytic":
-            raise NotImplementedError
-        return self._fd_grad(pts)
-
-    def _fd_grad(self, pts: np.ndarray) -> np.ndarray:
+        # central differences, the step scaled by max(1, |x|); every
+        # family with an analytic gradient overrides this
         out = np.empty_like(pts)
         h = _FD_STEP * np.maximum(1.0, np.linalg.norm(pts, axis=1))
         for j in range(self.dimension):
@@ -265,7 +264,7 @@ class SmoothBump(ScalarField):
         self.sup_bound = abs(self.scale) * math.exp(-1.0)
         self.osc_bound = self.sup_bound
         self.support_radius = 1.0
-        self.lipschitz_bound = abs(self.scale) * _bump_grad_max()
+        self.lipschitz_bound = abs(self.scale) * _BUMP_GRAD_MAX
 
     def _eval(self, pts):
         r2 = _square_norms(pts)
@@ -292,16 +291,6 @@ class SmoothBump(ScalarField):
         return np.array([-1.0, 0.0, 1.0])
 
 
-@cache
-def _bump_grad_max() -> float:
-    # sup_r 2r exp(-1/(1-r^2)) / (1-r^2)^2 on (0,1); smooth unimodal profile
-    def f(r):
-        q = 1.0 - r * r
-        return 2.0 * r * math.exp(-1.0 / q) / (q * q)
-    _, val = golden_max(f, 1e-6, 1.0 - 1e-6, iters=200)
-    return val
-
-
 class PowerTail(ScalarField):
     """u(x) = scale * x^(-1/3) for x >= 2, zero otherwise (1D).
 
@@ -309,7 +298,6 @@ class PowerTail(ScalarField):
     """
 
     family = "power-tail"
-    gradient_kind = "analytic"
 
     def __init__(self, scale: float = 1.0):
         self.dimension = 1
@@ -400,6 +388,8 @@ class SampledTable(ScalarField):
             raise DomainError("table abscissae must be strictly increasing")
         if us.shape != xs.shape:
             raise DomainError("table values must match abscissae")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(us))):
+            raise DomainError("table samples must be finite")
         self.dimension = 1
         self.xs = xs
         self.us = us
@@ -415,7 +405,11 @@ class SampledTable(ScalarField):
 
     @classmethod
     def from_csv(cls, path) -> "SampledTable":
-        data = np.loadtxt(path, delimiter=",", dtype=float)
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=float)
+        except (OSError, ValueError) as exc:
+            raise DomainError(
+                f"{path}: cannot read an (x, u) table: {exc}") from exc
         if data.ndim != 2 or data.shape[1] != 2:
             raise DomainError(f"{path}: expected two columns (x, u)")
         return cls(data[:, 0], data[:, 1])
@@ -459,7 +453,6 @@ class GradientMagnitude(ScalarField):
     def __init__(self, base: ScalarField):
         self.base = base
         self.dimension = base.dimension
-        self.gradient_kind = "finite-difference"
         try:
             self.sup_bound = base.grad_sup_bound()
         except UnsupportedFieldError:

@@ -817,17 +817,13 @@ class _PairSection:
     N_YCELL = 80
     PAIR_CELLS = 2 ** 16  # (pair, cell) entries classified at a time
 
-    def __init__(self, phi, psi, box, y_seeds=None):
+    def __init__(self, phi, psi, box):
         self.phi, self.psi = phi, psi
         a, b = box
         self.xnodes, self.xweights = panel_nodes(
             np.linspace(a, b, self.N_XPAN + 1))
-        yedges = np.linspace(a, b, self.N_YCELL + 1)
-        if y_seeds is not None:
-            extra = [s for s in y_seeds if a < s < b]
-            yedges = np.unique(np.concatenate([yedges, np.asarray(extra)]))
-
-        edges, self.crit = self._cut_at_extrema(phi, yedges)
+        edges, self.crit = self._cut_at_extrema(
+            phi, np.linspace(a, b, self.N_YCELL + 1))
         lo, hi = edges[:, :-1], edges[:, 1:]
         m, c = lo.shape
         ynodes, yw = piece_nodes(lo.ravel(), hi.ravel())
@@ -923,8 +919,8 @@ class _PairSection:
 
 
 def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
-                     quad: QuadratureSpec | None = None,
-                     y_seeds=None) -> LayerCakeResult:
+                     quad: QuadratureSpec | None = None
+                     ) -> LayerCakeResult:
     """Exchange identity between the delta-layered double integral and
     its two direct branches.
 
@@ -950,7 +946,7 @@ def layer_cake_check(phi, psi, alpha, box: tuple[float, float],
     if not a < b:
         raise DomainError("box must satisfy a < b")
 
-    sec = _PairSection(phi, psi, (a, b), y_seeds)
+    sec = _PairSection(phi, psi, (a, b))
     alpha_x = np.asarray(alpha(sec.xnodes), dtype=float)
     if np.any(alpha_x <= -1.0):
         raise DomainError("alpha must exceed -1 on the box")

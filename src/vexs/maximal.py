@@ -30,6 +30,8 @@ from . import spaces
 from .sweeps import fit_offset_power
 
 _R_FLOOR = 1e-6
+# geometric grid radii per scan, from _R_FLOOR to the reach
+_N_GRID = 48
 # points per radius scan; a point's table, its candidates' averages and
 # its end pieces hold about 0.04 MB (power tail) to 0.25 MB (log)
 _POINT_BLOCK = 128
@@ -136,11 +138,10 @@ class _OutwardTable:
                       axis=0) / self.n_sides
 
 
-def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
-             n_grid: int):
+def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int):
     """Per point of x, the sup over r in (1e-6, r_max] (r_max a number or
     one per point) of the mean over `sides` (-1, +1) of the average of
-    |u| from x a length r toward that side: a grid of n_grid geometric
+    |u| from x a length r toward that side: a grid of _N_GRID geometric
     radii and the radii at which a side reaches a kink or singular
     point, then golden-section steps about the best one, never below it,
     until the point's two inner values are within 4 ulp or after
@@ -156,7 +157,7 @@ def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
         raise DomainError(f"r_max must be finite and above {_R_FLOOR:g}")
 
     def scan(xs, r_max):
-        rs = np.geomspace(_R_FLOOR, r_max, n_grid, axis=1)
+        rs = np.geomspace(_R_FLOOR, r_max, _N_GRID, axis=1)
         table = _OutwardTable(u, xs, sides, rs)
         # the grid, and the radii at which a side's segment ends at a kink
         # or singular point (where the sup may sit), the reach otherwise
@@ -180,8 +181,7 @@ def _maximal(u: ScalarField, x, r_max, sides: tuple, depth: int,
     return np.concatenate(out or [np.empty(0)]).reshape(x.shape)[()]
 
 
-def hl_maximal(u: ScalarField, x, r_max, depth: int = 3,
-               n_grid: int = 48):
+def hl_maximal(u: ScalarField, x, r_max, depth: int = 3):
     """Centered maximal function sup_r average of |u| over B(x, r) (1D)
     at a point x or an array of points, r_max a number or one per point.
 
@@ -189,25 +189,25 @@ def hl_maximal(u: ScalarField, x, r_max, depth: int = 3,
     r in (1e-6, r_max] that matches it to refinement accuracy for
     unimodal profiles.
     """
-    return _maximal(u, x, r_max, (-1.0, 1.0), depth, n_grid)
+    return _maximal(u, x, r_max, (-1.0, 1.0), depth)
 
 
 def directional_maximal(u: ScalarField, x, omega: float, h_max,
-                        depth: int = 3, n_grid: int = 48):
+                        depth: int = 3):
     """One-sided maximal function sup_h (1/h) integral of |u| along the
     ray x + s*omega, s in (0, h), at a point x or an array of points."""
     if isinstance(omega, bool) or omega not in (-1.0, 1.0, -1, 1):
         raise DomainError("omega must be +1 or -1 in one dimension")
-    return _maximal(u, x, h_max, (omega,), depth, n_grid)
+    return _maximal(u, x, h_max, (omega,), depth)
 
 
 def maximal_profile(u: ScalarField, points, r_max: float,
-                    depth: int = 3, omega: float | None = None,
-                    n_grid: int = 48) -> MaximalProfile:
+                    depth: int = 3,
+                    omega: float | None = None) -> MaximalProfile:
     pts = np.asarray(points, dtype=float)
-    vals = (hl_maximal(u, pts, r_max, depth, n_grid) if omega is None else
-            directional_maximal(u, pts, omega, r_max, depth, n_grid))
-    rs = np.geomspace(_R_FLOOR, r_max, n_grid)
+    vals = (hl_maximal(u, pts, r_max, depth) if omega is None else
+            directional_maximal(u, pts, omega, r_max, depth))
+    rs = np.geomspace(_R_FLOOR, r_max, _N_GRID)
     return MaximalProfile(tuple(pts.tolist()), tuple(vals.tolist()),
                           tuple(rs.tolist()), depth)
 
@@ -309,10 +309,10 @@ def bmo_quantity(u: ScalarField, e_interior: tuple[float, float],
     return BmoResult(tuple(vals), max(vals) if vals else 0.0)
 
 
-def _ball_oscillation(u: ScalarField, a: float, b: float,
-                      n_pan: int = 12) -> float:
+def _ball_oscillation(u: ScalarField, a: float, b: float) -> float:
+    # 12 equal x panels, cut at the kinks
     edges = np.unique(np.concatenate(
-        [np.linspace(a, b, n_pan + 1),
+        [np.linspace(a, b, 13),
          np.asarray([k for k in u.kink_points() if a < k < b])]))
     xnodes, xw = panel_nodes(edges)
     ux = u.eval(xnodes)

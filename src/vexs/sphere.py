@@ -34,12 +34,10 @@ class SphereRule:
 
     Weights sum to the surface measure; nodes are unit vectors.  The
     reference axis (last coordinate for n = 3, first for n <= 2) is where
-    the rule is most accurate for zonal integrands; `aligned_with`
-    returns a rotated copy whose axis matches a given direction.
+    the rule is most accurate for zonal integrands.
     """
 
     dimension: int
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -53,56 +51,16 @@ class SphereRule:
         e[-1 if self.dimension == 3 else 0] = 1.0
         return e
 
-    def validate(self, tol_weights: float = 1e-12, tol_unit: float = 1e-14):
+    def validate(self):
         total = float(np.sum(self.weights))
         surface = _SURFACE[self.dimension]
-        if abs(total - surface) > tol_weights * surface:
+        if abs(total - surface) > 1e-12 * surface:
             raise DomainError(
                 f"rule weights sum to {total}, expected {surface}")
         norms = np.linalg.norm(self.nodes, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > tol_unit:
+        if float(np.max(np.abs(norms - 1.0))) > 1e-14:
             raise DomainError("rule nodes are not unit vectors")
         return self
-
-    def aligned_with(self, v) -> "SphereRule":
-        """Rotate the rule so its reference axis points along v."""
-        v = np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v)
-        if nv == 0.0 or v.shape != (self.dimension,):
-            raise DomainError("alignment direction must be a nonzero n-vector")
-        v = v / nv
-        rot = _rotation_to(self.axis, v)
-        return SphereRule(self.dimension, self.kind,
-                          self.nodes @ rot.T, self.weights)
-
-
-def _rotation_to(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A rotation matrix sending unit vector a to unit vector b."""
-    n = a.size
-    c = float(a @ b)
-    if c > 1.0 - 1e-15:
-        return np.eye(n)
-    if c < -1.0 + 1e-15:
-        return -np.eye(n) if n % 2 == 1 else _flip_rotation(a, n)
-    w = b - c * a
-    w = w / np.linalg.norm(w)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    # rotate by angle arccos(c) in the (a, w) plane, identity elsewhere
-    rot = np.eye(n) - np.outer(a, a) - np.outer(w, w)
-    rot += c * (np.outer(a, a) + np.outer(w, w))
-    rot += s * (np.outer(w, a) - np.outer(a, w))
-    return rot
-
-
-def _flip_rotation(a: np.ndarray, n: int) -> np.ndarray:
-    # even dimension: reflect a and one orthogonal direction
-    q = np.zeros(n)
-    q[int(np.argmin(np.abs(a)))] = 1.0
-    q = q - (q @ a) * a
-    q /= np.linalg.norm(q)
-    rot = np.eye(n) - 2.0 * np.outer(a, a)
-    rot = rot @ (np.eye(n) - 2.0 * np.outer(q, q))
-    return rot
 
 
 def default_rule(n: int, node_count=None) -> SphereRule:
@@ -114,13 +72,13 @@ def default_rule(n: int, node_count=None) -> SphereRule:
     """
     if n == 1:
         nodes = np.array([[1.0], [-1.0]])
-        return SphereRule(1, "exact-pair", nodes, np.ones(2)).validate()
+        return SphereRule(1, nodes, np.ones(2)).validate()
     if n == 2:
         m = int(node_count or _DEFAULT_N2)
         theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(m, 2.0 * math.pi / m)
-        return SphereRule(2, "trapezoid-on-circle", nodes, weights).validate()
+        return SphereRule(2, nodes, weights).validate()
     if n == 3:
         nt, nphi = node_count or _DEFAULT_N3
         half = max(1, int(nt) // 2)
@@ -135,8 +93,7 @@ def default_rule(n: int, node_count=None) -> SphereRule:
             np.repeat(t, int(nphi)),
         ], axis=1)
         weights = np.repeat(wt, int(nphi)) * (2.0 * math.pi / int(nphi))
-        return SphereRule(3, "gauss-polar-uniform-azimuth",
-                          nodes, weights).validate()
+        return SphereRule(3, nodes, weights).validate()
     raise DomainError(f"sphere rules exist for n in {{1, 2, 3}}, got {n}")
 
 
@@ -144,19 +101,17 @@ def abs_power_sphere_integral(n: int, p, rule: SphereRule | None = None,
                               e=None):
     """Integral over S^{n-1} of |w . e|^p (no 1/p factor).
 
-    With rule=None the closed form 2 pi^{(n-1)/2} Gamma((p+1)/2) /
-    Gamma((n+p)/2) is used, evaluated via log-Gamma; p may be an array.
-    With a rule, the quadrature sum is returned for the reference
-    direction e (default: the rule's axis).  The result is independent
-    of e up to the rule's resolution.
+    With rule=None the closed form p * k_np_values(n, p) is used; p may
+    be an array.  With a rule, the quadrature sum is returned for the
+    reference direction e (default: the rule's axis).  The result is
+    independent of e up to the rule's resolution.
     """
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 1.0):
         raise DomainError("exponent p must be >= 1")
     if rule is None:
-        val = 2.0 * math.pi ** ((n - 1) / 2.0) * np.exp(
-            _lgamma((p_arr + 1.0) / 2.0) - _lgamma((n + p_arr) / 2.0))
-        return float(val) if np.isscalar(p) or p_arr.ndim == 0 else val
+        val = p_arr * k_np_values(n, p_arr)
+        return float(val) if p_arr.ndim == 0 else val
     if rule.dimension != n:
         raise DomainError("rule dimension mismatch")
     e = rule.axis if e is None else np.asarray(e, dtype=float)
@@ -167,13 +122,15 @@ def abs_power_sphere_integral(n: int, p, rule: SphereRule | None = None,
     return np.array([float(np.sum(rule.weights * proj ** q)) for q in p_arr])
 
 
-def k_np(n: int, p, rule: SphereRule | None = None, e=None):
+def k_np(n: int, p, rule: SphereRule | None = None):
     """The anisotropy constant: abs_power_sphere_integral(n, p) / p."""
-    return abs_power_sphere_integral(n, p, rule, e) / np.asarray(p, dtype=float)
+    return abs_power_sphere_integral(n, p, rule) / np.asarray(p, dtype=float)
 
 
 def k_np_values(n: int, p_values: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form K_{n, p(x)} for integrand evaluation."""
+    """Vectorized closed-form K_{n, p(x)} for integrand evaluation:
+    2 pi^{(n-1)/2} Gamma((p+1)/2) / (p Gamma((n+p)/2)), via log-Gamma
+    (overflow-safe for large p)."""
     p_values = np.asarray(p_values, dtype=float)
     return (2.0 * math.pi ** ((n - 1) / 2.0) / p_values) * np.exp(
         _lgamma((p_values + 1.0) / 2.0) - _lgamma((n + p_values) / 2.0))
@@ -191,14 +148,13 @@ class IdentityCheck:
 
 
 def directional_identity_check(n: int, p: float, V,
-                               rule: SphereRule | None = None,
-                               align: bool = True) -> IdentityCheck:
+                               rule: SphereRule | None = None) -> IdentityCheck:
     """Check int_{S^{n-1}} |V . w|^p dH = p K_{n,p} |V|^p.
 
-    lhs is the quadrature sum, rhs the closed form.  By default the rule
-    is rotated so its reference axis matches V, which keeps the zonal
-    kink aligned with the rule's panel split; pass align=False to
-    exercise the rule in generic position (resolution-limited accuracy).
+    lhs is |V|^p times the rule's sum of |w . e|^p about its own axis
+    (the integral does not depend on V's direction, and about the axis
+    the zonal kink sits on the rule's panel split); rhs is the closed
+    form.
     """
     V = np.asarray(V, dtype=float)
     if not np.all(np.isfinite(V)):
@@ -207,7 +163,6 @@ def directional_identity_check(n: int, p: float, V,
     nv = float(np.linalg.norm(V))
     if nv == 0.0:
         return IdentityCheck(lhs=0.0, rhs=0.0)
-    use = rule.aligned_with(V) if align else rule
-    lhs = float(np.sum(use.weights * np.abs(use.nodes @ V) ** p))
+    lhs = nv ** p * abs_power_sphere_integral(n, p, rule)
     rhs = p * k_np(n, p) * nv ** p
     return IdentityCheck(lhs=lhs, rhs=rhs)

@@ -160,11 +160,11 @@ def fit_power_limit(ts, vs) -> tuple[float, float, bool]:
     return v0, beta, False
 
 
-def fit_offset_power(ts: np.ndarray, vs: np.ndarray,
-                     lo: float = 0.05, hi: float = 2.0
+def fit_offset_power(ts: np.ndarray, vs: np.ndarray
                      ) -> tuple[float, float, float]:
-    """Least-squares fit of v = c0 + a t^gamma, gamma by golden section
-    with the linear pair (c0, a) solved exactly per candidate.
+    """Least-squares fit of v = c0 + a t^gamma, gamma in [0.05, 2] by
+    golden section with the linear pair (c0, a) solved exactly per
+    candidate.
 
     Suited to cumulative quantities whose transient is an additive
     offset on top of an asymptotic power law.  Returns (gamma, c0, a).
@@ -178,6 +178,6 @@ def fit_offset_power(ts: np.ndarray, vs: np.ndarray,
         r = vs - A @ sol
         return float(r @ r), sol
 
-    gamma, _ = golden_max(lambda g: -sse(g)[0], lo, hi, iters=200)
+    gamma, _ = golden_max(lambda g: -sse(g)[0], 0.05, 2.0, iters=200)
     _, sol = sse(gamma)
     return float(gamma), float(sol[0]), float(sol[1])

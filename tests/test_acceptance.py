@@ -93,8 +93,8 @@ def test_criterion_04_layer_cake():
     ok = True
     details = []
 
-    phi, psi, alpha, box, seeds = lemma41_preset("unit-distance")
-    res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    phi, psi, alpha, box = lemma41_preset("unit-distance")
+    res = layer_cake_check(phi, psi, alpha, box)
     ok &= res.residual <= 1e-6
     ok &= abs(res.lhs - 1.0 / 3.0) <= 1e-6
     ok &= abs(res.rhs_small - 1.0 / 3.0) <= 1e-6
@@ -102,8 +102,8 @@ def test_criterion_04_layer_cake():
 
     worst_res, worst_dev = 0.0, 0.0
     for seed in range(5):
-        phi, psi, alpha, box, seeds = lemma41_preset("random-smooth", seed)
-        res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+        phi, psi, alpha, box = lemma41_preset("random-smooth", seed)
+        res = layer_cake_check(phi, psi, alpha, box)
         worst_res = max(worst_res, res.residual)
         lhs_b, small_b, large_b = oracles.layer_cake_brute(
             phi, psi, alpha, box, n_xy=1500, n_delta=200)

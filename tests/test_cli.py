@@ -165,6 +165,7 @@ NGUYEN_CFG = {"field": {"family": "gaussian"},
               "delta": 0.1}
 MAXIMAL_CFG = {"field": {"family": "gaussian"}, "points": [0.0, 1.0]}
 DIAGNOSE_CFG = {"exponent": {"family": "constant", "value": 2.0}}
+BBM_CFG = {"field": {"family": "tent"}, "p": 2.0, "s": 0.5}
 
 
 @pytest.mark.parametrize("argv, cfg, key", [
@@ -212,6 +213,9 @@ DIAGNOSE_CFG = {"exponent": {"family": "constant", "value": 2.0}}
     (["diagnose-exponent"], {**DIAGNOSE_CFG, "seed": -1}, "seed"),
     (["lemma41"], {"preset": "random-smooth", "seed": 4.6}, "seed"),
     (["maximal"], {**MAXIMAL_CFG, "omega": True}, "omega"),
+    (["bbm"], {**BBM_CFG, "name": "../escaped"}, "'name'"),
+    (["bbm"], {**BBM_CFG, "name": {"a": 1}}, "'name'"),
+    (["bbm"], {**BBM_CFG, "name": "a\0b"}, "'name'"),
 ])
 def test_malformed_config_exits_2_naming_key(tmp_path, capsys, argv, cfg,
                                              key):
@@ -364,6 +368,24 @@ def test_non_numeric_list_value_exits_2(tmp_path, capsys, command, cfg, key):
     assert run_cli(command, "--config",
                    write_cfg(tmp_path, "bad.json", cfg)) == 2
     assert f"{key!r} must be numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, csv, message", [
+    (None, "missing.csv", "missing.csv"),
+    ("0.0,0.0\n0.5,abc\n1.0,0.0\n", "table.csv", "table.csv"),
+    (None, 5, "'csv'"),
+    ("0.0,0.0\nnan,nan\n1.0,0.0\n", "table.csv", "finite"),
+    ("0.0,0.0\n0.5,inf\n1.0,0.0\n", "table.csv", "finite"),
+], ids=["missing", "non-numeric", "not-a-path", "nan", "inf"])
+def test_bad_sampled_table_csv_exits_2(tmp_path, capsys, rows, csv, message):
+    if rows is not None:
+        (tmp_path / csv).write_text(rows)
+    if isinstance(csv, str):
+        csv = str(tmp_path / csv)
+    cfg = {"field": {"family": "sampled-table", "csv": csv}, "points": [0.25]}
+    assert run_cli("maximal", "--config",
+                   write_cfg(tmp_path, "bad.json", cfg)) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, cfg, key", [

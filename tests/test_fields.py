@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vexs import (DivergenceError, DomainError, Gaussian, LogSingular,
-                  PowerTail, SampledTable, SmoothBump, Tent,
+from vexs import (DivergenceError, DomainError, Gaussian, GradientMagnitude,
+                  LogSingular, PowerTail, SampledTable, SmoothBump, Tent,
                   UnsupportedFieldError, constant, counterexample_exponent,
                   truncation_radius)
 
@@ -151,6 +151,26 @@ def test_sampled_table_interp_and_gradient(tmp_path):
     assert v.eval(0.25) == pytest.approx(0.5)
     assert v.grad(0.25)[0] == pytest.approx(2.0)
     assert v.grad(0.75)[0] == pytest.approx(-2.0)
+
+
+def test_smooth_bump_lipschitz_bound_is_the_closed_form_sup():
+    # |u'| = 2r e^{-1/(1-r^2)} / (1-r^2)^2 peaks at r = 3^{-1/4}
+    r = 3.0 ** -0.25
+    peak = 2.0 * r * math.exp(-1.0 / (1.0 - r * r)) / (1.0 - r * r) ** 2
+    u = SmoothBump(scale=2.5)
+    assert u.lipschitz_bound == pytest.approx(2.5 * peak, rel=1e-15)
+    slope = np.abs(u.grad(np.linspace(0.0, 1.0, 200001)[1:-1])[:, 0])
+    assert np.max(slope) <= u.lipschitz_bound
+    assert np.max(slope) >= u.lipschitz_bound * (1.0 - 1e-9)
+
+
+def test_gradient_magnitude_gradient_by_central_differences():
+    # d/dx |2x e^{-x^2}| = sign(x) 2 e^{-x^2} (1 - 2x^2) away from the kink
+    x = np.linspace(-3.0, 3.0, 61)
+    x = x[x != 0.0]
+    got = GradientMagnitude(Gaussian()).grad(x)[:, 0]
+    want = np.sign(x) * 2.0 * np.exp(-x * x) * (1.0 - 2.0 * x * x)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
 
 def test_sampled_table_rejects_unsorted():

@@ -517,8 +517,8 @@ def test_layer_cake_unit_distance_preset():
     # int_0^1 (1-d)^2 dd = 1/3 = double integral of |x-y| on the unit box;
     # every delta piece and every y cell is kink-free, so both sides are
     # exact to rounding (measured: 5.6e-17 off)
-    phi, psi, alpha, box, seeds = lemma41_preset("unit-distance")
-    res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    phi, psi, alpha, box = lemma41_preset("unit-distance")
+    res = layer_cake_check(phi, psi, alpha, box)
     assert res.lhs == pytest.approx(1.0 / 3.0, rel=0, abs=1e-13)
     assert res.rhs_small == pytest.approx(1.0 / 3.0, rel=0, abs=1e-13)
     assert res.rhs_large == 0.0
@@ -530,7 +530,7 @@ def test_layer_cake_distance_constant_alpha(al):
     # the double integral of |x-y|^(al+1) / (al+1) is
     # 2 / ((al+1)(al+2)(al+3)); al = 0.5, 1 and 2.3 take refinement
     # rounds (measured: within 2.3e-10)
-    phi, psi, _, box, _ = lemma41_preset("unit-distance")
+    phi, psi, _, box = lemma41_preset("unit-distance")
     res = layer_cake_check(phi, psi, lambda x: np.full_like(
         np.asarray(x, float), al), box)
     exact = 2.0 / ((al + 1.0) * (al + 2.0) * (al + 3.0))
@@ -539,8 +539,8 @@ def test_layer_cake_distance_constant_alpha(al):
 
 
 def test_layer_cake_always_large_preset():
-    phi, psi, alpha, box, seeds = lemma41_preset("always-large")
-    res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    phi, psi, alpha, box = lemma41_preset("always-large")
+    res = layer_cake_check(phi, psi, alpha, box)
     assert res.lhs == pytest.approx(1.0, rel=1e-9)
     assert res.rhs_large == pytest.approx(1.0, rel=1e-12)
     assert res.rhs_small == 0.0
@@ -550,25 +550,25 @@ def test_layer_cake_always_large_preset():
 @pytest.mark.parametrize("seed", range(6))
 def test_layer_cake_random_smooth_residual(seed):
     # measured: at most 8.5e-15
-    phi, psi, alpha, box, seeds = lemma41_preset("random-smooth", seed)
-    res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    phi, psi, alpha, box = lemma41_preset("random-smooth", seed)
+    res = layer_cake_check(phi, psi, alpha, box)
     assert res.residual <= 1e-9
     assert res.lhs_delta_error <= 1e-8 * abs(res.lhs)
 
 
 def test_layer_cake_rel_tol_refines_delta_pieces():
-    phi, psi, alpha, box, seeds = lemma41_preset("random-smooth", seed=4)
-    coarse = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    phi, psi, alpha, box = lemma41_preset("random-smooth", seed=4)
+    coarse = layer_cake_check(phi, psi, alpha, box)
     fine = layer_cake_check(phi, psi, alpha, box,
-                            QuadratureSpec(rel_tol=1e-12), seeds)
+                            QuadratureSpec(rel_tol=1e-12))
     assert fine.delta_pieces > coarse.delta_pieces
     assert fine.lhs_delta_error <= 1e-14 * abs(fine.lhs)
     assert fine.lhs == pytest.approx(coarse.lhs, rel=1e-9)
 
 
 def test_layer_cake_random_smooth_vs_brute_oracle():
-    phi, psi, alpha, box, seeds = lemma41_preset("random-smooth", seed=3)
-    res = layer_cake_check(phi, psi, alpha, box, y_seeds=seeds)
+    phi, psi, alpha, box = lemma41_preset("random-smooth", seed=3)
+    res = layer_cake_check(phi, psi, alpha, box)
     assert res.residual <= 1e-6
     lhs_b, small_b, large_b = oracles.layer_cake_brute(phi, psi, alpha, box)
     assert res.lhs == pytest.approx(lhs_b, rel=5e-3)
@@ -579,7 +579,7 @@ def test_layer_cake_random_smooth_vs_brute_oracle():
 def test_layer_cake_brute_matches_delta_loop():
     # the oracle's sorted suffix sums against the plain per-delta masked
     # sum they replace; only the summation order differs
-    phi, psi, alpha, box, _ = lemma41_preset("random-smooth", seed=2)
+    phi, psi, alpha, box = lemma41_preset("random-smooth", seed=2)
     n, nd = 120, 40
     lhs, _, _ = oracles.layer_cake_brute(phi, psi, alpha, box, n, nd)
     g = box[0] + (np.arange(n) + 0.5) * (box[1] - box[0]) / n
@@ -601,8 +601,8 @@ def test_pair_section_unit_distance_exact_lengths():
     # phi = |x - y| and psi = 1 on [0, 1]^2: for each x node the y-length
     # of {phi > t} is max(0, x - t) + max(0, 1 - x - t); at t >= 1 no cell
     # is a boundary cell
-    phi, psi, _, box, seeds = lemma41_preset("unit-distance")
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("unit-distance")
+    sec = _PairSection(phi, psi, box)
     x = sec.xnodes
 
     def length_above(t):
@@ -627,8 +627,8 @@ def test_pair_section_cuts_each_row_at_its_extrema():
     # phi = |x - y| has one interior extremum per row, its kink at y = x:
     # a cell edge lands there, and the row's critical values are phi at
     # the kink and at the box ends
-    phi, psi, _, box, seeds = lemma41_preset("unit-distance")
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("unit-distance")
+    sec = _PairSection(phi, psi, box)
     x = sec.xnodes
     edge = np.abs(sec.ysamples[:, :, 0] - x[:, None]).min(axis=1)
     assert edge.max() <= 4 * np.spacing(1.0)
@@ -667,8 +667,8 @@ def _boundary_pieces_by_loop(sec, threshs, boundary):
 
 
 def test_boundary_pieces_match_per_cell_loop():
-    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box)
     ts = np.quantile(sec.PHI_samples, [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
     t3 = ts[:, None, None]
     boundary = ~(sec.cell_min[None] > t3) & (sec.cell_max[None] > t3)
@@ -680,8 +680,8 @@ def test_boundary_pieces_match_per_cell_loop():
 
 
 def test_pair_section_empty_batch_shape():
-    phi, psi, _, box, seeds = lemma41_preset("unit-distance")
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("unit-distance")
+    sec = _PairSection(phi, psi, box)
     got = sec.integral(np.array([]), np.array([], dtype=int))
     assert got.shape == (0,)
 
@@ -694,8 +694,8 @@ def test_pair_section_classification_matches_masks(monkeypatch, preset,
     # extremes (a cell is whole iff cell_min > t, boundary iff
     # cell_min <= t < cell_max), and thresholds below and above every
     # cell, each on every row; the pairs span several chunks
-    phi, psi, _, box, seeds = lemma41_preset(preset, seed)
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset(preset, seed)
+    sec = _PairSection(phi, psi, box)
     rng = np.random.default_rng(7)
     lo, hi = sec.cell_min.min(), sec.cell_max.max()
     picks = np.concatenate([rng.choice(sec.cell_min.ravel(), 8),
@@ -726,8 +726,8 @@ def test_pair_section_classification_matches_masks(monkeypatch, preset,
 
 
 def test_pair_section_pairs_do_not_depend_on_their_chunk(monkeypatch):
-    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box)
     threshs, rows = _all_rows(sec, np.linspace(0.0, 1.6, 9))
     whole = sec.integral(threshs, rows)
     monkeypatch.setattr(sec, "PAIR_CELLS", 1000)
@@ -739,8 +739,8 @@ def test_pair_section_sides_add_up_to_the_row_integral(monkeypatch,
                                                        pair_cells):
     # at thresholds spanning each row's phi range, psi above plus psi
     # below is the row's whole psi integral, at either chunk size
-    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box)
     monkeypatch.setattr(sec, "PAIR_CELLS", pair_cells)
     q = np.linspace(0.0, 1.0, 9)
     lo, hi = sec.cell_min.min(axis=1), sec.cell_max.max(axis=1)
@@ -755,8 +755,8 @@ def test_pair_section_sides_add_up_to_the_row_integral(monkeypatch,
 
 @pytest.mark.parametrize("above", [True, False])
 def test_pair_section_explicit_psi_matches_default(above):
-    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box)
     threshs, rows = _all_rows(sec, np.linspace(0.0, 1.6, 9))
     got = sec.integral(threshs, rows, above, lambda row, phis, psis: psis)
     assert np.array_equal(got, sec.integral(threshs, rows, above))
@@ -776,8 +776,8 @@ def _add_boundary_pieces(sec, threshs, cells):
 def test_boundary_pieces_any_cell_major_order_is_bit_identical():
     # the order contract: each (threshold, row) target receives its cells
     # in increasing order, whatever the order across targets
-    phi, psi, _, box, seeds = lemma41_preset("random-smooth", seed=4)
-    sec = _PairSection(phi, psi, box, seeds)
+    phi, psi, _, box = lemma41_preset("random-smooth", seed=4)
+    sec = _PairSection(phi, psi, box)
     ts = np.quantile(sec.PHI_samples, [0.05, 0.3, 0.5, 0.7, 0.95])
     t3 = ts[:, None, None]
     boundary = ~(sec.cell_min[None] > t3) & (sec.cell_max[None] > t3)
@@ -790,7 +790,7 @@ def test_boundary_pieces_any_cell_major_order_is_bit_identical():
 
 
 def test_layer_cake_rejects_alpha_at_minus_one():
-    phi, psi, _, box, _ = lemma41_preset("unit-distance")
+    phi, psi, _, box = lemma41_preset("unit-distance")
     with pytest.raises(DomainError):
         layer_cake_check(phi, psi, lambda x: np.full_like(
             np.asarray(x, float), -1.0), box)

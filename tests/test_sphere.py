@@ -98,8 +98,9 @@ def test_identity_n2_p2_axis():
 
 
 def test_identity_random_directions(rng):
-    # closed form is the oracle; aligned rules keep the kink on a panel
-    # boundary so the residual target holds for all p down to 1
+    # closed form is the oracle; the rule integrates about its own axis,
+    # where the kink sits on a panel boundary, so the residual target
+    # holds for all p down to 1
     for _ in range(10):
         n = int(rng.integers(1, 4))
         p = float(rng.uniform(1.0, 5.0))
@@ -116,13 +117,15 @@ def test_identity_n3_generic_rule_at_64sq(rng):
     assert chk.rel_residual <= 1e-8
 
 
-def test_aligned_rule_is_still_a_rule(rng):
-    rule = default_rule(3, (32, 48))
-    v = rng.normal(size=3)
-    rot = rule.aligned_with(v)
-    rot.validate()
-    assert rot.node_count == rule.node_count
-    np.testing.assert_allclose(rot.weights, rule.weights)
+@pytest.mark.parametrize("V, W", [([3.0, 4.0], [0.0, -5.0]),
+                                  ([2.0, 3.0, 6.0], [-6.0, 2.0, 3.0])])
+def test_identity_lhs_does_not_depend_on_the_direction_of_v(V, W):
+    # |V| = |W| exactly; lhs is |V|^p times one sum about the rule's axis
+    for p in (1.0, 2.5):
+        a = directional_identity_check(len(V), p, V)
+        b = directional_identity_check(len(W), p, W)
+        assert a.lhs == b.lhs
+        assert a.rel_residual <= 1e-8
 
 
 def test_import_vexs_loads_no_scipy():
