@@ -136,6 +136,13 @@ class ScalarField:
         """1D locations where u or its gradient is non-smooth (panel seeds)."""
         return np.array([])
 
+    def level_radius(self, v: np.ndarray) -> np.ndarray:
+        """Per level v in (0, sup |u|), the radius rho of the sphere about
+        `center` on which |u| = v; {|u| > v} is the open ball inside it.
+        Only the monotone profiles of |x - center| have one."""
+        raise UnsupportedFieldError(
+            f"{self.family} field has no closed-form level sets")
+
     def support_interval(self) -> tuple[float, float]:
         """Smallest known 1D interval containing the support."""
         if self.support_radius is not None:
@@ -197,6 +204,13 @@ class Gaussian(ScalarField):
         r = max(0.0, radius - self.center_norm)
         return abs(self.scale) * math.exp(-(r / self.sigma) ** 2)
 
+    def level_radius(self, v):
+        # sigma sqrt(log(1 / t)), t = v / sup; near the peak log(1 / t) is
+        # -log1p(t - 1), where t - 1 is exact
+        t = np.asarray(v, dtype=float) / self.sup_bound
+        return self.sigma * np.sqrt(np.where(t > 0.5, -np.log1p(t - 1.0),
+                                             -np.log(t)))
+
     def grad_tail_bound(self, radius):
         r = max(0.0, radius - self.center_norm)
         peak = self.sigma / math.sqrt(2.0)
@@ -220,6 +234,7 @@ class Tent(ScalarField):
 
     def __init__(self, scale: float = 1.0, dimension: int = 1):
         self.dimension = dimension
+        self.center = np.zeros(dimension)
         self.scale = float(scale)
         self.sup_bound = abs(self.scale)
         self.osc_bound = abs(self.scale)
@@ -248,6 +263,10 @@ class Tent(ScalarField):
     def tail_bound(self, radius):
         return abs(self.scale) * max(0.0, 1.0 - radius)
 
+    def level_radius(self, v):
+        # sup - v is exact near the peak
+        return (self.sup_bound - np.asarray(v, dtype=float)) / self.sup_bound
+
     def kink_points(self):
         return np.array([-1.0, 0.0, 1.0])
 
@@ -260,6 +279,7 @@ class SmoothBump(ScalarField):
 
     def __init__(self, scale: float = 1.0, dimension: int = 1):
         self.dimension = dimension
+        self.center = np.zeros(dimension)
         self.scale = float(scale)
         self.sup_bound = abs(self.scale) * math.exp(-1.0)
         self.osc_bound = self.sup_bound
@@ -286,6 +306,13 @@ class SmoothBump(ScalarField):
         if radius >= 1.0:
             return 0.0
         return abs(self.scale) * math.exp(-1.0 / (1.0 - radius * radius))
+
+    def level_radius(self, v):
+        # |u| = v where 1 / (1 - r^2) = 1 + s, s = log(sup / v), so r^2 =
+        # s / (1 + s); near the peak s is -log1p(t - 1), t = v / sup
+        t = np.asarray(v, dtype=float) / self.sup_bound
+        s = np.where(t > 0.5, -np.log1p(t - 1.0), -np.log(t))
+        return np.sqrt(s / (1.0 + s))
 
     def kink_points(self):
         return np.array([-1.0, 0.0, 1.0])
@@ -443,6 +470,17 @@ class SampledTable(ScalarField):
 
     def kink_points(self):
         return self.xs.copy()
+
+    def level_crossings(self, v) -> np.ndarray:
+        """Per level v (shape (m,)), where each segment crosses it, shape
+        (m, segments): the segment's linear root, NaN where u stays on one
+        side of v inside the segment (a crossing at a knot is that knot)."""
+        v = np.asarray(v, dtype=float)[:, None]
+        u0 = self.us[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (v - u0) / (self.us[1:] - u0)
+        return np.where((t > 0.0) & (t < 1.0),
+                        self.xs[:-1] + t * np.diff(self.xs), np.nan)
 
 
 class GradientMagnitude(ScalarField):

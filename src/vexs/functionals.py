@@ -5,9 +5,13 @@ over x, a sum over ray directions w from a sphere rule, and an inner
 integral over the ray parameter h in y = x + h w.  The threshold
 functional's inner integrand delta^p h^{-p-1} has an exact
 antiderivative, so its only numerical content is the location of the
-superlevel set {h : |u(x+hw) - u(x)| > delta}, found by sign-change
-bracketing on a geometric h grid whose brackets are solved to 4 ulp by
-a safeguarded Illinois (regula falsi) step.  The
+superlevel set {h : |u(x+hw) - u(x)| > delta}.  In 1D every field the
+functional admits has closed-form level sets (a monotone profile of
+|y - c|, or a piecewise-linear table), so the set's ends are exact
+sphere crossings or segment roots (`superlevel_chords`); in n >= 2 the
+set is found by sign-change bracketing on a geometric h grid whose
+brackets are solved to 4 ulp by a safeguarded Illinois (regula falsi)
+step (`superlevel_intervals`).  The
 epsilon-perturbed, BBM and fractional-order integrals have no closed
 inner antiderivative; one kernel, `ray_t_nodes`, computes them in the
 substituted variable t = h^beta, which absorbs the h^{beta-1}
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .errors import BracketingError, DomainError, UnsupportedFieldError
-from .fields import ScalarField, _has_tail, _square_norms
+from .fields import SampledTable, ScalarField, _has_tail, _square_norms
 from .quadrature import (adaptive_integrate, gl15_gl7, gl15_gl7_nodes,
                          golden_max, panel_nodes, piece_abscissae,
                          piece_nodes, piece_weights, row_pieces, sign_pieces)
@@ -83,8 +87,9 @@ class QuadratureSpec:
         caller's concern, reported through error estimates).
     outer_x_tolerance: relative tolerance of the adaptive outer integral.
     h_bracket_grid: resolution of the initial geometric h grid used for
-        superlevel bracketing; also sets the inner panel count (half of it)
-        for the epsilon, BBM and fractional inner integrals.
+        superlevel bracketing in n >= 2 (1D superlevel sets are closed
+        form); also sets the inner panel count (half of it) for the
+        epsilon, BBM and fractional inner integrals.
     rel_tol: global relative tolerance (the doubling shells of the
         threshold functional and local energy, a modular's tail radius,
         the layer-cake delta integral); the epsilon, BBM and fractional
@@ -361,6 +366,104 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     return row, a, b, tail & ~clear & (far_jump > threshold - eta)
 
 
+def _sphere_crossings(b: np.ndarray, c: np.ndarray, root: np.ndarray):
+    """The roots (near, far) = -b -+ root of h^2 + 2 b h = c, root =
+    sqrt(b^2 + c): where the ray x + h w crosses the sphere of radius rho
+    about a center, for b = (x - center) . w and c = rho^2 - |x -
+    center|^2.  Each is taken without cancellation, the far root as c /
+    (b + root) when b > 0 and the near one as c / (b - root) when b <= 0;
+    NaN where root is (the ray misses the sphere)."""
+    far = np.where(b > 0.0, c / (b + root), root - b)
+    near = np.where(b > 0.0, -(b + root), c / (b - root))
+    return near, far
+
+
+def superlevel_chords(u: ScalarField, X: np.ndarray, omega: np.ndarray,
+                      threshold: float):
+    """The superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} of
+    the points X (shape (m, n)) in closed form, as the flat arrays (row,
+    a, b) of `superlevel_intervals` (sorted by row and by h within a row,
+    b = inf where a set reaches infinity) and each interval's length b -
+    a, formed without the cancellation of b - a on short intervals far
+    out; omega is one direction w for every ray or one per row.
+
+    A monotone profile of |y - c| has the chord of the ball {|u| > |u(x)|
+    + threshold} ahead of x, where the ray heads into it, and the outside
+    of the ball {|u| >= |u(x)| - threshold}, which runs to infinity; both
+    ends are `_sphere_crossings`.  A sampled table (1D) is linear between
+    its knots and the roots of u = u(x) +- threshold, so each piece
+    between them is in the set or out of it as its midpoint is.
+    """
+    u_x = u.eval(X)
+    if isinstance(u, SampledTable):
+        return _table_chords(u, X[:, 0], np.broadcast_to(omega, X.shape)[:, 0],
+                             u_x, threshold)
+    level = np.abs(u_x)
+    d = X - u.center
+    r = np.sqrt(_square_norms(d))
+    b = np.vecdot(d, omega)
+    # the center's distance from the line of each ray: 0 in 1D
+    perp = np.sqrt(_square_norms(d - b[:, None] * omega))
+    parts = []
+    for rows, v, chord in (
+            (np.nonzero((b < 0.0) & (level + threshold < u.sup_bound))[0],
+             level + threshold, True),
+            (np.nonzero(level - threshold > 0.0)[0], level - threshold,
+             False)):
+        rho, rr, pr = u.level_radius(v[rows]), r[rows], perp[rows]
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt((rho - pr) * (rho + pr))
+        near, far = _sphere_crossings(b[rows], (rho - rr) * (rho + rr), root)
+        if chord:
+            hit = root > 0.0
+            parts.append((rows[hit], near[hit], far[hit], 2.0 * root[hit]))
+        else:
+            inf = np.full(rows.size, math.inf)
+            parts.append((rows, far, inf, inf))
+    row, a, b, length = (np.concatenate(v) for v in zip(*parts))
+    order = np.lexsort((a, row))
+    return row[order], a[order], b[order], length[order]
+
+
+def _table_chords(u: ScalarField, x: np.ndarray, w: np.ndarray,
+                  u_x: np.ndarray, threshold: float):
+    """`superlevel_chords` of a sampled table on the 1D rays x + h w, cut
+    in s = y w, which orders a ray's points by h and keeps the digits of
+    the knots and roots y."""
+    m = x.size
+    s = np.hstack([np.broadcast_to(u.xs, (m, u.xs.size)),
+                   u.level_crossings(u_x + threshold),
+                   u.level_crossings(u_x - threshold)]) * w[:, None]
+    s0 = x * w
+    ray, k = np.nonzero(s > s0[:, None])
+    rays = np.arange(m)
+    # each ray's pieces from s0 on; past the last break u is 0
+    row, lo, hi = row_pieces(np.concatenate([ray, rays, rays]), np.concatenate(
+        [s[ray, k], s0, np.full(m, math.inf)]))
+    mid = np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi))
+    inside = np.abs(u.eval(mid * w[row]) - u_x[row]) > threshold
+    # merge the runs of pieces inside the set, within a row
+    same = row[1:] == row[:-1]
+    first = inside & ~np.concatenate([[False], same & inside[:-1]])
+    last = inside & ~np.concatenate([same & inside[1:], [False]])
+    row = row[first]
+    return (row, lo[first] - s0[row], hi[last] - s0[row],
+            hi[last] - lo[first])
+
+
+def _level_points(u: ScalarField, levels) -> np.ndarray:
+    """Where u equals one of the levels: the 1D abscissae, or radii when
+    u is radial in n >= 2 (center +- the level radius of a profile, the
+    segment roots of a table)."""
+    levels = np.asarray(levels, dtype=float)
+    if isinstance(u, SampledTable):
+        x = u.level_crossings(levels)
+        return x[np.isfinite(x)]
+    v = levels * math.copysign(1.0, u.scale)
+    rho = u.level_radius(v[(v > 0.0) & (v < u.sup_bound)])
+    return np.concatenate([u.center[0] - rho, u.center[0] + rho])
+
+
 def nguyen_functional(u: ScalarField, p, delta: float,
                       weight_mode: str = "unit",
                       quad: QuadratureSpec | None = None) -> FunctionalValue:
@@ -376,7 +479,10 @@ def nguyen_functional(u: ScalarField, p, delta: float,
     _require_lipschitz_decay(u, "nguyen_functional")
 
     rule = _resolve_rule(quad, u.dimension)
-    far = u.far_radius(delta * _FAR_ETA_FRAC)
+    # in 1D the superlevel sets are closed-form chords; in n >= 2 they are
+    # bracketed on the ray grid, out to the cutoff far
+    chords = u.dimension == 1
+    far = None if chords else u.far_radius(delta * _FAR_ETA_FRAC)
     state = {"found": False, "amb": 0.0}
 
     def F(X):
@@ -387,22 +493,41 @@ def nguyen_functional(u: ScalarField, p, delta: float,
         def block(rows, omega):
             # closed-form inner integral: over each superlevel interval
             # (a, b), delta^p (a^-p - b^-p) / p, without the 1/p when weighted
-            row, a, b, ambiguous = superlevel_intervals(u, rows, omega, delta,
-                                                        quad, far)
+            if chords:
+                row, a, _, length = superlevel_chords(u, rows, omega, delta)
+            else:
+                row, a, b, ambiguous = superlevel_intervals(
+                    u, rows, omega, delta, quad, far)
             P = px[row % m]
+            # a chord's a^-p - b^-p as a^-p (1 - (1 + length / a)^-p), which
+            # keeps its digits on short chords far out
+            terms = (a ** -P * -np.expm1(-P * np.log1p(length / a)) if chords
+                     else a ** -P - b ** -P)
             vals = np.zeros(rows.shape[0])
-            np.add.at(vals, row, a ** -P - b ** -P)
+            np.add.at(vals, row, terms)
             state["found"] = state["found"] or row.size > 0
-            # possible unclassified mass beyond H on ambiguous rays
-            q = P[ambiguous]
-            state["amb"] += float(np.sum(delta ** q * b[ambiguous] ** -q / q))
+            if not chords:
+                # possible unclassified mass beyond H on ambiguous rays
+                q = P[ambiguous]
+                state["amb"] += float(np.sum(delta ** q * b[ambiguous] ** -q
+                                             / q))
             vals = vals.reshape(-1, m) * delta_p
             return vals if weighted else vals / px
         return _direction_sum(X, rule, _BLOCK_SAMPLES // quad.h_bracket_grid,
                               block)
 
+    seeds = u.kink_points()
+    if chords:
+        # the sets appear or vanish where u(x) +- delta passes a value of u
+        # at an extremum or at infinity: for a profile where a chord
+        # appears (|u(x)| = sup - delta, a square-root onset of the outer
+        # integrand) and where the far set ends (|u(x)| = delta)
+        ext = (np.append(u.us, 0.0) if isinstance(u, SampledTable)
+               else np.array([0.0, u.scale]))
+        seeds = np.concatenate([seeds, _level_points(
+            u, np.concatenate([ext - delta, ext + delta]))])
     base = u.far_radius(0.5 * min(delta, u.sup_bound)) + 2.0
-    res = _outer_integrate(F, u, quad, base, seeds=u.kink_points(),
+    res = _outer_integrate(F, u, quad, base, seeds=seeds,
                            radial=u.radial and p.radial)
     return FunctionalValue(
         value=res.value,
@@ -550,7 +675,8 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     exterior term takes the exponents at the pair (far point, inner
     point) in any case.
 
-    restrict_small limits the pairs to |u(x)-u(y)| <= 1.  Beyond the ray
+    restrict_small limits the pairs to |u(x)-u(y)| <= 1 (in 1D by
+    `superlevel_chords`, else by `superlevel_intervals`).  Beyond the ray
     cutoff H the jump is |u(x)| up to eta (exactly so for compact
     support), which the far tail coef |u(x)|^q H^{-r} / r adds back.
 
@@ -570,7 +696,9 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     """
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
-    far_small = u.far_radius(_FAR_ETA_FRAC) if restrict_small else None
+    chords = u.dimension == 1
+    far_small = (u.far_radius(_FAR_ETA_FRAC)
+                 if restrict_small and not chords else None)
     R = float(quad.truncation_radius or far + 2.0)
     rays = _power_rays(quad)
     cap = 1.0 if restrict_small else math.inf
@@ -605,8 +733,9 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             exclude = None
             tail = np.ones((d, m), dtype=bool)
             if restrict_small:
-                erow, a, b, _ = superlevel_intervals(u, rows, omega, 1.0,
-                                                     quad, far_small)
+                erow, a, b = (superlevel_chords(u, rows, omega, 1.0) if chords
+                              else superlevel_intervals(
+                                  u, rows, omega, 1.0, quad, far_small))[:3]
                 exclude = (erow, a, b)
                 # a large jump that reaches infinity leaves no far tail
                 tail.flat[erow[np.isinf(b)]] = False
@@ -650,7 +779,8 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
 
     seeds = u.kink_points()
     if restrict_small and (radial or u.dimension == 1):
-        seeds = np.concatenate([seeds, _unit_crossings(u, R, radial)])
+        # |u(x)| = 1, where F jumps
+        seeds = np.concatenate([seeds, _level_points(u, [-1.0, 1.0])])
     res = _outer_integrate(F, u, replace(quad, truncation_radius=R), R,
                            seeds=seeds, radial=radial)
     pts, w = res.nodes()
@@ -675,9 +805,7 @@ def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
     y2 = np.vecdot(Y, Y)
     within = y2 < R * R
     c = np.where(within, R * R - y2, 1.0)
-    root = np.sqrt(yw * yw + c)
-    # -yw + root, without cancellation when yw > 0
-    h_R = np.where(yw > 0.0, c / (yw + root), root - yw)
+    _, h_R = _sphere_crossings(yw, c, np.sqrt(yw * yw + c))
     # a ray from beyond R or above the cap adds exactly 0
     au = np.where(within & (au <= cap), au, 0.0)
     return _ray_tails(au, Y, omega, h_R, lambda F: exps(F, Y[:, None]),
@@ -709,18 +837,6 @@ def _ray_tails(au: np.ndarray, Y: np.ndarray, omega: np.ndarray,
     if terms:
         return g[:, :15] * (0.5 * w[:15]), np.broadcast_to(q, h.shape)[:, :15]
     return gl15_gl7(g, 0.5)
-
-
-def _unit_crossings(u: ScalarField, R: float, radial: bool) -> np.ndarray:
-    """Where |u| crosses 1 on the line [-R, R] (radially: the radii in
-    [0, R]), from the sign changes of |u| - 1 on 1025 samples."""
-    x = np.linspace(0.0 if radial else -R, R, 1025)
-    axis = np.eye(u.dimension)[0]
-
-    def residual(rows):
-        return lambda t: np.abs(u.eval(t[:, None] * axis)) - 1.0
-    _, lo, _, _ = sign_pieces(residual, x[None], residual(None)(x)[None])
-    return lo[1:]
 
 
 def eps_functional(u: ScalarField, p, eps: float, mode: str = "full",

@@ -6,8 +6,8 @@ separation variable d = y - x uses a geometrically graded partition so
 the d ~ delta kernel scale is resolved; this is still a plain Riemann
 sum of the untransformed integrand (dx dy = dx dd).  The closed forms
 (`tent_gagliardo`, `gaussian_gagliardo`) are exact, and
-`gaussian_eps_full` and `gaussian_pair_modular` are nested scipy
-quadrature.
+`gaussian_eps_full`, `gaussian_pair_modular` and `threshold_1d` are
+nested scipy quadrature.
 """
 
 from __future__ import annotations
@@ -132,6 +132,56 @@ def gaussian_pair_modular(lam: float, s: float, a: float, b: float,
         return (_gaussian_jump(x, h, sgn) / lam) ** P * h ** (-1.0 - s * P)
 
     return _gaussian_pairs(near, far, lambda x: (1.0 - s) * q(x), tol)
+
+
+def profile_radius(profile, v: float) -> float:
+    """The radius r where a profile decreasing from profile(0) to 0
+    equals v, by scipy `brentq` on profile(r) - v, bracketed by doubling
+    the radius until the profile drops below v."""
+    from scipy.optimize import brentq
+    hi = 1.0
+    while profile(hi) >= v:
+        hi *= 2.0
+    return brentq(lambda r: profile(r) - v, 0.0, hi, xtol=1e-300,
+                  rtol=4.0 * np.finfo(float).eps, maxiter=400)
+
+
+def threshold_1d(profile, p, delta: float, radius=None, kinks=(),
+                 tol: float = 1e-13) -> float:
+    """The 1D threshold functional, the double integral of delta^p(x) /
+    (p(x) |x - y|^(1 + p(x))) over {|u(x) - u(y)| > delta}, for an even
+    field u(x) = profile(|x|) that decreases from its peak profile(0) to
+    0, and an even exponent p (a scalar function).
+
+    On each ray y = x + h w the set is a chord of the ball {u > u(x) +
+    delta}, met only when heading for 0, and the outside of the ball {u
+    >= u(x) - delta}, which reaches h = infinity; the h integral over an
+    interval (a, b) is delta^p (a^-p - b^-p) / p.  The radii come from
+    `radius(v)` (default: `profile_radius`, roots of u itself), and the
+    x integral is scipy `quad` on [0, infinity), doubled, split where a
+    chord appears (u(x) = peak - delta) and where the outside ball
+    vanishes (u(x) = delta), and at the profile's `kinks`.
+    """
+    from scipy.integrate import quad
+    radius = radius or (lambda v: profile_radius(profile, v))
+    peak = profile(0.0)
+
+    def integrand(x):
+        ux, px = profile(x), p(x)
+        total = 0.0
+        if ux + delta < peak:
+            rho = radius(ux + delta)
+            total += (x - rho) ** -px - (x + rho) ** -px
+        if ux - delta > 0.0:
+            rho = radius(ux - delta)
+            total += (rho - x) ** -px + (rho + x) ** -px
+        return delta ** px * total / px
+
+    breaks = sorted({radius(v) for v in (peak - delta, delta)
+                     if 0.0 < v < peak} | {k for k in kinks if k > 0.0})
+    edges = [0.0] + breaks + [math.inf]
+    return 2.0 * sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=tol,
+                          limit=400)[0] for lo, hi in zip(edges, edges[1:]))
 
 
 def adaptive_integrate_per_panel(f, a, b, rel_tol=1e-9, seeds=(),

@@ -1,17 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from vexs import (DomainError, Gaussian, QuadratureSpec, Tent, bbm_functional,
-                  constant, default_rule, eps_functional, inverse_quadratic,
-                  layer_cake_check, local_energy, modular, nguyen_functional,
-                  sin_squared)
+from vexs import (DomainError, Gaussian, QuadratureSpec, SampledTable,
+                  SmoothBump, Tent, bbm_functional, constant, default_rule,
+                  eps_functional, inverse_quadratic, layer_cake_check,
+                  local_energy, modular, nguyen_functional, sin_squared)
 from vexs import functionals, quadrature
 from vexs.cli import lemma41_preset
 from vexs.exponents import ExponentField
-from vexs.functionals import _PairSection, superlevel_intervals
+from vexs.functionals import (_PairSection, superlevel_chords,
+                              superlevel_intervals)
 from vexs.quadrature import adaptive_integrate, piece_nodes, vector_bisect
 
 
@@ -58,6 +60,80 @@ def test_empty_superlevel_iff_delta_reaches_oscillation():
     at = nguyen_functional(Tent(), constant(2.0), 1.0)
     assert not below.empty_superlevel and below.value > 0.0
     assert at.empty_superlevel and at.value == 0.0
+
+
+THRESHOLD_REFERENCES = {
+    # (field, exponent, its profile and scalar exponent, kinks, the
+    # profile's closed-form level radius)
+    "gaussian_p2": (Gaussian(), constant(2.0), lambda r: math.exp(-r * r),
+                    lambda x: 2.0, (), lambda v: math.sqrt(-math.log(v))),
+    "gaussian_inverse_quadratic": (
+        Gaussian(), inverse_quadratic(2.0, 1.0), lambda r: math.exp(-r * r),
+        lambda x: 2.0 + 1.0 / (1.0 + x * x), (),
+        lambda v: math.sqrt(-math.log(v))),
+    "tent_p2": (Tent(), constant(2.0), lambda r: max(0.0, 1.0 - r),
+                lambda x: 2.0, (1.0,), lambda v: 1.0 - v),
+}
+
+
+@functools.cache
+def _threshold_reference(name, delta, closed_form=False):
+    _, _, profile, p, kinks, radius = THRESHOLD_REFERENCES[name]
+    return oracles.threshold_1d(profile, p, delta, kinks=kinks,
+                                radius=radius if closed_form else None)
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.05, 0.0125])
+@pytest.mark.parametrize("name", THRESHOLD_REFERENCES)
+def test_threshold_reference_roots_agree_with_closed_form(name, delta):
+    # the reference's brentq roots on u against the profile's closed-form
+    # level radii, under the same quad
+    assert _threshold_reference(name, delta) == pytest.approx(
+        _threshold_reference(name, delta, True), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.05, 0.0125])
+@pytest.mark.parametrize("name", THRESHOLD_REFERENCES)
+def test_nguyen_1d_matches_exact_reference(name, delta):
+    # at outer tolerances 1e-10 within rel 1e-9; at the default quad the
+    # error estimate bounds the true error
+    u, p = THRESHOLD_REFERENCES[name][:2]
+    exact = _threshold_reference(name, delta)
+    tight = QuadratureSpec(outer_x_tolerance=1e-10, rel_tol=1e-10)
+    assert nguyen_functional(u, p, delta, quad=tight).value == \
+        pytest.approx(exact, rel=1e-9, abs=0.0)
+    _assert_exact(nguyen_functional(u, p, delta), exact, 1e-7)
+
+
+def test_1d_threshold_paths_bypass_the_ray_grid(monkeypatch):
+    # 1D nguyen (a profile and a table) and 1D small-jump eps take the
+    # closed-form chords: no superlevel grid and no root solve; the 2D
+    # Nguyen value still brackets on the ray grid
+    calls = {"superlevel_intervals": 0, "vector_bisect": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    counted(functionals, "superlevel_intervals")
+    counted(quadrature, "vector_bisect")
+
+    fast = QuadratureSpec(outer_x_tolerance=1e-4, rel_tol=1e-4)
+    for fv in (nguyen_functional(Gaussian(center=0.3), inverse_quadratic(
+                   2.0, 1.0), 0.1, quad=fast),
+               nguyen_functional(NON_MONOTONE_TABLE, constant(2.0), 0.3,
+                                 quad=fast),
+               eps_functional(Gaussian(scale=3.0), constant(2.0), 0.25,
+                              "small_jump", fast)):
+        assert fv.value > 0.0
+    assert calls == {"superlevel_intervals": 0, "vector_bisect": 0}
+    nguyen_functional(Gaussian(dimension=2), constant(2.0, dimension=2), 0.2,
+                      "unit", _rule16(h_bracket_grid=32,
+                                      outer_x_tolerance=1e-2, rel_tol=1e-2))
+    assert calls["superlevel_intervals"] > 0 and calls["vector_bisect"] > 0
 
 
 def test_local_energy_tent_p2():
@@ -156,11 +232,14 @@ def test_superlevel_respects_lipschitz_floor():
     assert np.all(a >= 0.99 * floor)
 
 
-@pytest.mark.parametrize("x, omega, want", [
+TENT_HAND_SOLVED = [
     (0.2, 1.0, [(0.3, math.inf)]),
     (0.2, -1.0, [(0.7, math.inf)]),
     (-0.5, 1.0, [(0.3, 0.7), (1.3, math.inf)]),
-])
+]
+
+
+@pytest.mark.parametrize("x, omega, want", TENT_HAND_SOLVED)
 def test_superlevel_tent_exact(x, omega, want):
     # |u(x + h w) - u(x)| > 0.3 for the unit tent, solved by hand from
     # its three linear pieces; the far jump |u(x)| > 0.3 makes the last
@@ -172,6 +251,112 @@ def test_superlevel_tent_exact(x, omega, want):
     assert not ambiguous.any()
     np.testing.assert_allclose(np.column_stack([a, b]), want, rtol=0,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("x, omega, want", TENT_HAND_SOLVED)
+def test_superlevel_chords_tent_exact(x, omega, want):
+    row, a, b, length = superlevel_chords(Tent(), np.array([[x]]),
+                                          np.array([omega]), 0.3)
+    assert row.tolist() == [0] * len(want)
+    np.testing.assert_allclose(np.column_stack([a, b]), want, rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(length, b - a, rtol=1e-15)
+
+
+def _superlevel_by_brentq(u, x, w, delta, anchors):
+    """Reference: the superlevel intervals of the ray x + h w (h > 0) by
+    scipy brentq on |u(x + h w) - u(x)| - delta, between the sign changes
+    of samples at h = 0.01, ..., 60 and at the ray parameters `anchors`
+    of u's extrema along the ray, so that every interval holds a
+    sample.  A set still above delta at h = 60, where u is 0 to the last
+    float, runs to infinity."""
+    from scipy.optimize import brentq
+    u_x = float(u.eval(x[None, :])[0])
+
+    def g(h):
+        pts = x + np.multiply.outer(h, w)
+        return np.abs(u.eval(pts) - u_x) - delta
+
+    hs = np.unique(np.concatenate([np.linspace(0.0, 60.0, 6001)[1:],
+                                   [h for h in anchors if h > 0.0]]))
+    pos = g(hs) > 0.0
+    assert not pos[0]  # h = 0.01 lies below delta / Lip in every case
+    out, start = [], None
+    for k in np.nonzero(pos[1:] != pos[:-1])[0] + 1:
+        root = brentq(lambda h: float(g(np.array([h]))[0]), hs[k - 1], hs[k],
+                      xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        if start is None:
+            start = root
+        else:
+            out.append((start, root))
+            start = None
+    if start is not None:
+        out.append((start, math.inf))
+    return out
+
+
+def _profile_anchors(u, x, w):
+    # along the ray, a profile of |y - c| peaks where y comes closest to c
+    return [float(np.dot(u.center - x, w))]
+
+
+NON_MONOTONE_TABLE = SampledTable([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0],
+                                  [0.0, 1.0, -0.5, 0.8, 0.2, 0.0])
+CHORD_FIELDS = {
+    "gaussian_negative_off_center": (Gaussian(center=0.4, scale=-1.5), 0.4),
+    "tent": (Tent(), 0.0),
+    "smooth_bump": (SmoothBump(scale=3.0), 0.0),
+    "table": (NON_MONOTONE_TABLE, None),
+}
+
+
+@pytest.mark.parametrize("delta_frac", [0.05, 0.3, 0.8])
+@pytest.mark.parametrize("name", CHORD_FIELDS)
+def test_superlevel_chords_match_brentq_on_u(name, delta_frac):
+    # seeded rays both ways, plus a point at the peak (or the table's
+    # knots), points outside the support, and points whose upper set is
+    # empty (delta >= sup - |u(x)|)
+    u, center = CHORD_FIELDS[name]
+    delta = delta_frac * u.osc_bound
+    rng = np.random.default_rng(16)
+    special = [2.5, -1.7] + (list(u.xs) if center is None else [center])
+    X = np.concatenate([rng.uniform(-2.2, 2.2, 10), special])[:, None]
+    for w in (1.0, -1.0):
+        row, a, b, length = superlevel_chords(u, X, np.array([w]), delta)
+        np.testing.assert_allclose(length, b - a, rtol=1e-12)
+        for i, x in enumerate(X):
+            anchors = ((u.xs - x[0]) * w if center is None else
+                       _profile_anchors(u, x, np.array([w])))
+            want = _superlevel_by_brentq(u, x, np.array([w]), delta, anchors)
+            got = list(zip(a[row == i], b[row == i]))
+            assert len(got) == len(want), (x, w, got, want)
+            np.testing.assert_allclose(np.array(got).reshape(-1, 2),
+                                       np.array(want).reshape(-1, 2),
+                                       rtol=1e-12, atol=1e-14)
+    assert np.all(np.diff(row) >= 0)
+
+
+def test_superlevel_chords_in_two_dimensions_match_brentq_on_u():
+    # the chord and outer-ball ends are the same sphere crossings in any
+    # dimension: rays through the center, tangent-free seeded rays, and a
+    # point at the peak
+    u = Gaussian(center=(0.3, -0.2), scale=2.0, dimension=2)
+    rng = np.random.default_rng(2)
+    X = np.vstack([rng.uniform(-2.0, 2.0, (6, 2)), u.center])
+    W = rng.normal(size=(6, 2))
+    W = np.vstack([W / np.linalg.norm(W, axis=1)[:, None],
+                   (u.center - X[0]) / np.linalg.norm(u.center - X[0])])
+    for w in W:
+        row, a, b, length = superlevel_chords(u, X, w, 0.5)
+        np.testing.assert_allclose(length, b - a, rtol=1e-12)
+        for i, x in enumerate(X):
+            want = _superlevel_by_brentq(u, x, w, 0.5,
+                                         _profile_anchors(u, x, w))
+            got = list(zip(a[row == i], b[row == i]))
+            assert len(got) == len(want)
+            np.testing.assert_allclose(np.array(got).reshape(-1, 2),
+                                       np.array(want).reshape(-1, 2),
+                                       rtol=1e-11, atol=1e-14)
 
 
 def _superlevel_by_loop(u, X, omega, threshold, quad):
@@ -912,16 +1097,24 @@ def test_radial_fold_matches_full_line(monkeypatch, outer_evals, name):
     assert reduced.value > 0.0
 
 
-@pytest.mark.parametrize("compute, node_count, value", [
+def _gaussian_profile(r):
+    return math.exp(-r * r)
+
+
+@pytest.mark.parametrize("compute, node_count, value, rel", [
+    # constant p makes the threshold functional translation-invariant, so
+    # the centered reference is exact; pinned at the outer tolerance
     (lambda: nguyen_functional(Gaussian(center=0.7), constant(2.0), 0.1),
-     6820, 1.2555196777803952),
+     1760, lambda: oracles.threshold_1d(_gaussian_profile, lambda x: 2.0,
+                                        0.1), 1e-7),
     (lambda: local_energy(Gaussian(), sin_squared(2.0, 0.5, 1.0)),
-     704, 1.0183968729998132),
+     704, lambda: 1.0183968729998132, 1e-12),
 ], ids=["nguyen_off_center", "local_energy_sin_squared"])
 def test_non_radial_1d_inputs_keep_the_line(monkeypatch, compute,
-                                            node_count, value):
+                                            node_count, value, rel):
     # the outer integral still starts on [-R, R], and takes the node
-    # count and value it took before even inputs were folded
+    # count it took before even inputs were folded (the threshold
+    # functional's since its superlevel sets are closed-form chords)
     starts = []
 
     def recorded(f, a, b, **kwargs):
@@ -931,7 +1124,7 @@ def test_non_radial_1d_inputs_keep_the_line(monkeypatch, compute,
     fv = compute()
     assert starts[0] < 0.0
     assert fv.node_count == node_count
-    assert fv.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert fv.value == pytest.approx(value(), rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("compute, target", [
