@@ -176,6 +176,11 @@ QUAD_KEYS = frozenset({"truncation_radius", "sphere_rule", "outer_x_tolerance",
 MODULAR_KEYS = frozenset({"truncation_radius", "outer_x_tolerance", "rel_tol"})
 
 
+def threshold_keys(u) -> frozenset:
+    """The quad keys the threshold functional reads: no 1D ray grid."""
+    return QUAD_KEYS - ({"h_bracket_grid"} if u.dimension == 1 else set())
+
+
 def parse_quad(cfg: dict | None, used=QUAD_KEYS,
                context: str = "quad") -> QuadratureSpec:
     """A QuadratureSpec from a quad config.  `used` names the keys the
@@ -361,7 +366,7 @@ def cmd_nguyen(args) -> int:
                      "quad"}, "nguyen config", ("field", "exponent", "delta"))
     delta = number(cfg, "delta", "nguyen config")
     u, p = parse_field_exponent(cfg, "nguyen config")
-    quad = parse_quad(cfg.get("quad"))
+    quad = parse_quad(cfg.get("quad"), threshold_keys(u))
     mode = cfg.get("weight_mode", "unit")
     fv = nguyen_functional(u, p, delta, mode, quad)
     return _report_functional(args, cfg, "nguyen",
@@ -378,7 +383,7 @@ def cmd_eps(args) -> int:
     # the full and small-jump integrals read no rel_tol; the large-jump
     # tail is the threshold functional, which does
     quad = parse_quad(cfg.get("quad"), QUAD_KEYS - {"rel_tol"}
-                      if mode in ("full", "small_jump") else QUAD_KEYS)
+                      if mode in ("full", "small_jump") else threshold_keys(u))
     eps = number(cfg, "epsilon", "eps config", 0.5)
     fv = eps_functional(u, p, eps, mode, quad)
     return _report_functional(args, cfg, "eps",
@@ -403,7 +408,8 @@ def cmd_sweep(args) -> int:
     check_keys(cfg, {"name", "field", "exponent", "kind", "grid", "quad"},
                "sweep config", ("field", "exponent", "kind", "grid"))
     u, p = parse_field_exponent(cfg, "sweep config")
-    quad = parse_quad(cfg.get("quad"))
+    quad = parse_quad(cfg.get("quad"), threshold_keys(u) if cfg["kind"] in (
+        "nguyen-unit", "nguyen-weighted") else QUAD_KEYS)
     grid = number(cfg, "grid", "sweep config", kind=floats, shape=(None,))
     report = sweeps.run_sweep(cfg["kind"], u, p, grid, quad)
     name = cfg.get("name", cfg["kind"])

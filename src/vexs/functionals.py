@@ -2,16 +2,17 @@
 
 All double integrals over pairs (x, y) are reduced to an outer integral
 over x, a sum over ray directions w from a sphere rule, and an inner
-integral over the ray parameter h in y = x + h w.  The threshold
+integral over the ray parameter h in y = x + h w; every ray kernel takes
+points X (m, n) and one direction per row, omega (m, n).  The threshold
 functional's inner integrand delta^p h^{-p-1} has an exact
-antiderivative, so its only numerical content is the location of the
-superlevel set {h : |u(x+hw) - u(x)| > delta}.  In 1D every field the
-functional admits has closed-form level sets (a monotone profile of
-|y - c|, or a piecewise-linear table), so the set's ends are exact
-sphere crossings or segment roots (`superlevel_chords`); in n >= 2 the
-set is found by sign-change bracketing on a geometric h grid whose
-brackets are solved to 4 ulp by a safeguarded Illinois (regula falsi)
-step (`superlevel_intervals`).  The
+antiderivative, so its only numerical content is the superlevel set
+{h : |u(x+hw) - u(x)| > delta}, as flat (row, a, b, b - a) arrays.  The
+fields it admits have closed-form level sets (monotone profiles of
+|y - c|, 1D piecewise-linear tables), whose ends are sphere crossings or
+segment roots (`superlevel_chords`): the small-jump exclusion takes
+them in any dimension, the threshold functional in 1D; its n >= 2 sets
+are bracketed on a geometric h grid and solved to 4 ulp by a
+safeguarded Illinois step (`superlevel_intervals`).  The
 epsilon-perturbed, BBM and fractional-order integrals have no closed
 inner antiderivative; one kernel, `ray_t_nodes`, computes them in the
 substituted variable t = h^beta, which absorbs the h^{beta-1}
@@ -86,10 +87,10 @@ class QuadratureSpec:
         modest default per dimension (convergence in the rule is the
         caller's concern, reported through error estimates).
     outer_x_tolerance: relative tolerance of the adaptive outer integral.
-    h_bracket_grid: resolution of the initial geometric h grid used for
-        superlevel bracketing in n >= 2 (1D superlevel sets are closed
-        form); also sets the inner panel count (half of it) for the
-        epsilon, BBM and fractional inner integrals.
+    h_bracket_grid: resolution of the geometric h grid on which the
+        threshold functional brackets its superlevel sets in n >= 2 (1D
+        sets are closed form); also sets the inner panel count (half of
+        it) for the epsilon, BBM and fractional inner integrals.
     rel_tol: global relative tolerance (the doubling shells of the
         threshold functional and local energy, a modular's tail radius,
         the layer-cake delta integral); the epsilon, BBM and fractional
@@ -258,14 +259,13 @@ def _direction_blocks(X: np.ndarray, rule: SphereRule, rays: int):
     """The rays of the points X (m, n) in d >= 1 of the rule's directions
     at a time, d * m <= rays where it can, in rule order: (rows, omega,
     weights), row k*m + i of rows point i in the direction omega[k*m + i]
-    (direction-major), or omega itself when d = 1, and the d directions'
-    weights."""
+    (direction-major), and the d directions' weights."""
     m = X.shape[0]
     step = max(1, rays // m)
     for k in range(0, rule.node_count, step):
         nodes = rule.nodes[k:k + step]
-        yield (np.tile(X, (len(nodes), 1)), nodes[0] if len(nodes) == 1
-               else np.repeat(nodes, m, axis=0), rule.weights[k:k + step])
+        yield (np.tile(X, (len(nodes), 1)), np.repeat(nodes, m, axis=0),
+               rule.weights[k:k + step])
 
 
 def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
@@ -278,17 +278,10 @@ def _direction_sum(X: np.ndarray, rule: SphereRule, rays: int, block):
     return acc
 
 
-def _at(omega: np.ndarray, rows) -> np.ndarray:
-    """The directions of the rays `rows`: omega, or its rows if per ray."""
-    return omega if omega.ndim == 1 else omega[rows]
-
-
 def _ray_points(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The points x[k] + h[k, j] w[k] (w one direction or one per row),
-    shape h.shape + (n,): the floats of x[:, None] + h[..., None] * w,
-    made a coordinate at a time, since numpy broadcasts over a short last
-    axis several times slower."""
-    w = np.broadcast_to(w, x.shape)
+    """The points x[k] + h[k, j] w[k], shape h.shape + (n,): the floats of
+    x[:, None] + h[..., None] * w[:, None], made a coordinate at a time,
+    since numpy broadcasts over a short last axis several times slower."""
     out = np.empty(h.shape + x.shape[1:])
     for j in range(x.shape[1]):
         np.multiply(h, w[:, j, None], out=out[..., j])
@@ -302,22 +295,20 @@ def _ray_points(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
                          threshold: float, quad: QuadratureSpec, far: float):
-    """Superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} of the
-    points X (shape (m, n)) as flat arrays (row, a, b, ambiguous), given
-    far = u.far_radius(threshold * _FAR_ETA_FRAC); omega is one direction
-    w for every ray or one per row, shape (m, n).
+    """Superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} on the
+    rays x + h w of the points X and directions omega (one per row,
+    shape (m, n)) as the flat arrays (row, a, b, b - a) of
+    `superlevel_chords`, found on a geometric ray grid out to the cutoff
+    H = |x| + far + 1, far = u.far_radius(threshold * _FAR_ETA_FRAC).
 
     Interval i is (a[i], b[i]) on the ray of point row[i]; the intervals
-    are sorted by row and by h within a row.  b = inf when the set
-    reaches infinity (the far jump |u(x)| exceeds the threshold);
-    `ambiguous` flags the intervals that end at the ray cutoff H with a
-    far sign that could not be classified, so callers can bound the
-    ambiguity.  The grid start exploits the Lipschitz bound: below
-    h = threshold/Lip no jump can exceed the threshold.
+    are sorted by row and by h within a row.  A set still above the
+    threshold at H ends at infinity when the far jump |u(x)| exceeds
+    threshold (1 + _FAR_ETA_FRAC), else at H.  The grid start exploits
+    the Lipschitz bound: below h = threshold/Lip no jump can exceed it.
     """
     L = _require_lipschitz_decay(u, "superlevel bracketing")
     u_x = u.eval(X)
-    eta = threshold * _FAR_ETA_FRAC
     H = _ray_cutoff(X, far)
     h_lo = max(0.999 * threshold / L, 1e-12)
 
@@ -330,7 +321,7 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     def residual(rows):
         # the residual at ray parameters h of shape (rows, ...)
         r = live[rows]
-        Xb, wb, uxb = X[r], _at(omega, r), u_x[r, None]
+        Xb, wb, uxb = X[r], omega[r], u_x[r, None]
         return lambda h: (np.abs(u.eval(_ray_points(Xb, wb, h.reshape(
             len(Xb), -1))) - uxb) - threshold).reshape(h.shape)
 
@@ -360,32 +351,32 @@ def superlevel_intervals(u: ScalarField, X: np.ndarray, omega: np.ndarray,
         parts.append((s + cell, a, b, b == grids[cell, -1]))
     cell, a, b, tail = (np.concatenate(v) for v in zip(*parts))
     row = live[cell]
-    far_jump = np.abs(u_x[row])
-    clear = far_jump > threshold + eta
-    b[tail] = np.where(clear[tail], math.inf, H[row[tail]])
-    return row, a, b, tail & ~clear & (far_jump > threshold - eta)
+    clear = np.abs(u_x[row[tail]]) > threshold + threshold * _FAR_ETA_FRAC
+    b[tail] = np.where(clear, math.inf, H[row[tail]])
+    return row, a, b, b - a
 
 
 def _sphere_crossings(b: np.ndarray, c: np.ndarray, root: np.ndarray):
     """The roots (near, far) = -b -+ root of h^2 + 2 b h = c, root =
     sqrt(b^2 + c): where the ray x + h w crosses the sphere of radius rho
     about a center, for b = (x - center) . w and c = rho^2 - |x -
-    center|^2.  Each is taken without cancellation, the far root as c /
-    (b + root) when b > 0 and the near one as c / (b - root) when b <= 0;
-    NaN where root is (the ray misses the sphere)."""
-    far = np.where(b > 0.0, c / (b + root), root - b)
-    near = np.where(b > 0.0, -(b + root), c / (b - root))
-    return near, far
+    center|^2.  The root whose two terms share a sign is summed, and the
+    other is -c over it (their product), so neither cancels; both are -b
+    where root is 0 (a ray the caller takes as tangent), and NaN where
+    root is (the ray misses the sphere)."""
+    first = -(b + np.where(b > 0.0, root, -root))
+    other = np.where(root == 0.0, first, -c / first)
+    return np.where(b > 0.0, first, other), np.where(b > 0.0, other, first)
 
 
 def superlevel_chords(u: ScalarField, X: np.ndarray, omega: np.ndarray,
                       threshold: float):
-    """The superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} of
-    the points X (shape (m, n)) in closed form, as the flat arrays (row,
-    a, b) of `superlevel_intervals` (sorted by row and by h within a row,
-    b = inf where a set reaches infinity) and each interval's length b -
-    a, formed without the cancellation of b - a on short intervals far
-    out; omega is one direction w for every ray or one per row.
+    """The superlevel sets {h > 0 : |u(x + h w) - u(x)| > threshold} on
+    the rays of the points X and directions omega (one per row, shape
+    (m, n)) in closed form, as flat arrays (row, a, b, length): sorted
+    by row and by h within a row, b = inf where a set reaches infinity,
+    and each length b - a formed without the cancellation of b - a on
+    short intervals far out.
 
     A monotone profile of |y - c| has the chord of the ball {|u| > |u(x)|
     + threshold} ahead of x, where the ray heads into it, and the outside
@@ -396,8 +387,7 @@ def superlevel_chords(u: ScalarField, X: np.ndarray, omega: np.ndarray,
     """
     u_x = u.eval(X)
     if isinstance(u, SampledTable):
-        return _table_chords(u, X[:, 0], np.broadcast_to(omega, X.shape)[:, 0],
-                             u_x, threshold)
+        return _table_chords(u, X[:, 0], omega[:, 0], u_x, threshold)
     level = np.abs(u_x)
     d = X - u.center
     r = np.sqrt(_square_norms(d))
@@ -483,7 +473,7 @@ def nguyen_functional(u: ScalarField, p, delta: float,
     # bracketed on the ray grid, out to the cutoff far
     chords = u.dimension == 1
     far = None if chords else u.far_radius(delta * _FAR_ETA_FRAC)
-    state = {"found": False, "amb": 0.0}
+    found = [False]
 
     def F(X):
         m = X.shape[0]
@@ -493,24 +483,15 @@ def nguyen_functional(u: ScalarField, p, delta: float,
         def block(rows, omega):
             # closed-form inner integral: over each superlevel interval
             # (a, b), delta^p (a^-p - b^-p) / p, without the 1/p when weighted
-            if chords:
-                row, a, _, length = superlevel_chords(u, rows, omega, delta)
-            else:
-                row, a, b, ambiguous = superlevel_intervals(
-                    u, rows, omega, delta, quad, far)
+            row, a, _, L = (
+                superlevel_chords(u, rows, omega, delta) if chords else
+                superlevel_intervals(u, rows, omega, delta, quad, far))
             P = px[row % m]
-            # a chord's a^-p - b^-p as a^-p (1 - (1 + length / a)^-p), which
+            # a^-p - b^-p as a^-p (1 - (1 + L / a)^-p), L = b - a, which
             # keeps its digits on short chords far out
-            terms = (a ** -P * -np.expm1(-P * np.log1p(length / a)) if chords
-                     else a ** -P - b ** -P)
             vals = np.zeros(rows.shape[0])
-            np.add.at(vals, row, terms)
-            state["found"] = state["found"] or row.size > 0
-            if not chords:
-                # possible unclassified mass beyond H on ambiguous rays
-                q = P[ambiguous]
-                state["amb"] += float(np.sum(delta ** q * b[ambiguous] ** -q
-                                             / q))
+            np.add.at(vals, row, a ** -P * -np.expm1(-P * np.log1p(L / a)))
+            found[0] = found[0] or row.size > 0
             vals = vals.reshape(-1, m) * delta_p
             return vals if weighted else vals / px
         return _direction_sum(X, rule, _BLOCK_SAMPLES // quad.h_bracket_grid,
@@ -531,10 +512,10 @@ def nguyen_functional(u: ScalarField, p, delta: float,
                            radial=u.radial and p.radial)
     return FunctionalValue(
         value=res.value,
-        error_estimate=res.error + state["amb"],
+        error_estimate=res.error,
         truncation_radius=res.radius,
         node_count=res.n_evals,
-        empty_superlevel=not state["found"])
+        empty_superlevel=not found[0])
 
 
 def local_energy(u: ScalarField, p, weight_mode: str = "unit",
@@ -583,12 +564,12 @@ def _slope_floor(X: np.ndarray) -> np.ndarray:
 def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
               h: np.ndarray, grad_dir, u_x) -> np.ndarray:
     """|u(x + h w) - u(x)| / h on pieces of rays: row k of h holds ray
-    parameters on the ray from x[k] in direction w (omega, or omega[k]
-    when it holds one per row), where u is u_x[k] and grad u . w is
-    grad_dir[k].  Below the cancellation floor the quotient loses all
-    significant digits and is replaced by |grad_dir|.  u is evaluated at
-    every node in one call, those below the floor included, so that the
-    quotient is formed in place with no gather or scatter of nodes."""
+    parameters on the ray from x[k] in direction w = omega[k], where u is
+    u_x[k] and grad u . w is grad_dir[k].  Below the cancellation floor
+    the quotient loses all significant digits and is replaced by
+    |grad_dir|.  u is evaluated at every node in one call, those below
+    the floor included, so that the quotient is formed in place with no
+    gather or scatter of nodes."""
     out = u.eval(_ray_points(x, omega, h))
     out -= u_x[:, None]
     np.abs(out, out=out)
@@ -603,18 +584,18 @@ def ray_slope(u: ScalarField, x: np.ndarray, omega: np.ndarray,
 
 def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
                 H: np.ndarray, quad: QuadratureSpec, exclude=None):
-    """GL15 nodes in t = h^beta on the rays x_i + h w, 0 < h <= H_i, of
-    the points X; w is omega or, when omega holds one direction per row,
-    omega[i], and beta is a number or one per point.
+    """GL15 nodes in t = h^beta on the rays x_i + h omega_i, 0 < h <= H_i,
+    of the points X and directions omega (one per row); beta is a number
+    or one per point.
 
     A ray's panels break at a geometric grid from 1e-13 to H_i, at its
-    kink-radius crossings and at the ends of the intervals `exclude` =
-    (row, a, b), whose panels are dropped.  Below ray_slope's floor psi
-    is the constant |grad u . w|, so of the grid points under the floor
-    only the last, h0, is kept: [0, h0] is one panel there, unless a kink
-    or an exclusion cuts it.  Returns (row, h, w_t, psi): the ray of each
-    panel and, one (k, 15) row per panel, the nodes in h, their t weights
-    and the ray slope psi there.
+    kink-radius crossings (`_sphere_crossings`) and at the ends of the
+    intervals `exclude` = (row, a, b), whose panels are dropped.  Below
+    ray_slope's floor psi is the constant |grad u . w|, so of the grid
+    points under the floor only the last, h0, is kept: [0, h0] is one
+    panel there, unless a kink or an exclusion cuts it.  Returns (row, h,
+    w_t, psi): the ray of each panel and, one (k, 15) row per panel, the
+    nodes in h, their t weights and the ray slope psi there.
     """
     m, n_panels = X.shape[0], max(16, quad.h_bracket_grid // 2)
     geo = np.geomspace(1e-13, H, n_panels + 1, axis=1)
@@ -631,12 +612,13 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
         # np.vecdot rounds as the dot product of a single point does
         xw = np.vecdot(X, omega)[:, None]
         x2 = np.vecdot(X, X)[:, None]
-        disc = xw * xw - (x2 - radii * radii)
+        c = radii * radii - x2
+        disc = xw * xw + c
         # a ray through the origin has disc 0 at radius 0; rounding must
         # not decide whether it gets its apex break
         disc[np.abs(disc) <= 4.0 * _EPS * (xw * xw + x2)] = 0.0
-        sq = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-        cross = np.hstack([-xw - sq, -xw + sq])
+        cross = np.hstack(_sphere_crossings(xw, c, np.sqrt(
+            np.where(disc >= 0.0, disc, np.nan))))
         kr, kc = np.nonzero((cross > 1e-12) & (cross < H[:, None]))
         parts.append((kr, cross[kr, kc], np.zeros_like(kr)))
     if exclude is not None:
@@ -652,7 +634,7 @@ def ray_t_nodes(u: ScalarField, X: np.ndarray, omega: np.ndarray, beta,
         ends=lambda r, x: x ** (beta[r] if np.ndim(beta) else beta))
     h = piece_abscissae(lo, hi)
     h **= np.reshape(1.0 / (beta[row] if np.ndim(beta) else beta), (-1, 1))
-    psi = ray_slope(u, X[row], _at(omega, row), h,
+    psi = ray_slope(u, X[row], omega[row], h,
                     np.vecdot(u.grad(X), omega)[row], u.eval(X)[row])
     # the t weights are made once u is evaluated, so that they hold no
     # memory while the field's temporaries do
@@ -675,8 +657,8 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     exterior term takes the exponents at the pair (far point, inner
     point) in any case.
 
-    restrict_small limits the pairs to |u(x)-u(y)| <= 1 (in 1D by
-    `superlevel_chords`, else by `superlevel_intervals`).  Beyond the ray
+    restrict_small limits the pairs to |u(x)-u(y)| <= 1, excluding the
+    closed-form `superlevel_chords` at threshold 1.  Beyond the ray
     cutoff H the jump is |u(x)| up to eta (exactly so for compact
     support), which the far tail coef |u(x)|^q H^{-r} / r adds back.
 
@@ -696,9 +678,6 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
     """
     rule = _resolve_rule(quad, u.dimension)
     far = u.far_radius(_FAR_ETA_FRAC * max(u.sup_bound, 1.0))
-    chords = u.dimension == 1
-    far_small = (u.far_radius(_FAR_ETA_FRAC)
-                 if restrict_small and not chords else None)
     R = float(quad.truncation_radius or far + 2.0)
     rays = _power_rays(quad)
     cap = 1.0 if restrict_small else math.inf
@@ -733,9 +712,7 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             exclude = None
             tail = np.ones((d, m), dtype=bool)
             if restrict_small:
-                erow, a, b = (superlevel_chords(u, rows, omega, 1.0) if chords
-                              else superlevel_intervals(
-                                  u, rows, omega, 1.0, quad, far_small))[:3]
+                erow, a, b, _ = superlevel_chords(u, rows, omega, 1.0)
                 exclude = (erow, a, b)
                 # a large jump that reaches infinity leaves no far tail
                 tail.flat[erow[np.isinf(b)]] = False
@@ -746,7 +723,7 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
             # each row owns a non-empty run of 15 nodes per panel
             if pair_terms:
                 qr, _, br = exps(rows[row, None], _ray_points(
-                    rows[row], _at(omega, row), h))
+                    rows[row], omega[row], h))
                 psi **= qr
                 psi *= h ** (br - (bt[row, None] if np.ndim(bt) else bt))
                 # the far tail's exponents vary beyond H as well
@@ -795,11 +772,11 @@ def _power_functional(u: ScalarField, quad: QuadratureSpec, coef: float,
 
 def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
                    R: float, exps, cap: float = math.inf, terms=False):
-    """Per ray y + h w (w omega, or omega[i] when it holds one per row),
-    the integral over h > h_R of |u(y)|^q h^{-1-r}, the part of the ray
-    beyond radius R (exit distance h_R), with (q, r, _) = exps at the pair
-    (far point y + h w, y), by `_ray_tails` (terms is its); 0 where
-    |y| >= R or |u(y)| > cap."""
+    """Per ray y + h w (w one direction per row of omega), the integral
+    over h > h_R of |u(y)|^q h^{-1-r}, the part of the ray beyond radius
+    R (exit distance h_R), with (q, r, _) = exps at the pair (far point
+    y + h w, y), by `_ray_tails` (terms is its); 0 where |y| >= R or
+    |u(y)| > cap."""
     au = np.abs(u.eval(Y))
     yw = np.vecdot(Y, omega)
     y2 = np.vecdot(Y, Y)
@@ -814,11 +791,11 @@ def _exterior_rays(u: ScalarField, Y: np.ndarray, omega: np.ndarray,
 
 def _ray_tails(au: np.ndarray, Y: np.ndarray, omega: np.ndarray,
                h0: np.ndarray, exps_at, terms=False):
-    """Per ray y + h w (w omega, or omega[i] when it holds one per row),
-    the integral over h > h0 of au^q h^{-1-r}, with (q, r, _) =
-    exps_at(the points y + h w, shape (k, j, n)); returns (GL15 value,
-    |GL15 - GL7|), or with terms each ray's 15 GL15 terms and their q,
-    one (k, 15) row per ray.
+    """Per ray y + h w (w one direction per row of omega), the integral
+    over h > h0 of au^q h^{-1-r}, with (q, r, _) = exps_at(the points
+    y + h w, shape (k, j, n)); returns (GL15 value, |GL15 - GL7|), or
+    with terms each ray's 15 GL15 terms and their q, one (k, 15) row per
+    ray.
 
     It runs in v = (h0 / h)^{r_e} on (0, 1], r_e the r at h0, where the
     integrand is au^q h0^{-r} v^{r/r_e - 1} / r_e: the constant 1 / r_e

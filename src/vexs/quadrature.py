@@ -190,14 +190,14 @@ def adaptive_integrate(f: Callable[[np.ndarray], np.ndarray],
 
 _EPS = np.finfo(float).eps
 # every _CHECK steps, a root bracket whose width has not halved since the
-# last check takes a midpoint step
+# last check takes a midpoint step; _BISECT_STEPS allow about 60 halvings
 _CHECK = 5
+_BISECT_STEPS = 300
 
 
 def vector_bisect(g: Callable[[np.ndarray], Callable],
                   lo: np.ndarray, hi: np.ndarray,
-                  g_lo: np.ndarray, g_hi: np.ndarray,
-                  iters: int = 300) -> np.ndarray:
+                  g_lo: np.ndarray, g_hi: np.ndarray) -> np.ndarray:
     """Roots of a batch of sign-change brackets [lo, hi], by a safeguarded
     Illinois (modified regula falsi) iteration.
 
@@ -212,11 +212,11 @@ def vector_bisect(g: Callable[[np.ndarray], Callable],
     midpoint step (counted as halving it), so the width halves at least
     that often.  A bracket is done once its width is at most 2 tol
     (4 ulp; its midpoint is returned) or a residual is exactly 0 (that
-    abscissa is returned), or after `iters` steps, enough for about 60
-    halvings.  Only unfinished brackets are evaluated, and each performs
-    the float operations of a scalar run on that bracket, whatever batch
-    it is in.  The name is that of the bisection this replaced, which the
-    benchmark's per-layer metrics bind.
+    abscissa is returned), or after _BISECT_STEPS steps.  Only unfinished
+    brackets are evaluated, and each performs the float operations of a
+    scalar run on that bracket, whatever batch it is in.  The name is
+    that of the bisection this replaced, which the benchmark's per-layer
+    metrics bind.
     """
     x0, x1 = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f0, f1 = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
@@ -227,7 +227,7 @@ def vector_bisect(g: Callable[[np.ndarray], Callable],
     root = np.empty(x0.size)
     act = np.arange(x0.size)
     ref = np.full(x0.size, np.inf)  # the width at the last check
-    for it in range(iters + 1):
+    for it in range(_BISECT_STEPS + 1):
         d = x1 - x0
         w = np.abs(d)
         tol = 2.0 * _EPS * np.maximum(np.abs(x0), np.abs(x1))
@@ -237,7 +237,7 @@ def vector_bisect(g: Callable[[np.ndarray], Callable],
             more = ~done
             act, x0, x1, f0, f1, ref, d, w, tol = (
                 v[more] for v in (act, x0, x1, f0, f1, ref, d, w, tol))
-        if not act.size or it == iters:
+        if not act.size or it == _BISECT_STEPS:
             break
         e = tol / w
         c = x1 - np.fmin(np.fmax(f1 / (f1 - f0), e), 1.0 - e) * d

@@ -97,14 +97,12 @@ def default_rule(n: int, node_count=None) -> SphereRule:
     raise DomainError(f"sphere rules exist for n in {{1, 2, 3}}, got {n}")
 
 
-def abs_power_sphere_integral(n: int, p, rule: SphereRule | None = None,
-                              e=None):
-    """Integral over S^{n-1} of |w . e|^p (no 1/p factor).
+def abs_power_sphere_integral(n: int, p, rule: SphereRule | None = None):
+    """Integral over S^{n-1} of |w . e|^p (no 1/p factor), for any unit e.
 
     With rule=None the closed form p * k_np_values(n, p) is used; p may
-    be an array.  With a rule, the quadrature sum is returned for the
-    reference direction e (default: the rule's axis).  The result is
-    independent of e up to the rule's resolution.
+    be an array.  With a rule, the quadrature sum is returned for e the
+    rule's axis, where the rule is most accurate.
     """
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 1.0):
@@ -114,9 +112,7 @@ def abs_power_sphere_integral(n: int, p, rule: SphereRule | None = None,
         return float(val) if p_arr.ndim == 0 else val
     if rule.dimension != n:
         raise DomainError("rule dimension mismatch")
-    e = rule.axis if e is None else np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
-    proj = np.abs(rule.nodes @ e)
+    proj = np.abs(rule.nodes @ rule.axis)
     if p_arr.ndim == 0:
         return float(np.sum(rule.weights * proj ** float(p_arr)))
     return np.array([float(np.sum(rule.weights * proj ** q)) for q in p_arr])

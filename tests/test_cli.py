@@ -163,6 +163,12 @@ def test_counterexample_csv_cells_parse_as_floats(counterexample_rows):
 NGUYEN_CFG = {"field": {"family": "gaussian"},
               "exponent": {"family": "constant", "value": 2.0},
               "delta": 0.1}
+# a 2D threshold functional brackets on the ray grid: it reads
+# h_bracket_grid
+NGUYEN_2D_CFG = {"field": {"family": "gaussian", "dimension": 2},
+                 "exponent": {"family": "constant", "value": 2.0,
+                              "dimension": 2},
+                 "delta": 0.2}
 MAXIMAL_CFG = {"field": {"family": "gaussian"}, "points": [0.0, 1.0]}
 DIAGNOSE_CFG = {"exponent": {"family": "constant", "value": 2.0}}
 BBM_CFG = {"field": {"family": "tent"}, "p": 2.0, "s": 0.5}
@@ -176,9 +182,9 @@ BBM_CFG = {"field": {"family": "tent"}, "p": 2.0, "s": 0.5}
                                           "sigma": "wide"}}, "sigma"),
     (["constants", "--n", "abc"], None, "--n"),
     (["nguyen"], {**NGUYEN_CFG, "quad": {"rel_tol": "x"}}, "rel_tol"),
-    (["nguyen"], {**NGUYEN_CFG, "quad": {"h_bracket_grid": 64.5}},
+    (["nguyen"], {**NGUYEN_2D_CFG, "quad": {"h_bracket_grid": 64.5}},
      "h_bracket_grid"),
-    (["nguyen"], {**NGUYEN_CFG, "quad": {"h_bracket_grid": "64"}},
+    (["nguyen"], {**NGUYEN_2D_CFG, "quad": {"h_bracket_grid": "64"}},
      "h_bracket_grid"),
     (["nguyen"], {**NGUYEN_CFG, "quad": {"sphere_rule": {
         "dimension": 1, "node_count": "abc"}}}, "node_count"),
@@ -315,11 +321,36 @@ def test_eps_reads_rel_tol_only_in_the_threshold_mode(tmp_path, capsys, mode,
     cfg = write_cfg(tmp_path, "eps.json", {
         **GAUSS_P2, "field": {"family": "gaussian", "scale": 3.0},
         "epsilon": 0.3, "mode": mode,
-        "quad": {"rel_tol": 1e-3, "h_bracket_grid": 32,
-                 "outer_x_tolerance": 1e-3}})
+        "quad": {"rel_tol": 1e-3, "outer_x_tolerance": 1e-3}})
     assert run_cli("eps", "--config", cfg) == code
     assert ("unknown key(s) in quad: rel_tol" in capsys.readouterr().err) \
         == (code == 2)
+
+
+SWEEP_1D = {**GAUSS_P2, "grid": [0.2, 0.1, 0.05]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("nguyen", {**GAUSS_P2, "delta": 0.1}),
+    ("sweep", {**SWEEP_1D, "kind": "nguyen-unit"}),
+    ("sweep", {**SWEEP_1D, "kind": "nguyen-weighted"}),
+    ("eps", {**GAUSS_P2, "field": {"family": "gaussian", "scale": 3.0},
+             "mode": "large_jump_tail"})])
+def test_1d_threshold_functional_rejects_h_bracket_grid(tmp_path, capsys,
+                                                        command, payload):
+    # 1D superlevel sets are closed form: no ray grid reads the key
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        **payload, "quad": {"h_bracket_grid": 64, "rel_tol": 1e-3}})
+    assert run_cli(command, "--config", cfg) == 2
+    assert "unknown key(s) in quad: h_bracket_grid" in \
+        capsys.readouterr().err
+
+
+def test_2d_threshold_functional_reads_h_bracket_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "nguyen.json", {**NGUYEN_2D_CFG, "quad": {
+        "h_bracket_grid": 32, "outer_x_tolerance": 1e-2, "rel_tol": 1e-2,
+        "sphere_rule": {"dimension": 2, "node_count": 16}}})
+    assert run_cli("nguyen", "--config", cfg) == 0
 
 
 def test_fracnorm_2d_config_runs(tmp_path, capsys):

@@ -106,9 +106,9 @@ def test_nguyen_1d_matches_exact_reference(name, delta):
 
 
 def test_1d_threshold_paths_bypass_the_ray_grid(monkeypatch):
-    # 1D nguyen (a profile and a table) and 1D small-jump eps take the
-    # closed-form chords: no superlevel grid and no root solve; the 2D
-    # Nguyen value still brackets on the ray grid
+    # 1D nguyen (a profile and a table) and small-jump eps in 1D and 2D
+    # take the closed-form chords: no superlevel grid and no root solve;
+    # the 2D Nguyen value still brackets on the ray grid
     calls = {"superlevel_intervals": 0, "vector_bisect": 0}
 
     def counted(module, name):
@@ -127,13 +127,31 @@ def test_1d_threshold_paths_bypass_the_ray_grid(monkeypatch):
                nguyen_functional(NON_MONOTONE_TABLE, constant(2.0), 0.3,
                                  quad=fast),
                eps_functional(Gaussian(scale=3.0), constant(2.0), 0.25,
-                              "small_jump", fast)):
+                              "small_jump", fast),
+               eps_functional(Gaussian(scale=3.0, center=(0.5, -0.25),
+                                       dimension=2),
+                              inverse_quadratic(2.0, 1.0, dimension=2), 0.25,
+                              "small_jump", _rule16(outer_x_tolerance=1e-2))):
         assert fv.value > 0.0
     assert calls == {"superlevel_intervals": 0, "vector_bisect": 0}
     nguyen_functional(Gaussian(dimension=2), constant(2.0, dimension=2), 0.2,
                       "unit", _rule16(h_bracket_grid=32,
                                       outer_x_tolerance=1e-2, rel_tol=1e-2))
     assert calls["superlevel_intervals"] > 0 and calls["vector_bisect"] > 0
+
+
+@pytest.mark.parametrize("center, quad, want", [
+    (0.0, {}, 123.52127513921542),
+    ((0.5, -0.25), {"outer_x_tolerance": 1e-4, "h_bracket_grid": 64},
+     121.25356211272384)])
+def test_eps_small_jump_2d_values_at_16_directions(center, quad, want):
+    # the closed-form exclusion of the 2D small-jump integral, centered
+    # (one outer direction) and off center (the full outer rule); the
+    # values the bracketed ray grid gave, to the last digit
+    fv = eps_functional(Gaussian(scale=3.0, center=center, dimension=2),
+                        inverse_quadratic(2.0, 1.0, dimension=2), 0.25,
+                        "small_jump", _rule16(**quad))
+    assert fv.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_local_energy_tent_p2():
@@ -207,7 +225,7 @@ def test_superlevel_monotone_in_delta():
     u = Gaussian()
     quad = QuadratureSpec()
     X = np.array([[0.3], [0.9], [1.7]])
-    omega = np.array([1.0])
+    omega = np.ones_like(X)
     row1, a1, b1, _ = superlevel_intervals(u, X, omega, 0.05, quad,
                                            u.far_radius(0.05 * 1e-6))
     row2, a2, b2, _ = superlevel_intervals(u, X, omega, 0.1, quad,
@@ -226,7 +244,7 @@ def test_superlevel_respects_lipschitz_floor():
     u = Gaussian()
     quad = QuadratureSpec()
     X = np.array([[0.5]])
-    _, a, _, _ = superlevel_intervals(u, X, np.array([1.0]), 0.2, quad,
+    _, a, _, _ = superlevel_intervals(u, X, np.ones_like(X), 0.2, quad,
                                       u.far_radius(0.2 * 1e-6))
     floor = 0.2 / u.lipschitz_bound
     assert np.all(a >= 0.99 * floor)
@@ -244,23 +262,84 @@ def test_superlevel_tent_exact(x, omega, want):
     # |u(x + h w) - u(x)| > 0.3 for the unit tent, solved by hand from
     # its three linear pieces; the far jump |u(x)| > 0.3 makes the last
     # interval unbounded
-    row, a, b, ambiguous = superlevel_intervals(
-        Tent(), np.array([[x]]), np.array([omega]), 0.3, QuadratureSpec(),
+    row, a, b, length = superlevel_intervals(
+        Tent(), np.array([[x]]), np.array([[omega]]), 0.3, QuadratureSpec(),
         1.0)
     assert row.tolist() == [0] * len(want)
-    assert not ambiguous.any()
     np.testing.assert_allclose(np.column_stack([a, b]), want, rtol=0,
                                atol=1e-12)
+    assert np.array_equal(length, b - a)
 
 
 @pytest.mark.parametrize("x, omega, want", TENT_HAND_SOLVED)
 def test_superlevel_chords_tent_exact(x, omega, want):
     row, a, b, length = superlevel_chords(Tent(), np.array([[x]]),
-                                          np.array([omega]), 0.3)
+                                          np.array([[omega]]), 0.3)
     assert row.tolist() == [0] * len(want)
     np.testing.assert_allclose(np.column_stack([a, b]), want, rtol=0,
                                atol=1e-15)
     np.testing.assert_allclose(length, b - a, rtol=1e-15)
+
+
+# (b, f): rays far out, whose roots meet the sphere where c = f b^2 is
+# tiny beside b^2, so -b + root (b > 0) or -b - root (b < 0) cancels
+FAR_CROSSINGS = [(3.7, 1e-12), (3.7, -5e-13), (-5.2, 3e-13), (1e6, 1e-13),
+                 (-0.75, -4e-14)]
+
+
+def _crossing_cases():
+    """(b, c, root, near, far) of h^2 + 2 b h = c, with the roots near, far
+    = -b -+ sqrt(b^2 + c) to 60 digits (None where the ray misses) and
+    root the float of the exact square root, 0 at an apex or NaN on a
+    miss, as callers pass it; the far rays first."""
+    from decimal import Decimal
+    cases = [(b, f * b * b) for b, f in FAR_CROSSINGS]
+    # near-tangent and tangent rays, and rays from the center
+    cases += [(2.0, -4.0 + 1e-9), (-2.0, -4.0 + 4e-12), (0.75, -0.5625),
+              (0.0, 2.0), (0.0, 0.3)]
+    out = []
+    for b, c in cases:
+        root = (Decimal(b) * Decimal(b) + Decimal(c)).sqrt()
+        out.append((b, c, float(root), -Decimal(b) - root,
+                    -Decimal(b) + root))
+    out.append((1.0, -2.0, math.nan, None, None))  # a miss
+    # apex: a ray through the origin at radius 0, as ray_t_nodes passes
+    # it (b = x . w, c = -|x|^2, the rounded disc set to 0): both roots
+    # are -b, whatever the rounding of c
+    for x in ([0.3, -0.4], [0.7, 0.2], [0.123, 0.456]):
+        x = np.array(x)
+        for w in (x, -x):
+            w = w / np.linalg.norm(w)
+            b, x2 = float(np.vecdot(x, w)), float(np.vecdot(x, x))
+            out.append((b, -x2, 0.0, -Decimal(b), -Decimal(b)))
+    return out
+
+
+def test_sphere_crossings_within_4_ulp_of_exact_roots():
+    from decimal import Decimal, localcontext
+
+    def ulps(got, exact):
+        return float(abs(Decimal(float(got)) - exact)
+                     / Decimal(float(np.spacing(abs(float(exact))))))
+
+    with localcontext(prec=60):
+        cases = _crossing_cases()
+        b, c, root = (np.array(v) for v in list(zip(*cases))[:3])
+        with np.errstate(invalid="ignore"):
+            near, far = functionals._sphere_crossings(b, c, root)
+        naive = []
+        for k, (*_, want_near, want_far) in enumerate(cases):
+            if want_near is None:
+                assert math.isnan(near[k]) and math.isnan(far[k])
+                continue
+            assert ulps(near[k], want_near) <= 4.0, (k, near[k], want_near)
+            assert ulps(far[k], want_far) <= 4.0, (k, far[k], want_far)
+            # a root of 0 is one crossing, so one break in ray_t_nodes
+            assert root[k] != 0.0 or near[k] == far[k] == -b[k]
+            naive.append(max(ulps(-b[k] - root[k], want_near),
+                             ulps(-b[k] + root[k], want_far)))
+    # the naive roots lose most of their digits on every far ray
+    assert min(naive[:len(FAR_CROSSINGS)]) > 1e6
 
 
 def _superlevel_by_brentq(u, x, w, delta, anchors):
@@ -322,7 +401,8 @@ def test_superlevel_chords_match_brentq_on_u(name, delta_frac):
     special = [2.5, -1.7] + (list(u.xs) if center is None else [center])
     X = np.concatenate([rng.uniform(-2.2, 2.2, 10), special])[:, None]
     for w in (1.0, -1.0):
-        row, a, b, length = superlevel_chords(u, X, np.array([w]), delta)
+        row, a, b, length = superlevel_chords(u, X, np.full_like(X, w),
+                                              delta)
         np.testing.assert_allclose(length, b - a, rtol=1e-12)
         for i, x in enumerate(X):
             anchors = ((u.xs - x[0]) * w if center is None else
@@ -347,7 +427,8 @@ def test_superlevel_chords_in_two_dimensions_match_brentq_on_u():
     W = np.vstack([W / np.linalg.norm(W, axis=1)[:, None],
                    (u.center - X[0]) / np.linalg.norm(u.center - X[0])])
     for w in W:
-        row, a, b, length = superlevel_chords(u, X, w, 0.5)
+        row, a, b, length = superlevel_chords(u, X, np.tile(w, (len(X), 1)),
+                                              0.5)
         np.testing.assert_allclose(length, b - a, rtol=1e-12)
         for i, x in enumerate(X):
             want = _superlevel_by_brentq(u, x, w, 0.5,
@@ -361,14 +442,14 @@ def test_superlevel_chords_in_two_dimensions_match_brentq_on_u():
 
 def _superlevel_by_loop(u, X, omega, threshold, quad):
     """Reference: the per-row walk over each ray's roots, returning one
-    list of (a, b) intervals per point and the ambiguous (row, H) pairs."""
+    list of (a, b) intervals per point."""
     m, n = X.shape
     u_x = u.eval(X)
     eta = threshold * 1e-6
     H = np.linalg.norm(X, axis=1) + u.far_radius(eta) + 1.0
     h_lo = max(0.999 * threshold / u.lipschitz_bound, 1e-12)
     N = quad.h_bracket_grid
-    out, ambiguous = [[] for _ in range(m)], []
+    out = [[] for _ in range(m)]
     live = np.nonzero(H > h_lo)[0]
     grids = np.exp(math.log(h_lo) + (np.log(H[live]) - math.log(h_lo))[:, None]
                    * np.linspace(0.0, 1.0, N)[None, :])
@@ -395,14 +476,10 @@ def _superlevel_by_loop(u, X, omega, threshold, quad):
             state = not state
         if state:
             far_jump = abs(float(u_x[idx]))
-            if far_jump > threshold + eta:
-                ivs.append((start, math.inf))
-            else:
-                ivs.append((start, float(H[idx])))
-                if far_jump > threshold - eta:
-                    ambiguous.append((int(idx), float(H[idx])))
+            ivs.append((start, math.inf if far_jump > threshold + eta
+                        else float(H[idx])))
         out[idx] = ivs
-    return out, ambiguous
+    return out
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
@@ -410,15 +487,15 @@ def _superlevel_by_loop(u, X, omega, threshold, quad):
 def test_superlevel_arrays_match_row_loop(delta, omega):
     u, quad = Gaussian(), QuadratureSpec()
     X = np.linspace(-3.0, 3.0, 41)[:, None]
-    row, a, b, ambiguous = superlevel_intervals(u, X, np.array([omega]),
-                                                delta, quad,
-                                                u.far_radius(delta * 1e-6))
-    ivs, amb = _superlevel_by_loop(u, X, np.array([omega]), delta, quad)
+    row, a, b, length = superlevel_intervals(u, X, np.full_like(X, omega),
+                                             delta, quad,
+                                             u.far_radius(delta * 1e-6))
+    ivs = _superlevel_by_loop(u, X, np.array([omega]), delta, quad)
     assert sum(map(len, ivs)) > 20
     assert [(int(i), float(lo), float(hi)) for i, lo, hi in zip(row, a, b)] \
         == [(i, float(lo), float(hi)) for i, iv in enumerate(ivs)
             for lo, hi in iv]
-    assert list(zip(row[ambiguous].tolist(), b[ambiguous].tolist())) == amb
+    assert np.array_equal(length, b - a)
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
@@ -441,7 +518,7 @@ def test_superlevel_root_work_is_bounded(monkeypatch, delta):
     u, quad = Gaussian(), QuadratureSpec()
     X = np.linspace(-3.0, 3.0, 41)[:, None]
     for omega in (1.0, -1.0):
-        superlevel_intervals(u, X, np.array([omega]), delta, quad,
+        superlevel_intervals(u, X, np.full_like(X, omega), delta, quad,
                              u.far_radius(delta * 1e-6))
     assert counts["brackets"] > 40
     assert counts["evals"] < 12 * counts["brackets"]
@@ -464,7 +541,8 @@ def test_superlevel_per_row_directions_match_stacked_calls(u):
     X, nodes, rows, omega = _rays(u, 8)
     quad, far = QuadratureSpec(h_bracket_grid=64), u.far_radius(0.3e-6)
     got = superlevel_intervals(u, rows, omega, 0.3, quad, far)
-    alone = [superlevel_intervals(u, X, w, 0.3, quad, far) for w in nodes]
+    alone = [superlevel_intervals(u, X, np.tile(w, (len(X), 1)), 0.3, quad,
+                                  far) for w in nodes]
     want = [np.concatenate([r + k * len(X) for k, (r, *_) in
                             enumerate(alone)])]
     want += [np.concatenate(parts) for parts in list(zip(*alone))[1:]]
@@ -515,10 +593,10 @@ def test_superlevel_memory_is_bounded_on_many_rows():
     import tracemalloc
     u, quad = Gaussian(), QuadratureSpec(h_bracket_grid=128)
     X = np.linspace(-4.0, 4.0, 20000)[:, None]
-    far = u.far_radius(0.1e-6)
+    omega, far = np.ones_like(X), u.far_radius(0.1e-6)
     tracemalloc.start()
     try:
-        row, *_ = superlevel_intervals(u, X, np.array([1.0]), 0.1, quad, far)
+        row, *_ = superlevel_intervals(u, X, omega, 0.1, quad, far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -661,7 +739,7 @@ def test_exterior_rays_exact_for_constant_exponents(n):
     u = Gaussian(dimension=n)
     Y = np.array([[0.0] * n, [1.0] + [0.5] * (n - 1), [-2.9] + [0.0] * (n - 1),
                   [3.0] + [0.0] * (n - 1), [4.0] * n])
-    omega = np.eye(n)[0]
+    omega = np.tile(np.eye(n)[0], (len(Y), 1))
     val, err = functionals._exterior_rays(u, Y, omega, R,
                                           lambda X, Y: (q, r, q - r))
     y2 = np.sum(Y * Y, axis=1)

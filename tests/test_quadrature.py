@@ -335,13 +335,14 @@ def test_golden_max_evaluates_only_unfinished_brackets():
 def test_ray_t_nodes_batch_matches_rows_alone(u):
     X = np.array([[0.3], [-2.0], [0.9]])
     H = np.array([4.0, 6.5, 3.0])
-    omega, quad = np.array([-1.0]), QuadratureSpec(h_bracket_grid=32)
+    omega, quad = -np.ones_like(X), QuadratureSpec(h_bracket_grid=32)
     row, *batch = ray_t_nodes(u, X, omega, 0.4, H, quad)
     # the t weights of each ray sum to its t range [0, H^beta]
     np.testing.assert_allclose(np.bincount(row, batch[1].sum(axis=1)),
                                H ** 0.4, rtol=1e-14)
     for i in range(3):
-        alone = ray_t_nodes(u, X[i:i + 1], omega, 0.4, H[i:i + 1], quad)
+        alone = ray_t_nodes(u, X[i:i + 1], omega[i:i + 1], 0.4, H[i:i + 1],
+                            quad)
         for a, b in zip(alone[1:], batch):
             assert np.array_equal(a, b[row == i])
 
@@ -350,10 +351,11 @@ def test_ray_t_nodes_exclusion_stays_on_its_ray():
     # ray 0 excludes (0.7, inf), which closes at its cutoff H; ray 1, with
     # nothing excluded, is the same as when computed alone
     u, quad = Gaussian(scale=3.0), QuadratureSpec(h_bracket_grid=32)
-    X, H, omega = np.array([[0.5], [1.0]]), np.array([5.0, 5.0]), np.ones(1)
+    X, H = np.array([[0.5], [1.0]]), np.array([5.0, 5.0])
+    omega = np.ones_like(X)
     exclude = (np.array([0]), np.array([0.7]), np.array([np.inf]))
     row, h, w_t, psi = ray_t_nodes(u, X, omega, 0.4, H, quad, exclude)
-    alone = ray_t_nodes(u, X[1:], omega, 0.4, H[1:], quad)
+    alone = ray_t_nodes(u, X[1:], omega[1:], 0.4, H[1:], quad)
     for a, b in zip(alone[1:], (h, w_t, psi)):
         assert np.array_equal(a, b[row == 1])
     assert h[row == 0].max() < 0.7
@@ -378,7 +380,8 @@ def test_ray_t_nodes_per_row_directions_match_stacked_calls(u):
                       (np.concatenate([exclude[0] + 5 * k
                                        for k in range(d)]),
                        np.tile(exclude[1], d), np.tile(exclude[2], d)))
-    alone = [ray_t_nodes(u, X, w, beta, H, quad, exclude) for w in nodes]
+    alone = [ray_t_nodes(u, X, np.tile(w, (5, 1)), beta, H, quad, exclude)
+             for w in nodes]
     want = [np.concatenate([r + 5 * k for k, (r, *_) in enumerate(alone)])]
     want += [np.concatenate(parts) for parts in list(zip(*alone))[1:]]
     for a, b in zip(want, got):
@@ -430,7 +433,8 @@ def test_ray_t_nodes_match_ray_loop(u, omega):
     exclude = (np.array([0, 1, 2, 2]), np.array([0.3, H[1] + 0.5, 0.1, 0.9]),
                np.array([np.inf, np.inf, 0.5, 1.4]))
     quad = QuadratureSpec(h_bracket_grid=32)
-    row, *batch = ray_t_nodes(u, X, omega, 0.4, H, quad, exclude)
+    row, *batch = ray_t_nodes(u, X, np.tile(omega, (4, 1)), 0.4, H, quad,
+                              exclude)
     for i in range(4):
         mine = exclude[0] == i
         ref = _ray_nodes_by_loop(u, X[i], omega, 0.4, H[i], 16,
@@ -454,7 +458,8 @@ def test_merged_floor_panel_keeps_ray_integrals(u, omega, beta):
                    np.full((1, n), 40.0)])
     H = np.linalg.norm(X, axis=1) + 2.0
     quad, none = QuadratureSpec(h_bracket_grid=128), np.zeros(0)
-    row, h, w_t, psi = ray_t_nodes(u, X, omega, beta, H, quad)
+    row, h, w_t, psi = ray_t_nodes(u, X, np.tile(omega, (len(X), 1)), beta, H,
+                                   quad)
     for i in range(X.shape[0]):
         g = abs(float(u.grad(X[i:i + 1])[0] @ omega))
         floor = 1e-7 * max(1.0, float(np.linalg.norm(X[i])))
@@ -475,8 +480,8 @@ def _ray_slope_by_gather(u, x, omega, h, grad_dir, u_x):
     out = np.repeat(np.abs(grad_dir)[:, None], h.shape[1], axis=1)
     big = h >= functionals._slope_floor(x)[:, None]
     k = np.nonzero(big)[0]
-    w = omega if omega.ndim == 1 else omega[k]
-    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * w) - u_x[k]) / h[big]
+    out[big] = np.abs(u.eval(x[k] + h[big][:, None] * omega[k]) - u_x[k]
+                      ) / h[big]
     return out
 
 
@@ -486,7 +491,7 @@ def _ray_slope_by_gather(u, x, omega, h, grad_dir, u_x):
                                Gaussian(center=[0.4, -0.7], dimension=2)])
 def test_ray_slope_matches_gather_route(u, per_row):
     # rows 0-3 straddle the slope floor (1e-7 max(1, |x|)), the rest lie
-    # above it; omega is one direction for every ray or one per row
+    # above it; the rays share one direction or each have their own
     n = u.dimension
     lo = np.array([0.0, 5e-8, 0.0, 2e-8, 1e-3, 0.5, 2.0])
     hi = np.array([2e-7, 3e-7, 5e-7, 1e-6, 0.2, 2.0, 6.0])
@@ -498,9 +503,9 @@ def test_ray_slope_matches_gather_route(u, per_row):
         omega = (np.sign(np.cos(ang))[:, None] if n == 1 else
                  np.column_stack([np.cos(ang), np.sin(ang)]))
     else:
-        omega = np.ones(1) if n == 1 else np.array([0.6, -0.8])
-    rows = omega if per_row else np.broadcast_to(omega, x.shape)
-    grad_dir, u_x = np.vecdot(u.grad(x), rows), u.eval(x)
+        omega = np.tile(np.ones(1) if n == 1 else np.array([0.6, -0.8]),
+                        (lo.size, 1))
+    grad_dir, u_x = np.vecdot(u.grad(x), omega), u.eval(x)
     got = ray_slope(u, x, omega, h, grad_dir, u_x)
     assert np.array_equal(
         got, _ray_slope_by_gather(u, x, omega, h, grad_dir, u_x))

@@ -67,7 +67,7 @@ def test_rotational_invariance_of_rule(rng):
         for _ in range(10):
             e = rng.normal(size=n)
             e /= np.linalg.norm(e)
-            quad = abs_power_sphere_integral(n, 2.5, rule, e)
+            quad = float(np.sum(rule.weights * np.abs(rule.nodes @ e) ** 2.5))
             assert abs(quad - closed) / closed <= 2e-5
 
 
